@@ -25,7 +25,6 @@ from .representation import (RepresentedMatrix, Spectrum,
                              UnitaryRepresentation, builtin_representation,
                              fourier, hermitian_spectrum, q8_representation,
                              regular_representation,
-                             represented_gain_matrices,
                              representation_from_dict, representation_to_dict,
                              root_of_unity_representation, sign_character,
                              trivial_representation)

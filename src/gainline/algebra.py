@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .group import Element, FiniteGroup
+from .group import Element, FiniteGroup, same_group
 
 
 class AlgebraElement:
@@ -83,16 +83,16 @@ class AlgebraElement:
             self.group, {inv[g]: c.conjugate() for g, c in self.coeffs.items()})
 
     def _same_group(self, other: "AlgebraElement") -> None:
-        if self.group != other.group:
+        if not same_group(self.group, other.group):
             raise ValidationError("algebra elements belong to different groups")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, AlgebraElement)
-                and self.group == other.group and self.coeffs == other.coeffs)
+                and same_group(self.group, other.group)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        return hash((id(self.group), tuple(sorted(
-            (g, c.real, c.imag) for g, c in self.coeffs.items()))))
+        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -120,7 +120,7 @@ class CGMatrix:
             raise ValidationError("matrix rows have inconsistent lengths")
         for row in entries:
             for a in row:
-                if a.group != group:
+                if not same_group(a.group, group):
                     raise ValidationError("matrix entry from a different group")
         self.group = group
         self.rows = rows
@@ -142,7 +142,7 @@ class CGMatrix:
         return self.entries[i][j]
 
     def __matmul__(self, other: "CGMatrix") -> "CGMatrix":
-        if self.group != other.group:
+        if not same_group(self.group, other.group):
             raise ValidationError("matrix product across different groups")
         if self.cols != other.rows:
             raise ValidationError(
@@ -162,7 +162,7 @@ class CGMatrix:
         return CGMatrix(self.group, out)
 
     def __add__(self, other: "CGMatrix") -> "CGMatrix":
-        if self.group != other.group:
+        if not same_group(self.group, other.group):
             raise ValidationError("matrix sum across different groups")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("matrix sum with mismatched shapes")
@@ -178,7 +178,7 @@ class CGMatrix:
 
     def scalar_mul(self, a: AlgebraElement, side: str = "left") -> "CGMatrix":
         """Entrywise multiplication by a fixed algebra element."""
-        if a.group != self.group:
+        if not same_group(a.group, self.group):
             raise ValidationError("scalar from a different group")
         if side == "left":
             return CGMatrix(self.group, [[a * x for x in row] for row in self.entries])
@@ -191,11 +191,11 @@ class CGMatrix:
                                      for row in self.entries])
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, CGMatrix) and self.group == other.group
+        return (isinstance(other, CGMatrix) and same_group(self.group, other.group)
                 and self.entries == other.entries)
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.entries))
+        return hash(self.entries)
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -43,9 +43,11 @@ def _orientation(g: graph.SimpleGraph, spec: str) -> graph.Orientation:
     if spec == "default":
         return graph.default_orientation(g)
     data = _load_json(spec)
-    heads = tuple((int(t) - 1, int(h) - 1) for t, h in data)
     try:
+        heads = tuple((int(t) - 1, int(h) - 1) for t, h in data)
         return graph.Orientation(g, heads)
+    except (TypeError, ValueError):
+        raise InputError(f"{spec} must be a list of [tail, head] pairs")
     except GainlineError as exc:
         raise InputError(str(exc))
 
@@ -128,9 +130,8 @@ def cmd_check_obstruction(args) -> int:
 def cmd_spectrum(args) -> int:
     psi_fn = gain.gain_from_dict(_load_json(args.file))
     rep = representation.representation_from_dict(_load_json(args.rep), psi_fn.group)
-    matrices = representation.represented_gain_matrices(
-        psi_fn, psi_fn.group.identity, rep)
-    spec = representation.hermitian_spectrum(matrices["adjacency"])
+    spec = representation.hermitian_spectrum(
+        representation.fourier(gain.gain_adjacency(psi_fn), rep))
     groups = spec.multiplicity_groups()
     out = io.StringIO()
     writer = csv.writer(out)

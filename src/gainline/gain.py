@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .algebra import AlgebraElement, CGMatrix, group_diagonal
 from .errors import InputError, ValidationError
-from .graph import SimpleGraph, graph_from_dict, graph_to_dict
+from .graph import SimpleGraph, bfs_tree, graph_from_dict, graph_to_dict
 from .group import (Element, FiniteGroup, build_group, group_to_dict,
                     is_central_weak_involution)
 
@@ -111,37 +111,16 @@ def walk_gain(psi: GainFunction, walk: Sequence[int]) -> Element:
     return g
 
 
-def _spanning_tree(graph: SimpleGraph) -> tuple[list[int], list[int]]:
-    """BFS tree from vertex 0: (parent per vertex, tree edge indices)."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
-    for k, (u, v) in enumerate(graph.edges):
-        adj[u].append((v, k))
-        adj[v].append((u, k))
-    parent = [-1] * graph.n
-    tree_edges = []
-    order = [0]
-    seen = {0}
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        for v, k in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                tree_edges.append(k)
-                order.append(v)
-    return parent, order
-
-
 def balance_witness(psi: GainFunction) -> SwitchingFunction | None:
     """A switching function f with psi^f = 1 constant, or None.
 
-    Propagates f along a BFS spanning tree and accepts iff every non-tree
-    edge closes consistently.
+    Propagates f from f(0) = 1 along a BFS spanning tree and accepts iff
+    every edge then closes consistently.  One seed suffices: a constant
+    switch fixes the constant gain 1, so if any seed succeeds, seed 1 does.
     """
-    found = switching_to(psi, constant_gain(psi.graph, psi.group, psi.group.identity))
-    return found
+    target = constant_gain(psi.graph, psi.group, psi.group.identity)
+    parent, order = bfs_tree(psi.graph)
+    return _propagate(psi, target, psi.group.identity, parent, order)
 
 
 def is_balanced(psi: GainFunction) -> bool:
@@ -166,32 +145,34 @@ def switching_to(psi1: GainFunction, psi2: GainFunction) -> SwitchingFunction | 
     """Some f with psi2 = psi1^f, or None if the gains are not equivalent.
 
     Tree propagation forces f up to the seed f(root); all |G| seeds are
-    tried because for nonabelian G the propagated values depend on it.
+    tried, identity first, as for nonabelian G the values depend on it.
     """
     if psi1.graph != psi2.graph:
         raise ValidationError("gain functions live on different graphs")
     if psi1.group != psi2.group:
         raise ValidationError("gain functions take values in different groups")
-    G = psi1.group
-    graph = psi1.graph
-    parent, bfs_order = _spanning_tree(graph)
-
-    for seed in G.elements():
-        f = [-1] * graph.n
-        f[0] = seed
-        # psi2(u,v) = f(u)^-1 psi1(u,v) f(v)  =>  f(v) = psi1(u,v)^-1 f(u) psi2(u,v)
-        for v in bfs_order[1:]:
-            u = parent[v]
-            f[v] = G.mul(G.invert(psi1.gain(u, v)), G.mul(f[u], psi2.gain(u, v)))
-        ok = True
-        for k, (u, v) in enumerate(graph.edges):
-            lhs = G.mul(G.invert(f[u]), G.mul(psi1.forward[k], f[v]))
-            if lhs != psi2.forward[k]:
-                ok = False
-                break
-        if ok:
-            return SwitchingFunction(G, tuple(f))
+    parent, order = bfs_tree(psi1.graph)
+    for seed in psi1.group.elements():
+        found = _propagate(psi1, psi2, seed, parent, order)
+        if found is not None:
+            return found
     return None
+
+
+def _propagate(psi1: GainFunction, psi2: GainFunction, seed: Element,
+               parent: list[int], order: list[int]) -> SwitchingFunction | None:
+    """The f forced along the tree from f(0) = seed, if psi1^f = psi2."""
+    G = psi1.group
+    f = [-1] * psi1.graph.n
+    f[0] = seed
+    # psi2(u,v) = f(u)^-1 psi1(u,v) f(v)  =>  f(v) = psi1(u,v)^-1 f(u) psi2(u,v)
+    for v in order[1:]:
+        u = parent[v]
+        f[v] = G.mul(G.invert(psi1.gain(u, v)), G.mul(f[u], psi2.gain(u, v)))
+    for k, (u, v) in enumerate(psi1.graph.edges):
+        if G.mul(G.invert(f[u]), G.mul(psi1.forward[k], f[v])) != psi2.forward[k]:
+            return None
+    return SwitchingFunction(G, tuple(f))
 
 
 def switching_equivalent(psi1: GainFunction, psi2: GainFunction) -> bool:

@@ -46,7 +46,7 @@ class SimpleGraph:
             seen.add(key)
             norm.append(key)
         object.__setattr__(self, "edges", tuple(norm))
-        if not _connected(self.n, self.edges):
+        if len(bfs_tree(self)[1]) != self.n:
             raise ValidationError("graph is not connected")
 
     @property
@@ -61,27 +61,50 @@ class SimpleGraph:
         """Map (min, max) endpoint pair -> edge position."""
         return {e: k for k, e in enumerate(self.edges)}
 
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the indices of its incident edges in edge order."""
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        for k, (u, v) in enumerate(self.edges):
+            out[u].append(k)
+            out[v].append(k)
+        return tuple(tuple(ks) for ks in out)
+
+    @cached_property
+    def _line(self) -> "LineGraphData":
+        """The line graph, built once; read it through :func:`line_graph`."""
+        pairs = []
+        for v, ks in enumerate(self.incidence):
+            for a, i in enumerate(ks):
+                for j in ks[a + 1:]:
+                    pairs.append((i, j, v))
+        # Two distinct edges of a simple graph share at most one vertex, so
+        # the (i, j) pairs are distinct and sorting fixes the order.
+        pairs.sort()
+        return LineGraphData(SimpleGraph(self.m, tuple((i, j) for i, j, _ in pairs)),
+                             tuple(v for _, _, v in pairs))
+
     def incident_edges(self, v: int) -> list[int]:
-        return [k for k, (a, b) in enumerate(self.edges) if v in (a, b)]
+        return list(self.incidence[v])
 
     def degree(self, v: int) -> int:
-        return len(self.incident_edges(v))
+        return len(self.incidence[v])
 
 
-def _connected(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+def bfs_tree(graph: SimpleGraph) -> tuple[list[int], list[int]]:
+    """BFS from vertex 0: (parent per vertex, with the root its own parent
+    and -1 where unreached; reached vertices in visiting order)."""
+    parent = [-1] * graph.n
+    parent[0] = 0
+    order = [0]
+    for u in order:
+        for k in graph.incidence[u]:
+            a, b = graph.edges[k]
+            w = a + b - u
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    return parent, order
 
 
 @dataclass(frozen=True)
@@ -120,19 +143,10 @@ def line_graph(graph: SimpleGraph) -> LineGraphData:
     """Vertices are the edges of the input, in the same order.
 
     Line edges are ordered lexicographically by their (min, max) edge-index
-    pair; each records the vertex the two edges share.
+    pair; each records the vertex the two edges share.  Built once per graph
+    from its incidence lists, in O(sum of squared degrees).
     """
-    m = graph.m
-    line_edges = []
-    shared = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            a, b = set(graph.edges[i]), set(graph.edges[j])
-            common = a & b
-            if common:
-                line_edges.append((i, j))
-                shared.append(common.pop())
-    return LineGraphData(SimpleGraph(m, tuple(line_edges)), tuple(shared))
+    return graph._line
 
 
 def incidence_matrix(graph: SimpleGraph) -> np.ndarray:
@@ -164,15 +178,17 @@ def graph_from_dict(data: dict) -> SimpleGraph:
     try:
         n = int(data["n"])
         edges = data["edges"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"graph description needs 'n' and 'edges': {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"graph description needs integer 'n' and 'edges': {exc}")
     if not edges:
         raise InputError("input graph needs at least one edge")
     converted = []
     for e in edges:
-        if len(e) != 2:
-            raise InputError(f"edge {e} must have two endpoints")
-        u, v = int(e[0]) - 1, int(e[1]) - 1
+        try:
+            a, b = e
+            u, v = int(a) - 1, int(b) - 1
+        except (TypeError, ValueError):
+            raise InputError(f"edge {e} must be a pair of integer endpoints")
         if u < 0 or v < 0:
             raise InputError(f"vertices are 1-based; got edge {e}")
         converted.append((u, v))

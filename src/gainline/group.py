@@ -8,18 +8,15 @@ convention that index 0 is the identity.  All builders return validated
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Sequence
+
+import numpy as np
 
 from .errors import InputError, ValidationError
 
 Element = int
 
-#: Associativity is checked exhaustively up to this order, by sampling above.
-ASSOC_EXHAUSTIVE_LIMIT = 64
-ASSOC_SAMPLE_COUNT = 10_000
-
-#: Artifact cap on the order of custom tables.
+#: Artifact cap on the order of every group, builtin or custom.
 MAX_ORDER = 512
 
 
@@ -36,54 +33,37 @@ class FiniteGroup:
         order = len(labels)
         if order == 0:
             raise ValidationError("group must have at least one element")
-        if order > MAX_ORDER:
-            raise ValidationError(f"group order {order} exceeds cap {MAX_ORDER}")
+        _check_order(order)
         if len(set(labels)) != order:
             raise ValidationError("element labels must be unique")
         if len(mult) != order or any(len(row) != order for row in mult):
             raise ValidationError("multiplication table must be square of size order")
 
         table = tuple(tuple(int(x) for x in row) for row in mult)
-        full = list(range(order))
-        for a in full:
-            if sorted(table[a]) != full:
-                raise ValidationError(f"row {a} of the table is not a permutation")
-            if sorted(table[b][a] for b in full) != full:
-                raise ValidationError(f"column {a} of the table is not a permutation")
-        for g in full:
-            if table[0][g] != g or table[g][0] != g:
-                raise ValidationError("element 0 is not a two-sided identity")
-
-        inv = [-1] * order
-        for g in full:
-            for h in full:
-                if table[g][h] == 0 and table[h][g] == 0:
-                    inv[g] = h
-                    break
-            if inv[g] < 0:
-                raise ValidationError(f"element {g} has no two-sided inverse")
+        T = np.array(table)
+        full = np.arange(order)
+        bad_rows = (np.sort(T, axis=1) != full).any(axis=1)
+        bad_cols = (np.sort(T, axis=0) != full[:, None]).any(axis=0)
+        bad = np.flatnonzero(bad_rows | bad_cols)
+        if bad.size:
+            kind = "row" if bad_rows[bad[0]] else "column"
+            raise ValidationError(f"{kind} {bad[0]} of the table is not a permutation")
+        if (T[0] != full).any() or (T[:, 0] != full).any():
+            raise ValidationError("element 0 is not a two-sided identity")
+        # Rows are permutations, so g h = 1 has exactly one solution h.
+        inv = np.argmin(T, axis=1)
+        bad = np.flatnonzero(T[inv, full] != 0)
+        if bad.size:
+            raise ValidationError(f"element {bad[0]} has no two-sided inverse")
+        _check_associativity(T)
 
         self.name = name
         self.labels = tuple(str(label) for label in labels)
         self.mult = table
-        self.inv = tuple(inv)
+        self.inv = tuple(inv.tolist())
         self.order = order
         self._label_index = {label: i for i, label in enumerate(self.labels)}
-        self._check_associativity()
-        self._abelian: bool | None = None
-
-    def _check_associativity(self) -> None:
-        n = self.order
-        if n <= ASSOC_EXHAUSTIVE_LIMIT:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(ASSOC_SAMPLE_COUNT))
-        for a, b, c in triples:
-            if self.mult[self.mult[a][b]][c] != self.mult[a][self.mult[b][c]]:
-                raise ValidationError(
-                    f"table is not associative at ({a}, {b}, {c})")
+        self._abelian = bool((T == T.T).all())
 
     # -- basic operations ---------------------------------------------------
 
@@ -114,10 +94,6 @@ class FiniteGroup:
             raise InputError(f"unknown element label {label!r} in group {self.name}")
 
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            self._abelian = all(
-                self.mult[a][b] == self.mult[b][a]
-                for a in range(self.order) for b in range(self.order))
         return self._abelian
 
     def __eq__(self, other: object) -> bool:
@@ -129,6 +105,44 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
+
+
+def _check_associativity(T: np.ndarray) -> None:
+    """Light's test: (x s) y = x (s y) for all x, y and each generator s.
+
+    The elements a with (x a) y = x (a y) for all x, y are closed under the
+    product, so checking a generating set proves associativity.
+    """
+    for s in _generators(T):
+        bad = np.argwhere(T[T[:, s], :] != T[:, T[s, :]])
+        if bad.size:
+            x, y = bad[0]
+            raise ValidationError(f"table is not associative at ({x}, {s}, {y})")
+
+
+def _generators(T: np.ndarray) -> list[Element]:
+    """A greedy generating set: each element not yet reached from the
+    identity by right multiplication with the generators so far is added."""
+    gens: list[Element] = []
+    reached = np.zeros(len(T), dtype=bool)
+    reached[0] = True
+    for g in range(len(T)):
+        if not reached[g]:
+            gens.append(g)
+            while not reached[T[np.ix_(reached, gens)]].all():
+                reached[T[np.ix_(reached, gens)]] = True
+    return gens
+
+
+def _check_order(order: int) -> None:
+    if order > MAX_ORDER:
+        raise ValidationError(f"group order {order} exceeds cap {MAX_ORDER}")
+
+
+def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
+    """Value equality, decided by identity first: most operands share one
+    group object, and comparing tables costs O(order^2)."""
+    return a is b or a == b
 
 
 def center(group: FiniteGroup) -> list[Element]:
@@ -156,6 +170,7 @@ def cyclic(n: int) -> FiniteGroup:
     """Z_n with additive labels "0".."n-1"."""
     if n < 1:
         raise InputError("cyclic group needs n >= 1")
+    _check_order(n)
     labels = [str(a) for a in range(n)]
     mult = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroup(labels, mult, name=f"Z{n}")
@@ -177,6 +192,7 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: rotations r0..r{n-1}, reflections s0..s{n-1}."""
     if n < 1:
         raise InputError("dihedral group needs n >= 1")
+    _check_order(2 * n)
 
     def idx(a: int, s: int) -> int:
         return s * n + a % n
@@ -216,6 +232,7 @@ def quaternion8() -> FiniteGroup:
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, labeled "(x,y)"."""
+    _check_order(a.order * b.order)
     pairs = list(itertools.product(range(a.order), range(b.order)))
     index = {p: i for i, p in enumerate(pairs)}
     labels = [f"({a.labels[x]},{b.labels[y]})" for x, y in pairs]
@@ -235,24 +252,37 @@ def build_group(spec: dict) -> FiniteGroup:
         raise InputError("group description must be an object with a 'family' key")
     family = spec["family"]
     if family == "cyclic":
-        return cyclic(int(spec["n"]))
+        return cyclic(_order_field(spec))
     if family == "sign":
         return sign_group()
     if family == "t4":
         return t4()
     if family == "dihedral":
-        return dihedral(int(spec["n"]))
+        return dihedral(_order_field(spec))
     if family == "quaternion8":
         return quaternion8()
     if family == "direct_product":
-        return direct_product(build_group(spec["left"]), build_group(spec["right"]))
+        left, right = _fields(spec, "left", "right")
+        return direct_product(build_group(left), build_group(right))
     if family == "custom":
-        try:
-            labels, table = spec["labels"], spec["table"]
-        except KeyError as exc:
-            raise InputError(f"custom group needs {exc} field")
+        labels, table = _fields(spec, "labels", "table")
         return FiniteGroup(labels, table, name=spec.get("name", "custom"))
     raise InputError(f"unknown group family {family!r}")
+
+
+def _fields(spec: dict, *keys: str) -> tuple:
+    try:
+        return tuple(spec[key] for key in keys)
+    except KeyError as exc:
+        raise InputError(f"{spec['family']} group needs {exc} field")
+
+
+def _order_field(spec: dict) -> int:
+    (n,) = _fields(spec, "n")
+    try:
+        return int(n)
+    except (TypeError, ValueError):
+        raise InputError(f"group field 'n' must be an integer, got {n!r}")
 
 
 def group_to_dict(group: FiniteGroup) -> dict:

@@ -9,13 +9,12 @@ relations of the right/left/two-sided diagonal actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .algebra import AlgebraElement, CGMatrix, group_diagonal
+from .algebra import AlgebraElement, CGMatrix
 from .errors import InputError, ValidationError
-from .gain import GainFunction, SwitchingFunction, switching_to
-from .graph import (LineGraphData, Orientation, SimpleGraph, graph_from_dict,
-                    graph_to_dict, line_graph)
+from .gain import GainFunction, switching_to
+from .graph import (Orientation, SimpleGraph, graph_from_dict, graph_to_dict,
+                    line_graph)
 from .group import (Element, FiniteGroup, build_group, group_to_dict,
                     is_central_weak_involution)
 
@@ -50,23 +49,23 @@ class GPhase:
     def __post_init__(self):
         if len(self.rows) != self.graph.n:
             raise ValidationError("phase must have one row per vertex")
+        m = self.graph.m
         for i, row in enumerate(self.rows):
-            if len(row) != self.graph.m:
+            if len(row) != m:
                 raise ValidationError("phase must have one column per edge")
-            for k, entry in enumerate(row):
-                incident = i in self.graph.edges[k]
-                if incident and entry is None:
+            incident = self.graph.incidence[i]
+            for k in incident:
+                if row[k] is None:
                     raise ValidationError(
                         f"missing entry at incident pair (v{i + 1}, e{k + 1})")
-                if not incident and entry is not None:
-                    raise ValidationError(
-                        f"nonzero entry at non-incident pair (v{i + 1}, e{k + 1})")
-                if entry is not None and not 0 <= entry < self.group.order:
-                    raise ValidationError(f"element index {entry} out of range")
-
-    @cached_property
-    def line(self) -> LineGraphData:
-        return line_graph(self.graph)
+                if not 0 <= row[k] < self.group.order:
+                    raise ValidationError(f"element index {row[k]} out of range")
+            # The incident entries are set, so any further non-None is misplaced.
+            if row.count(None) != m - len(incident):
+                k = next(k for k, x in enumerate(row)
+                         if x is not None and k not in incident)
+                raise ValidationError(
+                    f"nonzero entry at non-incident pair (v{i + 1}, e{k + 1})")
 
     def entry(self, i: int, k: int) -> Element:
         g = self.rows[i][k]
@@ -103,10 +102,9 @@ def psi(H: GPhase, ctx: PhaseContext) -> GainFunction:
 def psi_line(H: GPhase, ctx: PhaseContext) -> GainFunction:
     """The induced gain on the line graph: s2 * H[k,i]^-1 * H[k,j]."""
     G = _shared_group(H, ctx)
-    data = H.line
+    data = line_graph(H.graph)
     out = []
-    for pos, (i, j) in enumerate(data.line.edges):
-        k = data.shared_vertex[pos]
+    for (i, j), k in zip(data.line.edges, data.shared_vertex):
         g = G.mul(ctx.s2, G.mul(G.invert(H.entry(k, i)), H.entry(k, j)))
         out.append(g)
     return GainFunction(data.line, G, tuple(out))
@@ -134,20 +132,14 @@ def act(H: GPhase, f: tuple[Element, ...] | None = None,
         raise ValidationError("left action vector must have one entry per vertex")
     if g is not None and len(g) != H.graph.m:
         raise ValidationError("right action vector must have one entry per edge")
-    rows = []
-    for i, row in enumerate(H.rows):
-        new_row: list[Element | None] = []
-        for k, x in enumerate(row):
-            if x is None:
-                new_row.append(None)
-                continue
+    rows = [list(row) for row in H.rows]
+    for i, incident in enumerate(H.graph.incidence):
+        for k in incident:
             if f is not None:
-                x = G.mul(G.invert(f[i]), x)
+                rows[i][k] = G.mul(G.invert(f[i]), rows[i][k])
             if g is not None:
-                x = G.mul(x, g[k])
-            new_row.append(x)
-        rows.append(tuple(new_row))
-    return GPhase(H.graph, G, tuple(rows))
+                rows[i][k] = G.mul(rows[i][k], g[k])
+    return GPhase(H.graph, G, tuple(tuple(row) for row in rows))
 
 
 def same_orbit(H1: GPhase, H2: GPhase, which: str, ctx: PhaseContext) -> bool:
@@ -174,34 +166,18 @@ def same_orbit(H1: GPhase, H2: GPhase, which: str, ctx: PhaseContext) -> bool:
 
 def gain_line(psi_fn: GainFunction, orientation: Orientation,
               ctx: PhaseContext) -> GainFunction:
-    """The gain-line lift: the line-graph gain of the section phase.
+    """The gain-line lift: psi_line of the section phase of psi.
 
-    Computed by the closed-form orientation rule; only the switching class
-    of the result is canonical, the representative depends on the chosen
-    orientation.
+    Only the switching class of the result is canonical; the representative
+    depends on the chosen orientation.
     """
-    if orientation.graph != psi_fn.graph:
-        raise ValidationError("orientation belongs to a different graph")
-    G = _shared_group(psi_fn, ctx)
-    graph = psi_fn.graph
-    data = line_graph(graph)
-
-    def section_entry(v: int, k: int) -> Element:
-        tail, head = orientation.heads[k]
-        return psi_fn.gain(tail, head) if v == tail else ctx.s1
-
-    out = []
-    for pos, (a, b) in enumerate(data.line.edges):
-        v = data.shared_vertex[pos]
-        g = G.mul(ctx.s2, G.mul(G.invert(section_entry(v, a)), section_entry(v, b)))
-        out.append(g)
-    return GainFunction(data.line, G, tuple(out))
+    return psi_line(phase_from_orientation(psi_fn, orientation, ctx), ctx)
 
 
 def reff_line_phase(H: GPhase) -> GPhase:
     """The line phase: inverse of the shared-vertex entry, per incidence."""
     G = H.group
-    data = H.line
+    data = line_graph(H.graph)
     m = H.graph.m
     q = data.line.m
     rows: list[list[Element | None]] = [[None] * q for _ in range(m)]
@@ -226,7 +202,7 @@ def recognize_gain_line(zeta: GainFunction, root: SimpleGraph,
         raise ValidationError("gain function does not live on the root's line graph")
     rows: list[list[Element | None]] = [[None] * root.m for _ in range(root.n)]
     for v in range(root.n):
-        incident = root.incident_edges(v)
+        incident = root.incidence[v]
         if not incident:
             continue
         base = incident[0]
@@ -240,12 +216,7 @@ def recognize_gain_line(zeta: GainFunction, root: SimpleGraph,
                 lhs = G.mul(ctx.s2, G.mul(G.invert(rows[v][a]), rows[v][b]))
                 if lhs != zeta.gain(a, b):
                     return None
-    H = GPhase(root, G, tuple(tuple(row) for row in rows))
-    return H
-
-
-def is_gain_line(zeta: GainFunction, root: SimpleGraph, ctx: PhaseContext) -> bool:
-    return recognize_gain_line(zeta, root, ctx) is not None
+    return GPhase(root, G, tuple(tuple(row) for row in rows))
 
 
 def _shared_group(obj, ctx: PhaseContext) -> FiniteGroup:

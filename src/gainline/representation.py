@@ -8,13 +8,12 @@ import numpy as np
 
 from .algebra import CGMatrix
 from .errors import InputError, ValidationError
-from .gain import GainFunction, gain_adjacency, s_laplacian
 from .group import Element, FiniteGroup
 
 #: Homomorphism / unitarity validation tolerance.
 VALIDATION_TOL = 1e-10
-#: Per-pair eigenresidual target, relative to the matrix norm.
-EIGEN_RESIDUAL_TOL = 1e-9
+#: Matrix entries per block of the homomorphism check.
+_BLOCK_ENTRIES = 16384
 
 
 class UnitaryRepresentation:
@@ -36,16 +35,23 @@ class UnitaryRepresentation:
         eye = np.eye(k)
         if np.abs(images[0] - eye).max() > tol:
             raise ValidationError("pi(identity) is not the identity matrix")
+        gram = images.conj().transpose(0, 2, 1) @ images
+        bad = np.flatnonzero(np.abs(gram - eye).max(axis=(1, 2)) > tol)
+        if bad.size:
+            raise ValidationError(f"pi({group.label(bad[0])}) is not unitary")
+        # pi(g) pi(h) for a block of h per product: small degrees take every h
+        # at once, large ones keep the block in cache.
+        block = max(1, _BLOCK_ENTRIES // (k * k))
         for g in group.elements():
-            if np.abs(images[g].conj().T @ images[g] - eye).max() > tol:
-                raise ValidationError(f"pi({group.label(g)}) is not unitary")
-        for g in group.elements():
-            for h in group.elements():
-                gh = group.mult[g][h]
-                if np.abs(images[g] @ images[h] - images[gh]).max() > tol:
+            row = list(group.mult[g])
+            for h0 in range(0, group.order, block):
+                products = images[g] @ images[h0:h0 + block]
+                deviation = np.abs(products - images[row[h0:h0 + block]]).max(axis=(1, 2))
+                bad = np.flatnonzero(deviation > tol)
+                if bad.size:
                     raise ValidationError(
                         f"pi is not a homomorphism at ({group.label(g)}, "
-                        f"{group.label(h)})")
+                        f"{group.label(h0 + bad[0])})")
         self.group = group
         self.degree = k
         self.images = images
@@ -115,15 +121,6 @@ def hermitian_spectrum(M: RepresentedMatrix | np.ndarray,
         return Spectrum(())
     values = np.linalg.eigvalsh(data)
     return Spectrum(tuple(float(v) for v in values))
-
-
-def represented_gain_matrices(psi: GainFunction, s: Element,
-                              rep: UnitaryRepresentation) -> dict[str, RepresentedMatrix]:
-    """Fourier transforms of the gain adjacency and the s-Laplacian."""
-    return {
-        "adjacency": fourier(gain_adjacency(psi), rep),
-        "laplacian": fourier(s_laplacian(psi, s), rep),
-    }
 
 
 # -- builtin representations ------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ValidationError
 from .gain import GainFunction, gain_adjacency
 from .phase import GPhase, PhaseContext, psi_line
-from .representation import (RepresentedMatrix, UnitaryRepresentation, fourier,
+from .representation import (UnitaryRepresentation, fourier,
                              hermitian_spectrum)
 
 #: Slack between the exact +-2 bounds and numerical eigenvalues.

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 import gainline as gl
 
 
@@ -75,6 +77,97 @@ def brute_force_switching(psi1: gl.GainFunction, psi2: gl.GainFunction):
     for values in itertools.product(range(G.order), repeat=n):
         if gl.switch(psi1, values) == psi2:
             return values
+    return None
+
+
+def shuffled_graph(rng: random.Random, graph: gl.SimpleGraph) -> gl.SimpleGraph:
+    """The same graph with its edges in random order and random endpoint order."""
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges]
+    rng.shuffle(edges)
+    return gl.SimpleGraph(graph.n, tuple(edges))
+
+
+def complete_graph(n: int) -> gl.SimpleGraph:
+    return gl.SimpleGraph(n, tuple(itertools.combinations(range(n), 2)))
+
+
+def star_graph(leaves: int) -> gl.SimpleGraph:
+    return gl.SimpleGraph(leaves + 1, tuple((0, v) for v in range(1, leaves + 1)))
+
+
+def reference_line_graph(graph: gl.SimpleGraph):
+    """(line edges, shared vertices) by the pairwise O(m^2) scan; oracle only."""
+    m = graph.m
+    line_edges = []
+    shared = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            common = set(graph.edges[i]) & set(graph.edges[j])
+            if common:
+                line_edges.append((i, j))
+                shared.append(common.pop())
+    return tuple(line_edges), tuple(shared)
+
+
+def reference_gain_line(psi: gl.GainFunction, orientation: gl.Orientation,
+                        ctx: gl.PhaseContext) -> tuple[int, ...]:
+    """Line gains by the closed-form orientation rule; oracle only.
+
+    Per line edge (a, b) at shared vertex v: s2 * h(v, a)^-1 * h(v, b), where
+    h(v, k) is the gain of edge k at its tail and s1 at its head.
+    """
+    G = psi.group
+    line_edges, shared = reference_line_graph(psi.graph)
+
+    def section_entry(v: int, k: int) -> int:
+        tail, head = orientation.heads[k]
+        return psi.gain(tail, head) if v == tail else ctx.s1
+
+    return tuple(
+        G.mul(ctx.s2, G.mul(G.invert(section_entry(v, a)), section_entry(v, b)))
+        for (a, b), v in zip(line_edges, shared))
+
+
+def random_orientation(rng: random.Random, graph: gl.SimpleGraph) -> gl.Orientation:
+    return gl.Orientation(graph, tuple(
+        (u, v) if rng.random() < 0.5 else (v, u) for u, v in graph.edges))
+
+
+def reference_table_failure(table) -> str | None:
+    """The message of the first failed Latin, identity, inverse or
+    associativity check, by exhaustive loops; oracle only."""
+    order = len(table)
+    full = list(range(order))
+    for a in full:
+        if sorted(table[a]) != full:
+            return f"row {a} of the table is not a permutation"
+        if sorted(table[b][a] for b in full) != full:
+            return f"column {a} of the table is not a permutation"
+    if any(table[0][g] != g or table[g][0] != g for g in full):
+        return "element 0 is not a two-sided identity"
+    for g in full:
+        if not any(table[g][h] == 0 and table[h][g] == 0 for h in full):
+            return f"element {g} has no two-sided inverse"
+    for a, b, c in itertools.product(full, repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return "table is not associative"
+    return None
+
+
+def reference_representation_failure(group: gl.FiniteGroup, images,
+                                     tol: float = 1e-10) -> str | None:
+    """The message of the first failed unitarity or homomorphism check, by
+    the per-element and per-pair loops; oracle only."""
+    eye = np.eye(images.shape[1])
+    for g in group.elements():
+        if np.abs(images[g].conj().T @ images[g] - eye).max() > tol:
+            return f"pi({group.label(g)}) is not unitary"
+    for g in group.elements():
+        for h in group.elements():
+            gh = group.mult[g][h]
+            if np.abs(images[g] @ images[h] - images[gh]).max() > tol:
+                return (f"pi is not a homomorphism at ({group.label(g)}, "
+                        f"{group.label(h)})")
     return None
 
 

@@ -161,3 +161,11 @@ def test_star_transposes_diagonal_of_inverses():
     f = [G.element("i"), G.element("j")]
     F = group_diagonal(G, f).star()
     assert F == group_diagonal(G, [G.invert(g) for g in f])
+
+
+def test_equal_elements_hash_equal_across_group_objects():
+    a = AlgebraElement.unit(gl.quaternion8(), 1)
+    b = AlgebraElement.unit(gl.quaternion8(), 1)
+    assert a == b and a.group is not b.group
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1

@@ -158,6 +158,26 @@ def test_error_paths_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, ["line", disconnected])
     assert code == 1 and "error:" in err
 
+    for spec in ({"family": "cyclic"}, {"family": "cyclic", "n": "x"},
+                 {"family": "direct_product", "left": {"family": "sign"}},
+                 {"family": "cyclic", "n": 100000},
+                 {"family": "dihedral", "n": 100000},
+                 {"family": "direct_product", "left": {"family": "cyclic", "n": 32},
+                  "right": {"family": "cyclic", "n": 32}}):
+        code, _, err = run(capsys, ["group", write(tmp_path, "grp.json", spec)])
+        assert code == 1 and err.startswith("error:"), spec
+
+    for data in ({"n": 2, "edges": [["a", 2]]}, {"n": "x", "edges": [[1, 2]]},
+                 {"n": 3, "edges": [[1, 2, 3]]}):
+        code, _, err = run(capsys, ["line", write(tmp_path, "bad_graph.json", data)])
+        assert code == 1 and err.startswith("error:"), data
+
+    gain_path = paw_gain_file(tmp_path)
+    for data in ({"a": 1}, [[1]], 7):
+        opath = write(tmp_path, "orient.json", data)
+        code, _, err = run(capsys, ["gainline", gain_path, "--orientation", opath])
+        assert code == 1 and err.startswith("error:"), data
+
 
 def test_roundtrip_all_file_formats(tmp_path):
     # every to_dict/from_dict pair survives a JSON round trip on disk

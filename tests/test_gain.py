@@ -158,6 +158,9 @@ def test_switching_class_of_identity_is_balanced():
         witness = gl.balance_witness(psi)
         assert witness is not None
         assert gl.switch(psi, witness) == trivial
+        # one propagation from the identity seed: the witness switching_to finds
+        assert witness.values[0] == G.identity
+        assert witness == gl.switching_to(psi, trivial)
 
 
 def test_switching_to_finds_witness():
@@ -233,3 +236,11 @@ def test_gain_file_rejects_wrong_count():
     d["gains"] = d["gains"][:-1]
     with pytest.raises(InputError):
         gl.gain_from_dict(d)
+
+
+def test_equal_adjacency_matrices_hash_equal():
+    a = gl.gain_adjacency(q8_gain(PAW, ["-i", "-j", "-k", "-i"]))
+    b = gl.gain_adjacency(q8_gain(PAW, ["-i", "-j", "-k", "-i"]))
+    assert a == b and a.group is not b.group
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 import gainline as gl
 from gainline.errors import InputError, ValidationError
 
-from helpers import K2, PAW, STAR3, TRIANGLE
+from helpers import (K2, PAW, STAR3, TRIANGLE, complete_graph,
+                     random_connected_graph, reference_line_graph,
+                     shuffled_graph, star_graph)
 
 
 def test_paw_line_graph_matches_drawn_adjacencies():
@@ -34,6 +37,31 @@ def test_shared_vertex_incident_to_both_endpoints():
         for pos, (i, j) in enumerate(data.line.edges):
             v = data.shared_vertex[pos]
             assert v in g.edges[i] and v in g.edges[j]
+
+
+def test_line_graph_matches_pairwise_reference():
+    rng = random.Random(101)
+    graphs = [star_graph(k) for k in (1, 2, 7, 40)]
+    graphs += [complete_graph(n) for n in (2, 3, 5, 9)]
+    graphs += [shuffled_graph(rng, random_connected_graph(rng, max_n))
+               for max_n in (4, 10, 30, 100, 400, 400)]
+    for g in graphs:
+        data = gl.line_graph(g)
+        assert data.line.n == g.m
+        assert (data.line.edges, data.shared_vertex) == reference_line_graph(g)
+        assert gl.line_graph(g) is data
+
+
+def test_incidence_lists_degrees_and_connectivity():
+    rng = random.Random(103)
+    for _ in range(20):
+        g = shuffled_graph(rng, random_connected_graph(rng, 30))
+        for v in range(g.n):
+            expected = [k for k, e in enumerate(g.edges) if v in e]
+            assert g.incident_edges(v) == expected
+            assert g.degree(v) == len(expected)
+    with pytest.raises(ValidationError):
+        gl.SimpleGraph(5, ((0, 1), (1, 2), (3, 4)))
 
 
 def test_incidence_matrix_k2():

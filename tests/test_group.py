@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 import gainline as gl
 from gainline.errors import InputError, ValidationError
 
-from helpers import small_groups
+from helpers import reference_table_failure, small_groups
 
 
 def test_q8_defining_relations():
@@ -111,6 +112,65 @@ def test_rejects_non_associative_table():
     ]
     with pytest.raises(ValidationError):
         gl.FiniteGroup(["e", "a", "b", "c", "d"], table)
+    # Z2^3 with the intercalate at rows 2/3 x columns 4/5 swapped: the first
+    # generator passes Light's test, the later ones do not.
+    Z222 = gl.direct_product(gl.direct_product(gl.cyclic(2), gl.cyclic(2)), gl.cyclic(2))
+    table = [list(row) for row in Z222.mult]
+    for r in (2, 3):
+        table[r][4], table[r][5] = table[r][5], table[r][4]
+    with pytest.raises(ValidationError, match="not associative"):
+        gl.FiniteGroup(Z222.labels, table)
+
+
+def test_rejects_non_associative_table_of_order_512():
+    # Z512 with one intercalate swapped: still a Latin square with identity 0
+    # and inverses, but 8144 of its 512^3 triples are not associative.
+    n = 512
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    for r in (3, 259):
+        table[r][5], table[r][261] = table[r][261], table[r][5]
+    with pytest.raises(ValidationError, match="not associative"):
+        gl.FiniteGroup([str(a) for a in range(n)], table)
+
+
+def test_builders_check_order_cap_first():
+    for build in (lambda: gl.cyclic(10**6), lambda: gl.dihedral(10**6),
+                  lambda: gl.direct_product(gl.cyclic(64), gl.dihedral(8))):
+        with pytest.raises(ValidationError, match="exceeds cap"):
+            build()
+
+
+def test_table_checks_agree_with_exhaustive_loops():
+    rng = random.Random(109)
+    groups = small_groups() + [gl.cyclic(6), gl.dihedral(3), gl.cyclic(1)]
+    verdicts = set()
+    for _ in range(300):
+        G = rng.choice(groups)
+        table = [list(row) for row in G.mult]
+        for _ in range(rng.randint(1, 2)):
+            a, b = rng.randrange(G.order), rng.randrange(G.order)
+            c, d = rng.randrange(G.order), rng.randrange(G.order)
+            r = rng.random()
+            if r < 0.3:  # swap two entries
+                table[a][b], table[c][d] = table[c][d], table[a][b]
+            elif r < 0.5:  # swap two rows, keeping the table Latin
+                table[a], table[c] = table[c], table[a]
+            elif table[a][b] in table[c]:  # swap an intercalate, if (a, c, b) spans one
+                d = table[c].index(table[a][b])
+                if 0 not in (a, b, c, d) and a != c and table[a][d] == table[c][b]:
+                    table[a][b], table[a][d] = table[a][d], table[a][b]
+                    table[c][b], table[c][d] = table[c][d], table[c][b]
+        expected = reference_table_failure(table)
+        verdicts.add(expected.split(" ")[0] if expected else None)
+        if expected is None:
+            gl.FiniteGroup(G.labels, table)
+            continue
+        with pytest.raises(ValidationError) as info:
+            gl.FiniteGroup(G.labels, table)
+        message = str(info.value)
+        assert message.startswith(expected) if "associative" in expected \
+            else message == expected
+    assert {"row", "column", "element", "table", None} <= verdicts
 
 
 def test_rejects_wrong_identity_position():

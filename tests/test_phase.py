@@ -7,9 +7,10 @@ import gainline as gl
 from gainline.algebra import AlgebraElement, CGMatrix
 from gainline.errors import InputError, ValidationError
 
-from helpers import (K2, PAW, STAR3, all_phases, q8_gain,
-                     random_connected_graph, random_gain, random_phase,
-                     random_vector, small_groups)
+from helpers import (K2, PAW, STAR3, all_phases, complete_graph, q8_gain,
+                     random_connected_graph, random_gain, random_orientation,
+                     random_phase, random_vector, reference_gain_line,
+                     shuffled_graph, small_groups, star_graph)
 
 PAW_GAINS = ["-i", "-j", "-k", "-i"]
 
@@ -242,6 +243,21 @@ def test_gain_line_agrees_with_composed_definition():
             (u, v) if rng.random() < 0.5 else (v, u) for u, v in graph.edges))
         composed = gl.psi_line(gl.phase_from_orientation(psi, o, ctx), ctx)
         assert gl.gain_line(psi, o, ctx) == composed
+
+
+def test_gain_line_matches_closed_form_reference():
+    rng = random.Random(107)
+    graphs = [star_graph(5), complete_graph(6), PAW]
+    graphs += [shuffled_graph(rng, random_connected_graph(rng, max_n))
+               for max_n in (6, 12, 40, 400)]
+    for graph in graphs:
+        for G in small_groups():
+            psi = random_gain(rng, graph, G)
+            o = random_orientation(rng, graph)
+            for ctx in contexts_for(G):
+                zeta = gl.gain_line(psi, o, ctx)
+                assert zeta.graph == gl.line_graph(graph).line
+                assert zeta.forward == reference_gain_line(psi, o, ctx)
 
 
 def test_gain_line_three_case_rule():

@@ -10,6 +10,7 @@ from gainline.errors import InputError, ValidationError
 
 from helpers import (DIAMOND, PAW, q8_gain, random_connected_graph,
                      random_gain, random_pure_matrix, random_vector,
+                     reference_representation_failure,
                      small_groups)
 
 DIAMOND_GAINS = ["-k", "1", "1", "1", "-j"]
@@ -189,13 +190,34 @@ def test_regular_rep_of_trivial_gain_blows_up_classical_spectrum():
         assert np.allclose(spec.eigenvalues, expected, atol=1e-10)
 
 
+def test_validation_reports_first_failure_like_the_pairwise_loop():
+    rng = random.Random(53)
+    cases = [(gl.quaternion8(), gl.q8_representation),
+             (gl.dihedral(4), gl.regular_representation),
+             (gl.cyclic(12), gl.root_of_unity_representation),
+             (gl.dihedral(32), gl.regular_representation)]  # several h-blocks
+    for G, build in cases:
+        images = build(G).images
+        assert reference_representation_failure(G, images) is None
+        for _ in range(10):
+            bad = images.copy()
+            g = rng.randrange(1, G.order)
+            if rng.random() < 0.5:
+                bad[g] = bad[g] * np.exp(0.3j)  # unitary, not a homomorphism
+            else:
+                bad[g] = bad[g] * 1.5  # not unitary
+            expected = reference_representation_failure(G, bad)
+            with pytest.raises(ValidationError) as info:
+                gl.UnitaryRepresentation(G, bad)
+            assert str(info.value) == expected
+
+
 def test_represented_gain_matrices_laplacian_psd_when_s_is_identity():
     rng = random.Random(47)
     G = gl.quaternion8()
     rep = gl.q8_representation(G)
     psi = random_gain(rng, PAW, G)
-    mats = gl.represented_gain_matrices(psi, G.identity, rep)
-    spec = gl.hermitian_spectrum(mats["laplacian"])
+    spec = gl.hermitian_spectrum(gl.fourier(gl.s_laplacian(psi, G.identity), rep))
     assert spec.eigenvalues[0] >= -1e-10
 
 
