@@ -3,11 +3,16 @@
 Coefficients are Python complex numbers; everything exercised by the exact
 structural identities stays within small-integer arithmetic, which is exact
 in double precision.
+
+A :class:`CGMatrix` stores only its nonzero entries, keyed by (row, column).
+The matrices built here from graphs (adjacency, s-Laplacian, phases) have
+O(n + m) nonzero entries among n^2 or n*m, so construction, products, sums
+and the star involution walk the support and never the full grid.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .group import Element, FiniteGroup, same_group
@@ -106,40 +111,65 @@ class AlgebraElement:
 
 
 class CGMatrix:
-    """A rectangular matrix with entries in the group algebra CG."""
+    """A rectangular matrix with entries in the group algebra CG.
 
-    __slots__ = ("group", "rows", "cols", "entries")
+    Only the nonzero entries are stored: ``support`` maps (i, j) to a nonzero
+    :class:`AlgebraElement`.  The constructor takes a dense grid (a sequence
+    of equally long rows) or, with ``shape=(rows, cols)``, a mapping from
+    (i, j) to entry; zero entries are dropped from either.
+    """
+
+    __slots__ = ("group", "rows", "cols", "support")
 
     def __init__(self, group: FiniteGroup,
-                 entries: Sequence[Sequence[AlgebraElement]]):
-        rows = len(entries)
-        if rows == 0:
+                 entries: Sequence[Sequence[AlgebraElement]]
+                 | Mapping[tuple[int, int], AlgebraElement],
+                 shape: tuple[int, int] | None = None):
+        if shape is None:
+            shape = (len(entries), len(entries[0]) if entries else 0)
+            if any(len(row) != shape[1] for row in entries):
+                raise ValidationError("matrix rows have inconsistent lengths")
+            entries = {(i, j): a for i, row in enumerate(entries)
+                       for j, a in enumerate(row)}
+        rows, cols = shape
+        if rows < 1 or cols < 0:
             raise ValidationError("matrix must have at least one row")
-        cols = len(entries[0])
-        if any(len(row) != cols for row in entries):
-            raise ValidationError("matrix rows have inconsistent lengths")
-        for row in entries:
-            for a in row:
-                if not same_group(a.group, group):
-                    raise ValidationError("matrix entry from a different group")
+        support = {}
+        for (i, j), a in entries.items():
+            if not same_group(a.group, group):
+                raise ValidationError("matrix entry from a different group")
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValidationError(
+                    f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            if a.coeffs:
+                support[i, j] = a
         self.group = group
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(tuple(row) for row in entries)
+        self.support = support
 
     @classmethod
     def zeros(cls, group: FiniteGroup, rows: int, cols: int) -> "CGMatrix":
-        zero = AlgebraElement.zero(group)
-        return cls(group, [[zero] * cols for _ in range(rows)])
+        return cls(group, {}, (rows, cols))
 
     @classmethod
     def identity_diagonal(cls, group: FiniteGroup, n: int) -> "CGMatrix":
         """diag(1_G, ..., 1_G)."""
         return group_diagonal(group, [group.identity] * n)
 
+    @property
+    def entries(self) -> tuple[tuple[AlgebraElement, ...], ...]:
+        """The dense grid of entries, zeros included; built on each access."""
+        zero = AlgebraElement.zero(self.group)
+        get = self.support.get
+        return tuple(tuple(get((i, j), zero) for j in range(self.cols))
+                     for i in range(self.rows))
+
     def __getitem__(self, key: tuple[int, int]) -> AlgebraElement:
         i, j = key
-        return self.entries[i][j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
+        return self.support.get((i, j)) or AlgebraElement.zero(self.group)
 
     def __matmul__(self, other: "CGMatrix") -> "CGMatrix":
         if not same_group(self.group, other.group):
@@ -147,55 +177,56 @@ class CGMatrix:
         if self.cols != other.rows:
             raise ValidationError(
                 f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = AlgebraElement.zero(self.group)
-                for l in range(self.cols):
-                    a = self.entries[i][l]
-                    b = other.entries[l][j]
-                    if a.coeffs and b.coeffs:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return CGMatrix(self.group, out)
+        by_row: dict[int, list[tuple[int, AlgebraElement]]] = {}
+        for (l, j), b in other.support.items():
+            by_row.setdefault(l, []).append((j, b))
+        out: dict[tuple[int, int], AlgebraElement] = {}
+        for (i, l), a in self.support.items():
+            for j, b in by_row.get(l, ()):
+                term = a * b
+                out[i, j] = out[i, j] + term if (i, j) in out else term
+        return CGMatrix(self.group, out, (self.rows, other.cols))
 
     def __add__(self, other: "CGMatrix") -> "CGMatrix":
         if not same_group(self.group, other.group):
             raise ValidationError("matrix sum across different groups")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("matrix sum with mismatched shapes")
-        return CGMatrix(self.group, [
-            [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-            for i in range(self.rows)])
+        out = dict(self.support)
+        for key, b in other.support.items():
+            out[key] = out[key] + b if key in out else b
+        return CGMatrix(self.group, out, (self.rows, self.cols))
 
     def star(self) -> "CGMatrix":
         """Transpose combined with the entrywise star involution."""
-        return CGMatrix(self.group, [
-            [self.entries[i][j].star() for i in range(self.rows)]
-            for j in range(self.cols)])
+        return CGMatrix(self.group, {(j, i): a.star()
+                                     for (i, j), a in self.support.items()},
+                        (self.cols, self.rows))
 
     def scalar_mul(self, a: AlgebraElement, side: str = "left") -> "CGMatrix":
         """Entrywise multiplication by a fixed algebra element."""
         if not same_group(a.group, self.group):
             raise ValidationError("scalar from a different group")
         if side == "left":
-            return CGMatrix(self.group, [[a * x for x in row] for row in self.entries])
-        if side == "right":
-            return CGMatrix(self.group, [[x * a for x in row] for row in self.entries])
-        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
+            out = {key: a * x for key, x in self.support.items()}
+        elif side == "right":
+            out = {key: x * a for key, x in self.support.items()}
+        else:
+            raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
+        return CGMatrix(self.group, out, (self.rows, self.cols))
 
     def scale(self, scalar: complex) -> "CGMatrix":
-        return CGMatrix(self.group, [[x.scale(scalar) for x in row]
-                                     for row in self.entries])
+        return CGMatrix(self.group, {key: x.scale(scalar)
+                                     for key, x in self.support.items()},
+                        (self.rows, self.cols))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CGMatrix) and same_group(self.group, other.group)
-                and self.entries == other.entries)
+                and (self.rows, self.cols) == (other.rows, other.cols)
+                and self.support == other.support)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.rows, self.cols, frozenset(self.support.items())))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -207,8 +238,5 @@ def group_diagonal(group: FiniteGroup, diag: Iterable[Element]) -> CGMatrix:
     """Embed a vector of group elements as a diagonal matrix over CG."""
     elems = list(diag)
     n = len(elems)
-    zero = AlgebraElement.zero(group)
-    entries = [[zero] * n for _ in range(n)]
-    for i, g in enumerate(elems):
-        entries[i][i] = AlgebraElement.unit(group, g)
-    return CGMatrix(group, entries)
+    return CGMatrix(group, {(i, i): AlgebraElement.unit(group, g)
+                            for i, g in enumerate(elems)}, (n, n))

@@ -63,13 +63,13 @@ def gain_adjacency(psi: GainFunction) -> CGMatrix:
     """The adjacency matrix over CG; satisfies A* = A."""
     G = psi.group
     n = psi.graph.n
-    zero = AlgebraElement.zero(G)
-    entries = [[zero] * n for _ in range(n)]
-    for k, (u, v) in enumerate(psi.graph.edges):
-        g = psi.forward[k]
-        entries[u][v] = AlgebraElement.unit(G, g)
-        entries[v][u] = AlgebraElement.unit(G, G.invert(g))
-    return CGMatrix(G, entries)
+    # Entries are never mutated, so equal entries share one object.
+    unit = [AlgebraElement.unit(G, g) for g in G.elements()]
+    support = {}
+    for (u, v), g in zip(psi.graph.edges, psi.forward):
+        support[u, v] = unit[g]
+        support[v, u] = unit[G.inv[g]]
+    return CGMatrix(G, support, (n, n))
 
 
 def s_laplacian(psi: GainFunction, s: Element) -> CGMatrix:
@@ -79,12 +79,9 @@ def s_laplacian(psi: GainFunction, s: Element) -> CGMatrix:
         raise ValidationError(f"element {s} is not a central weak involution")
     adj = gain_adjacency(psi).scalar_mul(AlgebraElement.unit(G, s), side="left")
     n = psi.graph.n
-    entries = [list(row) for row in adj.entries]
-    one = G.identity
-    for i in range(n):
-        entries[i][i] = entries[i][i] + AlgebraElement.unit(G, one).scale(
-            psi.graph.degree(i))
-    return CGMatrix(G, entries)
+    degrees = CGMatrix(G, {(i, i): AlgebraElement(G, {G.identity: psi.graph.degree(i)})
+                           for i in range(n)}, (n, n))
+    return degrees + adj
 
 
 def switch(psi: GainFunction, f: SwitchingFunction | Sequence[Element]) -> GainFunction:
@@ -198,6 +195,8 @@ def gain_from_dict(data: dict) -> GainFunction:
         gains = data["gains"]
     except KeyError as exc:
         raise InputError(f"gain description needs {exc} field")
+    if not isinstance(gains, list):
+        raise InputError("'gains' must be a list of element labels")
     if len(gains) != graph.m:
         raise InputError(
             f"expected {graph.m} gains (one per edge), got {len(gains)}")

@@ -180,6 +180,8 @@ def graph_from_dict(data: dict) -> SimpleGraph:
         edges = data["edges"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"graph description needs integer 'n' and 'edges': {exc}")
+    if not isinstance(edges, list):
+        raise InputError("'edges' must be a list of vertex pairs")
     if not edges:
         raise InputError("input graph needs at least one edge")
     converted = []

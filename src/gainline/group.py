@@ -39,8 +39,12 @@ class FiniteGroup:
         if len(mult) != order or any(len(row) != order for row in mult):
             raise ValidationError("multiplication table must be square of size order")
 
-        table = tuple(tuple(int(x) for x in row) for row in mult)
+        try:
+            table = tuple(tuple(int(x) for x in row) for row in mult)
+        except (TypeError, ValueError):
+            raise ValidationError("multiplication table entries must be integers")
         T = np.array(table)
+        T.flags.writeable = False
         full = np.arange(order)
         bad_rows = (np.sort(T, axis=1) != full).any(axis=1)
         bad_cols = (np.sort(T, axis=0) != full[:, None]).any(axis=0)
@@ -60,6 +64,8 @@ class FiniteGroup:
         self.name = name
         self.labels = tuple(str(label) for label in labels)
         self.mult = table
+        #: The table as a read-only (order, order) integer array.
+        self.table = T
         self.inv = tuple(inv.tolist())
         self.order = order
         self._label_index = {label: i for i, label in enumerate(self.labels)}
@@ -146,22 +152,22 @@ def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
 
 
 def center(group: FiniteGroup) -> list[Element]:
-    """All elements commuting with the whole group, by table scan."""
-    return [g for g in group.elements()
-            if all(group.mult[g][h] == group.mult[h][g] for h in group.elements())]
+    """All elements commuting with the whole group, in element order."""
+    T = group.table
+    return np.flatnonzero((T == T.T).all(axis=1)).tolist()
 
 
 def central_weak_involutions(group: FiniteGroup) -> list[Element]:
     """Central elements s with s^2 = 1.  Always contains the identity."""
-    return [g for g in center(group) if group.mult[g][g] == 0]
+    square = group.table.diagonal()
+    return [g for g in center(group) if square[g] == 0]
 
 
 def is_central_weak_involution(group: FiniteGroup, s: Element) -> bool:
     if not 0 <= s < group.order:
         return False
-    if group.mult[s][s] != 0:
-        return False
-    return all(group.mult[s][h] == group.mult[h][s] for h in group.elements())
+    T = group.table
+    return bool(T[s, s] == 0 and (T[s] == T[:, s]).all())
 
 
 # -- builders ---------------------------------------------------------------

@@ -74,19 +74,20 @@ class GPhase:
         return g
 
     def to_cg_matrix(self) -> CGMatrix:
-        zero = AlgebraElement.zero(self.group)
-        return CGMatrix(self.group, [
-            [zero if g is None else AlgebraElement.unit(self.group, g) for g in row]
-            for row in self.rows])
+        G = self.group
+        return CGMatrix(G, {(i, k): AlgebraElement.unit(G, self.rows[i][k])
+                            for i, incident in enumerate(self.graph.incidence)
+                            for k in incident},
+                        (self.graph.n, self.graph.m))
 
 
 def incidence_phase(graph: SimpleGraph, group: FiniteGroup) -> GPhase:
     """The all-identity phase, the CG analogue of the incidence matrix."""
-    one = group.identity
-    rows = tuple(
-        tuple(one if i in graph.edges[k] else None for k in range(graph.m))
-        for i in range(graph.n))
-    return GPhase(graph, group, rows)
+    rows = [[None] * graph.m for _ in range(graph.n)]
+    for i, incident in enumerate(graph.incidence):
+        for k in incident:
+            rows[i][k] = group.identity
+    return GPhase(graph, group, tuple(tuple(row) for row in rows))
 
 
 def psi(H: GPhase, ctx: PhaseContext) -> GainFunction:
@@ -239,26 +240,37 @@ def phase_from_dict(data: dict) -> GPhase:
         entries = data["entries"]
     except KeyError as exc:
         raise InputError(f"phase description needs {exc} field")
-    if len(entries) != graph.n or any(len(row) != graph.m for row in entries):
+    if (not isinstance(entries, list) or len(entries) != graph.n
+            or any(not isinstance(row, list) or len(row) != graph.m
+                   for row in entries)):
         raise InputError("phase entries must form an n x m array")
     rows = []
-    for i, row in enumerate(entries):
-        parsed: list[Element | None] = []
-        for k, label in enumerate(row):
-            # Incidence decides whether "0" is a structural zero or a label
-            # (cyclic groups label their identity "0").
-            if i in graph.edges[k]:
-                parsed.append(group.element(str(label)))
-            elif str(label) == "0":
-                parsed.append(None)
-            else:
-                raise InputError(
-                    f"expected structural zero at (v{i + 1}, e{k + 1})")
+    for i, (row, incident) in enumerate(zip(entries, graph.incidence)):
+        # Incidence decides whether "0" is a structural zero or a label
+        # (cyclic groups label their identity "0").
+        zeros_elsewhere = row.count("0") - sum(row[k] == "0" for k in incident)
+        if zeros_elsewhere != graph.m - len(incident):
+            _first_row_failure(group, i, row, set(incident))
+        parsed: list[Element | None] = [None] * graph.m
+        for k in incident:
+            parsed[k] = group.element(str(row[k]))
         rows.append(tuple(parsed))
     try:
         return GPhase(graph, group, tuple(rows))
     except ValidationError as exc:
         raise InputError(str(exc))
+
+
+def _first_row_failure(group: FiniteGroup, i: int, row: list,
+                       incident: set[int]) -> None:
+    """Scan row i in order and raise its first bad entry: an unknown label
+    at an incident pair or a non-zero elsewhere.  Returns when every
+    non-incident entry still reads as "0" (an integer 0, say)."""
+    for k, label in enumerate(row):
+        if k in incident:
+            group.element(str(label))
+        elif str(label) != "0":
+            raise InputError(f"expected structural zero at (v{i + 1}, e{k + 1})")
 
 
 def phase_to_dict(H: GPhase) -> dict:

@@ -8,12 +8,14 @@ import numpy as np
 
 from .algebra import CGMatrix
 from .errors import InputError, ValidationError
-from .group import Element, FiniteGroup
+from .group import Element, FiniteGroup, same_group
 
 #: Homomorphism / unitarity validation tolerance.
 VALIDATION_TOL = 1e-10
 #: Matrix entries per block of the homomorphism check.
 _BLOCK_ENTRIES = 16384
+#: Largest group order with a regular representation.
+REGULAR_MAX_ORDER = 128
 
 
 class UnitaryRepresentation:
@@ -21,12 +23,19 @@ class UnitaryRepresentation:
 
     Validated at construction: pi(1) = I, pi(g)pi(h) = pi(gh) and
     pi(g)* pi(g) = I, all within ``tol``.  Irreducibility is declared by the
-    caller, never verified.
+    caller, never verified.  ``images`` is float64 when every imaginary part
+    is exactly zero (regular, sign and trivial representations), so that
+    validation, Fourier transforms and eigensolves run in real arithmetic,
+    and complex128 otherwise.
     """
 
     def __init__(self, group: FiniteGroup, images: np.ndarray,
                  irreducible: bool = False, tol: float = VALIDATION_TOL):
-        images = np.asarray(images, dtype=np.complex128)
+        images = np.asarray(images)
+        if np.iscomplexobj(images) and not images.imag.any():
+            images = images.real
+        images = np.ascontiguousarray(
+            images, dtype=np.complex128 if np.iscomplexobj(images) else np.float64)
         if images.ndim != 3 or images.shape[0] != group.order \
                 or images.shape[1] != images.shape[2]:
             raise ValidationError(
@@ -43,7 +52,7 @@ class UnitaryRepresentation:
         # at once, large ones keep the block in cache.
         block = max(1, _BLOCK_ENTRIES // (k * k))
         for g in group.elements():
-            row = list(group.mult[g])
+            row = group.table[g]
             for h0 in range(0, group.order, block):
                 products = images[g] @ images[h0:h0 + block]
                 deviation = np.abs(products - images[row[h0:h0 + block]]).max(axis=(1, 2))
@@ -76,20 +85,25 @@ class RepresentedMatrix:
 
 
 def fourier(A: CGMatrix, rep: UnitaryRepresentation) -> RepresentedMatrix:
-    """Blockwise Fourier transform: entry f -> sum_x f_x pi(x)."""
-    if A.group != rep.group:
+    """Blockwise Fourier transform: entry f -> sum_x f_x pi(x).
+
+    Every term c*x of every stored entry is scattered into its block in one
+    pass.  The result is real when the images and the coefficients are.
+    """
+    if not same_group(A.group, rep.group):
         raise ValidationError("representation defined on a different group")
     k = rep.degree
-    out = np.zeros((A.rows * k, A.cols * k), dtype=np.complex128)
-    for i in range(A.rows):
-        for j in range(A.cols):
-            entry = A.entries[i][j]
-            if not entry.coeffs:
-                continue
-            block = out[i * k:(i + 1) * k, j * k:(j + 1) * k]
-            for g, c in entry.coeffs.items():
-                block += c * rep.images[g]
-    return RepresentedMatrix(out, A.rows, A.cols, k)
+    where = np.array([(i, j, g) for (i, j), entry in A.support.items()
+                      for g in entry.coeffs], dtype=np.intp).reshape(-1, 3)
+    coeffs = np.array([c for entry in A.support.values()
+                       for c in entry.coeffs.values()], dtype=np.complex128)
+    if not np.iscomplexobj(rep.images) and not coeffs.imag.any():
+        coeffs = coeffs.real
+    blocks = coeffs[:, None, None] * rep.images[where[:, 2]]
+    out = np.zeros((A.rows, k, A.cols, k), dtype=blocks.dtype)
+    np.add.at(out, (where[:, 0], slice(None), where[:, 1]), blocks)
+    return RepresentedMatrix(out.reshape(A.rows * k, A.cols * k),
+                             A.rows, A.cols, k)
 
 
 @dataclass(frozen=True)
@@ -126,17 +140,23 @@ def hermitian_spectrum(M: RepresentedMatrix | np.ndarray,
 # -- builtin representations ------------------------------------------------
 
 def trivial_representation(group: FiniteGroup) -> UnitaryRepresentation:
-    images = np.ones((group.order, 1, 1), dtype=np.complex128)
+    images = np.ones((group.order, 1, 1))
     return UnitaryRepresentation(group, images, irreducible=True)
 
 
 def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
-    """Permutation matrices of left translation; faithful and unitary."""
+    """Permutation matrices of left translation; faithful and unitary.
+
+    Refused above ``REGULAR_MAX_ORDER``: the images take order^3 entries and
+    their validation order^2 products of order x order matrices.
+    """
     n = group.order
-    images = np.zeros((n, n, n), dtype=np.complex128)
-    for g in group.elements():
-        for h in group.elements():
-            images[g, group.mult[g][h], h] = 1
+    if n > REGULAR_MAX_ORDER:
+        raise InputError(f"regular representation of order {n} exceeds "
+                         f"cap {REGULAR_MAX_ORDER}")
+    images = np.zeros((n, n, n))
+    g = np.arange(n)
+    images[g[:, None], group.table, g[None, :]] = 1
     return UnitaryRepresentation(group, images, irreducible=(n == 1))
 
 
@@ -148,8 +168,8 @@ def root_of_unity_representation(group: FiniteGroup,
     cyclic and t4 builders).
     """
     n = group.order
-    expected = [[(a + b) % n for b in range(n)] for a in range(n)]
-    if [list(r) for r in group.mult] != expected:
+    a = np.arange(n)
+    if not (group.table == (a[:, None] + a) % n).all():
         raise InputError(
             f"group {group.name} does not carry the standard cyclic table")
     omega = np.exp(2j * np.pi * power / n)

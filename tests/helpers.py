@@ -50,6 +50,60 @@ def random_pure_matrix(rng: random.Random, group: gl.FiniteGroup,
         for _ in range(rows)])
 
 
+def random_cg_matrix(rng: random.Random, group: gl.FiniteGroup,
+                     rows: int, cols: int) -> gl.CGMatrix:
+    """About half the entries zero, the rest up to three terms with small
+    Gaussian-integer coefficients, so every product stays exact."""
+    grid = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            coeffs = {}
+            if rng.random() < 0.5:
+                for _ in range(rng.randint(1, 3)):
+                    coeffs[rng.randrange(group.order)] = complex(
+                        rng.randint(-2, 2), rng.choice((0, 0, rng.randint(-2, 2))))
+            row.append(gl.AlgebraElement(group, coeffs))
+        grid.append(row)
+    return gl.CGMatrix(group, grid)
+
+
+def reference_fourier(A: gl.CGMatrix, rep: gl.UnitaryRepresentation) -> np.ndarray:
+    """Blockwise Fourier transform by the dense per-entry loop; oracle only."""
+    k = rep.degree
+    out = np.zeros((A.rows * k, A.cols * k), dtype=np.complex128)
+    for i in range(A.rows):
+        for j in range(A.cols):
+            block = out[i * k:(i + 1) * k, j * k:(j + 1) * k]
+            for g, c in A[i, j].coeffs.items():
+                block += c * rep.images[g]
+    return out
+
+
+def reference_phase_rows(graph: gl.SimpleGraph, group: gl.FiniteGroup, entries):
+    """Phase-file rows parsed by the per-pair incidence test, raising at the
+    first bad pair in row-major order; oracle only."""
+    rows = []
+    for i, row in enumerate(entries):
+        parsed = []
+        for k, label in enumerate(row):
+            if i in graph.edges[k]:
+                parsed.append(group.element(str(label)))
+            elif str(label) == "0":
+                parsed.append(None)
+            else:
+                raise gl.InputError(
+                    f"expected structural zero at (v{i + 1}, e{k + 1})")
+        rows.append(tuple(parsed))
+    return tuple(rows)
+
+
+def reference_center(group: gl.FiniteGroup) -> list[int]:
+    """Central elements by the per-pair table scan; oracle only."""
+    return [g for g in group.elements()
+            if all(group.mult[g][h] == group.mult[h][g] for h in group.elements())]
+
+
 def random_vector(rng: random.Random, group: gl.FiniteGroup,
                   length: int) -> tuple[int, ...]:
     return tuple(rng.randrange(group.order) for _ in range(length))

@@ -6,7 +6,7 @@ import gainline as gl
 from gainline.algebra import AlgebraElement, CGMatrix, group_diagonal
 from gainline.errors import ValidationError
 
-from helpers import random_vector, small_groups
+from helpers import random_cg_matrix, random_vector, small_groups
 
 
 def unit(G, label):
@@ -169,3 +169,46 @@ def test_equal_elements_hash_equal_across_group_objects():
     assert a == b and a.group is not b.group
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_dense_grid_and_support_build_the_same_matrix():
+    rng = random.Random(37)
+    for G in small_groups():
+        A = random_cg_matrix(rng, G, 4, 5)
+        grid = [[A[i, j] for j in range(5)] for i in range(4)]
+        support = {(i, j): grid[i][j] for i in range(4) for j in range(5)
+                   if not grid[i][j].is_zero()}
+        B = CGMatrix(G, support, (4, 5))
+        assert CGMatrix(G, grid) == B and hash(CGMatrix(G, grid)) == hash(B)
+        assert B.entries == tuple(tuple(row) for row in grid)
+        assert all(not a.is_zero() for a in A.support.values())
+    # equal (empty) supports, different shapes
+    assert CGMatrix.zeros(G, 4, 5) != CGMatrix.zeros(G, 5, 4)
+
+
+def test_support_holds_only_nonzero_entries():
+    G = gl.quaternion8()
+    zero = AlgebraElement.zero(G)
+    A = CGMatrix(G, [[zero, unit(G, "i")], [zero, zero]])
+    assert list(A.support) == [(0, 1)]
+    assert A[1, 0] == zero and A[0, 1] == unit(G, "i")
+    # entries that cancel leave the support
+    assert not (A + A.scale(-1)).support
+    assert A + A.scale(-1) == CGMatrix.zeros(G, 2, 2)
+    with pytest.raises(ValidationError):
+        CGMatrix(G, {(2, 0): unit(G, "i")}, (2, 2))
+
+
+def test_sparse_products_match_dense_expansion():
+    rng = random.Random(41)
+    for G in small_groups():
+        A = random_cg_matrix(rng, G, 3, 4)
+        B = random_cg_matrix(rng, G, 4, 2)
+        product = A @ B
+        for i in range(3):
+            for j in range(2):
+                expected = AlgebraElement.zero(G)
+                for l in range(4):
+                    expected = expected + A[i, l] * B[l, j]
+                assert product[i, j] == expected
+        assert (A @ B).star() == B.star() @ A.star()

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -145,6 +146,17 @@ def test_spectrum_command(tmp_path, capsys):
     assert [r[2] for r in rows] == ["0", "0", "1", "1", "2", "2", "3", "3"]
 
 
+def test_spectrum_refuses_regular_representation_of_order_512(tmp_path, capsys):
+    data = {"graph": gl.graph_to_dict(PAW), "group": {"family": "cyclic", "n": 512},
+            "gains": ["1", "2", "3", "4"]}
+    gain_path = write(tmp_path, "z512.json", data)
+    rep_path = write(tmp_path, "rep.json", {"builtin": "regular"})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["spectrum", gain_path, rep_path])
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_error_paths_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, ["group", str(tmp_path / "missing.json")])
     assert code == 1 and "error:" in err
@@ -171,6 +183,19 @@ def test_error_paths_exit_one(tmp_path, capsys):
                  {"n": 3, "edges": [[1, 2, 3]]}):
         code, _, err = run(capsys, ["line", write(tmp_path, "bad_graph.json", data)])
         assert code == 1 and err.startswith("error:"), data
+
+    custom = {"family": "custom", "labels": ["e", "a"], "table": [["x", "1"], ["1", "0"]]}
+    code, _, err = run(capsys, ["group", write(tmp_path, "grp.json", custom)])
+    assert code == 1 and err.startswith("error:")
+
+    gain_data = gl.gain_to_dict(q8_gain(PAW, PAW_GAINS))
+    gain_data["gains"] = 5
+    bad_gain = write(tmp_path, "g5.json", gain_data)
+    code, _, err = run(capsys, ["check", "balance", bad_gain])
+    assert code == 1 and err.startswith("error:")
+
+    code, _, err = run(capsys, ["line", write(tmp_path, "e5.json", {"n": 2, "edges": 5})])
+    assert code == 1 and err.startswith("error:")
 
     gain_path = paw_gain_file(tmp_path)
     for data in ({"a": 1}, [[1]], 7):

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 import gainline as gl
 from gainline.errors import InputError, ValidationError
+from gainline.group import is_central_weak_involution
 
-from helpers import reference_table_failure, small_groups
+from helpers import reference_center, reference_table_failure, small_groups
 
 
 def test_q8_defining_relations():
@@ -64,6 +65,26 @@ def test_weak_involutions_contain_identity_and_commute():
         for s in invs:
             assert G.mul(s, s) == 0
             assert all(G.mul(s, h) == G.mul(h, s) for h in G.elements())
+
+
+def test_center_agrees_with_table_scan():
+    rng = random.Random(5)
+    groups = small_groups() + [gl.dihedral(6), gl.dihedral(32),
+                               gl.direct_product(gl.quaternion8(), gl.cyclic(4))]
+    for G in groups:
+        # the same group with its non-identity elements in random order
+        perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+        back = {old: new for new, old in enumerate(perm)}
+        H = gl.FiniteGroup([G.labels[p] for p in perm],
+                           [[back[G.mult[a][b]] for b in perm] for a in perm])
+        for K in (G, H):
+            want = reference_center(K)
+            assert gl.center(K) == want
+            assert gl.central_weak_involutions(K) == [
+                g for g in want if K.mult[g][g] == 0]
+            assert [s for s in K.elements() if is_central_weak_involution(K, s)] \
+                == gl.central_weak_involutions(K)
+        assert not is_central_weak_involution(G, G.order)
 
 
 def test_direct_product_z2_z3_is_z6():
@@ -209,3 +230,9 @@ def test_order_cap():
 def test_unknown_label_is_input_error():
     with pytest.raises(InputError):
         gl.sign_group().element("q")
+
+
+def test_custom_table_with_non_integer_entry_is_rejected():
+    with pytest.raises(ValidationError):
+        gl.build_group({"family": "custom", "labels": ["e", "a"],
+                        "table": [["x", "1"], ["1", "0"]]})

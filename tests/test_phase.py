@@ -10,7 +10,8 @@ from gainline.errors import InputError, ValidationError
 from helpers import (K2, PAW, STAR3, all_phases, complete_graph, q8_gain,
                      random_connected_graph, random_gain, random_orientation,
                      random_phase, random_vector, reference_gain_line,
-                     shuffled_graph, small_groups, star_graph)
+                     reference_phase_rows, shuffled_graph, small_groups,
+                     star_graph)
 
 PAW_GAINS = ["-i", "-j", "-k", "-i"]
 
@@ -426,3 +427,29 @@ def test_phase_file_rejects_support_violation():
     d["entries"][0][2] = "i"  # v1 not on e3
     with pytest.raises(InputError):
         gl.phase_from_dict(d)
+
+
+def test_phase_file_parse_matches_per_pair_reference():
+    rng = random.Random(107)
+    G = gl.cyclic(3)  # its identity is labelled "0", like a structural zero
+    for _ in range(60):
+        graph = random_connected_graph(rng, 7)
+        d = gl.phase_to_dict(random_phase(rng, graph, G))
+        for _ in range(rng.randint(0, 3)):
+            i, k = rng.randrange(graph.n), rng.randrange(graph.m)
+            d["entries"][i][k] = rng.choice(["0", 0, "1", "x", 2, "0.0"])
+        try:
+            want = reference_phase_rows(graph, G, d["entries"])
+        except InputError as exc:
+            with pytest.raises(InputError) as info:
+                gl.phase_from_dict(d)
+            assert str(info.value) == str(exc)
+        else:
+            assert gl.phase_from_dict(d).rows == want
+
+
+def test_phase_file_rejects_non_list_entries():
+    d = gl.phase_to_dict(gl.incidence_phase(PAW, gl.sign_group()))
+    for entries in (5, [5] * 4, d["entries"][:-1]):
+        with pytest.raises(InputError):
+            gl.phase_from_dict(dict(d, entries=entries))

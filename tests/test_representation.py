@@ -8,10 +8,10 @@ import gainline as gl
 from gainline.algebra import CGMatrix
 from gainline.errors import InputError, ValidationError
 
-from helpers import (DIAMOND, PAW, q8_gain, random_connected_graph,
-                     random_gain, random_pure_matrix, random_vector,
-                     reference_representation_failure,
-                     small_groups)
+from helpers import (DIAMOND, PAW, q8_gain, random_cg_matrix,
+                     random_connected_graph, random_gain, random_phase,
+                     random_pure_matrix, random_vector, reference_fourier,
+                     reference_representation_failure, small_groups)
 
 DIAMOND_GAINS = ["-k", "1", "1", "1", "-j"]
 
@@ -200,7 +200,7 @@ def test_validation_reports_first_failure_like_the_pairwise_loop():
         images = build(G).images
         assert reference_representation_failure(G, images) is None
         for _ in range(10):
-            bad = images.copy()
+            bad = images.astype(np.complex128)
             g = rng.randrange(1, G.order)
             if rng.random() < 0.5:
                 bad[g] = bad[g] * np.exp(0.3j)  # unitary, not a homomorphism
@@ -253,3 +253,76 @@ def test_representation_file_builtin_and_errors():
     partial = {"degree": 1, "images": {"1": [[[1, 0]]]}}
     with pytest.raises(InputError):
         gl.representation_from_dict(partial, Q8)
+
+
+def _real_representations(G):
+    reps = [gl.trivial_representation(G), gl.regular_representation(G)]
+    try:
+        reps.append(gl.sign_character(G))
+    except InputError:
+        pass
+    return reps
+
+
+def _representations(G):
+    reps = _real_representations(G)
+    if G.labels == gl.quaternion8().labels:
+        reps.append(gl.q8_representation(G))
+    return reps
+
+
+def test_sparse_fourier_matches_dense_reference():
+    rng = random.Random(59)
+    for G in small_groups():
+        s = gl.central_weak_involutions(G)[-1]
+        for rep in _representations(G):
+            graph = random_connected_graph(rng, 7)
+            matrices = [
+                random_cg_matrix(rng, G, 3, 4) @ random_cg_matrix(rng, G, 4, 5),
+                gl.s_laplacian(random_gain(rng, graph, G), s),
+                random_phase(rng, graph, G).to_cg_matrix(),
+                gl.CGMatrix.zeros(G, 2, 3),
+            ]
+            for A in matrices:
+                F = gl.fourier(A, rep)
+                # small Gaussian integers times 0/+-1/+-i images: exact
+                assert np.array_equal(F.data, reference_fourier(A, rep))
+                assert F.data.shape == (A.rows * rep.degree, A.cols * rep.degree)
+                real_coeffs = all(c.imag == 0 for a in A.support.values()
+                                  for c in a.coeffs.values())
+                assert np.isrealobj(F.data) == (
+                    np.isrealobj(rep.images) and real_coeffs)
+
+
+def test_real_representations_hold_float64_images():
+    for G in small_groups():
+        for rep in _real_representations(G):
+            assert rep.images.dtype == np.float64
+    Q8 = gl.quaternion8()
+    assert gl.q8_representation(Q8).images.dtype == np.complex128
+    for n in (2, 4, 12):
+        rep = gl.root_of_unity_representation(gl.cyclic(n))
+        assert rep.images.dtype == np.complex128
+    # explicit images whose imaginary parts are all exactly zero are real
+    images = {"1": [[[1, 0]]], "-1": [[[-1, 0]]]}
+    rep = gl.representation_from_dict({"degree": 1, "images": images},
+                                      gl.sign_group())
+    assert rep.images.dtype == np.float64
+
+
+def test_real_driver_eigenvalues_match_complex_driver():
+    rng = random.Random(61)
+    for _ in range(20):
+        G = rng.choice(small_groups())
+        rep = rng.choice(_real_representations(G))
+        psi = random_gain(rng, random_connected_graph(rng, 8), G)
+        M = gl.fourier(gl.gain_adjacency(psi), rep).data
+        assert M.dtype == np.float64
+        got = np.array(gl.hermitian_spectrum(M).eigenvalues)
+        want = np.linalg.eigvalsh(M.astype(np.complex128))
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.linalg.norm(M, 2))
+
+
+def test_regular_representation_refused_above_cap():
+    with pytest.raises(InputError):
+        gl.regular_representation(gl.dihedral(65))
