@@ -24,7 +24,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 
@@ -46,7 +46,7 @@ def _orientation(g: graph.SimpleGraph, spec: str) -> graph.Orientation:
     try:
         heads = tuple((int(t) - 1, int(h) - 1) for t, h in data)
         return graph.Orientation(g, heads)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{spec} must be a list of [tail, head] pairs")
     except GainlineError as exc:
         raise InputError(str(exc))

@@ -14,7 +14,7 @@ from .algebra import AlgebraElement, CGMatrix, group_diagonal
 from .errors import InputError, ValidationError
 from .graph import SimpleGraph, bfs_tree, graph_from_dict, graph_to_dict
 from .group import (Element, FiniteGroup, build_group, group_to_dict,
-                    is_central_weak_involution)
+                    require_central_weak_involution)
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def gain_adjacency(psi: GainFunction) -> CGMatrix:
 def s_laplacian(psi: GainFunction, s: Element) -> CGMatrix:
     """deg(Gamma, G) + s * adjacency, for a central weak involution s."""
     G = psi.group
-    if not is_central_weak_involution(G, s):
-        raise ValidationError(f"element {s} is not a central weak involution")
+    require_central_weak_involution(G, s, "s")
     adj = gain_adjacency(psi).scalar_mul(AlgebraElement.unit(G, s), side="left")
     n = psi.graph.n
     degrees = CGMatrix(G, {(i, i): AlgebraElement(G, {G.identity: psi.graph.degree(i)})
@@ -109,15 +108,8 @@ def walk_gain(psi: GainFunction, walk: Sequence[int]) -> Element:
 
 
 def balance_witness(psi: GainFunction) -> SwitchingFunction | None:
-    """A switching function f with psi^f = 1 constant, or None.
-
-    Propagates f from f(0) = 1 along a BFS spanning tree and accepts iff
-    every edge then closes consistently.  One seed suffices: a constant
-    switch fixes the constant gain 1, so if any seed succeeds, seed 1 does.
-    """
-    target = constant_gain(psi.graph, psi.group, psi.group.identity)
-    parent, order = bfs_tree(psi.graph)
-    return _propagate(psi, target, psi.group.identity, parent, order)
+    """A switching function f with psi^f = 1 constant, or None."""
+    return switching_to(psi, constant_gain(psi.graph, psi.group, psi.group.identity))
 
 
 def is_balanced(psi: GainFunction) -> bool:
@@ -141,35 +133,33 @@ def antibalance_witness(psi: GainFunction) -> SwitchingFunction | None:
 def switching_to(psi1: GainFunction, psi2: GainFunction) -> SwitchingFunction | None:
     """Some f with psi2 = psi1^f, or None if the gains are not equivalent.
 
-    Tree propagation forces f up to the seed f(root); all |G| seeds are
-    tried, identity first, as for nonabelian G the values depend on it.
+    The potentials p(v) and q(v) are the psi1 and psi2 gains along the BFS
+    tree path from vertex 0, and edge (u, v) closes a cycle with gains
+    c1 = p(u) psi1(u,v) p(v)^-1 and c2 = q(u) psi2(u,v) q(v)^-1.  The f with
+    psi1^f = psi2 are f(v) = p(v)^-1 s q(v) for the seeds s with
+    s^-1 c1 s = c2 on every edge; seeds are tried identity first.
     """
     if psi1.graph != psi2.graph:
         raise ValidationError("gain functions live on different graphs")
     if psi1.group != psi2.group:
         raise ValidationError("gain functions take values in different groups")
-    parent, order = bfs_tree(psi1.graph)
-    for seed in psi1.group.elements():
-        found = _propagate(psi1, psi2, seed, parent, order)
-        if found is not None:
-            return found
-    return None
-
-
-def _propagate(psi1: GainFunction, psi2: GainFunction, seed: Element,
-               parent: list[int], order: list[int]) -> SwitchingFunction | None:
-    """The f forced along the tree from f(0) = seed, if psi1^f = psi2."""
     G = psi1.group
-    f = [-1] * psi1.graph.n
-    f[0] = seed
-    # psi2(u,v) = f(u)^-1 psi1(u,v) f(v)  =>  f(v) = psi1(u,v)^-1 f(u) psi2(u,v)
+    # Gains are range-checked on construction, so the table is read directly.
+    mul, inv = G.mult, G.inv
+    parent, order = bfs_tree(psi1.graph)
+    p = [G.identity] * psi1.graph.n
+    q = [G.identity] * psi1.graph.n
     for v in order[1:]:
         u = parent[v]
-        f[v] = G.mul(G.invert(psi1.gain(u, v)), G.mul(f[u], psi2.gain(u, v)))
-    for k, (u, v) in enumerate(psi1.graph.edges):
-        if G.mul(G.invert(f[u]), G.mul(psi1.forward[k], f[v])) != psi2.forward[k]:
-            return None
-    return SwitchingFunction(G, tuple(f))
+        p[v] = mul[p[u]][psi1.gain(u, v)]
+        q[v] = mul[q[u]][psi2.gain(u, v)]
+    cycles = {(mul[mul[p[u]][g1]][inv[p[v]]], mul[mul[q[u]][g2]][inv[q[v]]])
+              for (u, v), g1, g2 in zip(psi1.graph.edges, psi1.forward, psi2.forward)}
+    for s in G.elements():
+        if all(mul[mul[inv[s]][c1]][s] == c2 for c1, c2 in cycles):
+            return SwitchingFunction(G, tuple(mul[mul[inv[pv]][s]][qv]
+                                              for pv, qv in zip(p, q)))
+    return None
 
 
 def switching_equivalent(psi1: GainFunction, psi2: GainFunction) -> bool:
@@ -189,6 +179,8 @@ def gain_from_dict(data: dict) -> GainFunction:
     Gains are labels, one per edge in edge order, read on the default
     orientation.
     """
+    if not isinstance(data, dict):
+        raise InputError("gain description must be a JSON object")
     try:
         graph = graph_from_dict(data["graph"])
         group = build_group(data["group"])

@@ -46,7 +46,8 @@ class SimpleGraph:
             seen.add(key)
             norm.append(key)
         object.__setattr__(self, "edges", tuple(norm))
-        if len(bfs_tree(self)[1]) != self.n:
+        # Connected needs n - 1 edges; checked before the BFS allocates n.
+        if self.n > len(norm) + 1 or len(bfs_tree(self)[1]) != self.n:
             raise ValidationError("graph is not connected")
 
     @property
@@ -178,7 +179,7 @@ def graph_from_dict(data: dict) -> SimpleGraph:
     try:
         n = int(data["n"])
         edges = data["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"graph description needs integer 'n' and 'edges': {exc}")
     if not isinstance(edges, list):
         raise InputError("'edges' must be a list of vertex pairs")
@@ -189,7 +190,7 @@ def graph_from_dict(data: dict) -> SimpleGraph:
         try:
             a, b = e
             u, v = int(a) - 1, int(b) - 1
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InputError(f"edge {e} must be a pair of integer endpoints")
         if u < 0 or v < 0:
             raise InputError(f"vertices are 1-based; got edge {e}")

@@ -30,18 +30,24 @@ class FiniteGroup:
 
     def __init__(self, labels: Sequence[str], mult: Sequence[Sequence[int]],
                  name: str = "custom"):
-        order = len(labels)
-        if order == 0:
-            raise ValidationError("group must have at least one element")
-        _check_order(order)
-        if len(set(labels)) != order:
-            raise ValidationError("element labels must be unique")
-        if len(mult) != order or any(len(row) != order for row in mult):
-            raise ValidationError("multiplication table must be square of size order")
+        try:
+            order = len(labels)
+            if order == 0:
+                raise ValidationError("group must have at least one element")
+            _check_order(order)
+            names = tuple(str(label) for label in labels)
+            if len(set(labels)) != order or len(set(names)) != order:
+                raise ValidationError("element labels must be unique")
+            if len(mult) != order or any(len(row) != order for row in mult):
+                raise ValidationError(
+                    "multiplication table must be square of size order")
+        except TypeError:
+            raise ValidationError(
+                "group labels must be a list of strings and the table a list of rows")
 
         try:
             table = tuple(tuple(int(x) for x in row) for row in mult)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError("multiplication table entries must be integers")
         T = np.array(table)
         T.flags.writeable = False
@@ -62,7 +68,7 @@ class FiniteGroup:
         _check_associativity(T)
 
         self.name = name
-        self.labels = tuple(str(label) for label in labels)
+        self.labels = names
         self.mult = table
         #: The table as a read-only (order, order) integer array.
         self.table = T
@@ -168,6 +174,15 @@ def is_central_weak_involution(group: FiniteGroup, s: Element) -> bool:
         return False
     T = group.table
     return bool(T[s, s] == 0 and (T[s] == T[:, s]).all())
+
+
+def require_central_weak_involution(group: FiniteGroup, s: Element,
+                                    name: str) -> None:
+    """Raise ValidationError, naming s by its label, unless it qualifies."""
+    if not is_central_weak_involution(group, s):
+        shown = group.label(s) if 0 <= s < group.order else f"index {s}"
+        raise ValidationError(
+            f"{name}={shown} is not a central weak involution of {group.name}")
 
 
 # -- builders ---------------------------------------------------------------
@@ -287,7 +302,7 @@ def _order_field(spec: dict) -> int:
     (n,) = _fields(spec, "n")
     try:
         return int(n)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"group field 'n' must be an integer, got {n!r}")
 
 

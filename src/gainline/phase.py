@@ -16,7 +16,7 @@ from .gain import GainFunction, switching_to
 from .graph import (Orientation, SimpleGraph, graph_from_dict, graph_to_dict,
                     line_graph)
 from .group import (Element, FiniteGroup, build_group, group_to_dict,
-                    is_central_weak_involution)
+                    require_central_weak_involution)
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,8 @@ class PhaseContext:
     s2: Element
 
     def __post_init__(self):
-        for name, s in (("s1", self.s1), ("s2", self.s2)):
-            if not is_central_weak_involution(self.group, s):
-                raise ValidationError(
-                    f"{name}={s} is not a central weak involution of {self.group.name}")
+        require_central_weak_involution(self.group, self.s1, "s1")
+        require_central_weak_involution(self.group, self.s2, "s2")
 
 
 @dataclass(frozen=True)
@@ -193,30 +191,26 @@ def recognize_gain_line(zeta: GainFunction, root: SimpleGraph,
                         ctx: PhaseContext) -> GPhase | None:
     """A phase H of the root graph with psi_line(H) = zeta, or None.
 
-    Rows are independent: within the edges incident to one root vertex, the
-    first edge anchors the row at the identity and the rest are forced; the
-    row is then checked against every incident pair.
+    Rows are independent: at each root vertex the first edge, the base, is
+    anchored at the identity and each line edge (base, e) forces e to
+    s2 zeta(base, e).  Line edges are sorted, so the base pairs come first;
+    every later line edge is checked once, its reverse holding with it as s2
+    is a central involution and reverse gains are inverses.
     """
     G = _shared_group(zeta, ctx)
     data = line_graph(root)
     if zeta.graph != data.line:
         raise ValidationError("gain function does not live on the root's line graph")
+    mul, inv, s2 = G.mult, G.inv, ctx.s2
     rows: list[list[Element | None]] = [[None] * root.m for _ in range(root.n)]
-    for v in range(root.n):
-        incident = root.incidence[v]
-        if not incident:
-            continue
-        base = incident[0]
-        rows[v][base] = G.identity
-        for e in incident[1:]:
-            rows[v][e] = G.mul(ctx.s2, zeta.gain(base, e))
-        for a in incident:
-            for b in incident:
-                if a == b:
-                    continue
-                lhs = G.mul(ctx.s2, G.mul(G.invert(rows[v][a]), rows[v][b]))
-                if lhs != zeta.gain(a, b):
-                    return None
+    for v, incident in enumerate(root.incidence):
+        rows[v][incident[0]] = G.identity
+    for (a, b), v, g in zip(data.line.edges, data.shared_vertex, zeta.forward):
+        row = rows[v]
+        if a == root.incidence[v][0]:
+            row[b] = mul[s2][g]
+        elif mul[s2][mul[inv[row[a]]][row[b]]] != g:
+            return None
     return GPhase(root, G, tuple(tuple(row) for row in rows))
 
 
@@ -234,6 +228,8 @@ def phase_from_dict(data: dict) -> GPhase:
     ``"0"`` marks structural zeros; the support must match the graph's
     incidence pattern.
     """
+    if not isinstance(data, dict):
+        raise InputError("phase description must be a JSON object")
     try:
         graph = graph_from_dict(data["graph"])
         group = build_group(data["group"])

@@ -40,6 +40,8 @@ class UnitaryRepresentation:
                 or images.shape[1] != images.shape[2]:
             raise ValidationError(
                 "images must be an (order, k, k) array of matrices")
+        if not np.isfinite(images).all():
+            raise ValidationError("images must have finite entries")
         k = images.shape[1]
         eye = np.eye(k)
         if np.abs(images[0] - eye).max() > tol:
@@ -230,7 +232,7 @@ def builtin_representation(group: FiniteGroup, which: str,
     }
     try:
         builder = builders[which]
-    except KeyError:
+    except (KeyError, TypeError):
         raise InputError(f"unknown builtin representation {which!r}")
     return builder(group, **kwargs)
 
@@ -238,15 +240,13 @@ def builtin_representation(group: FiniteGroup, which: str,
 # -- serialization ----------------------------------------------------------
 
 def _parse_complex_matrix(rows, degree: int) -> np.ndarray:
-    out = np.zeros((degree, degree), dtype=np.complex128)
-    if len(rows) != degree or any(len(r) != degree for r in rows):
+    try:
+        pairs = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError("complex entries must be [re, im] pairs of numbers")
+    if pairs.shape != (degree, degree, 2):
         raise InputError("representation image has wrong shape")
-    for i, row in enumerate(rows):
-        for j, pair in enumerate(row):
-            if len(pair) != 2:
-                raise InputError("complex entries must be [re, im] pairs")
-            out[i, j] = float(pair[0]) + 1j * float(pair[1])
-    return out
+    return pairs[..., 0] + 1j * pairs[..., 1]
 
 
 def representation_from_dict(data: dict, group: FiniteGroup) -> UnitaryRepresentation:
@@ -255,26 +255,35 @@ def representation_from_dict(data: dict, group: FiniteGroup) -> UnitaryRepresent
     A ``"builtin"`` key selects a named construction instead of explicit
     images.
     """
+    if not isinstance(data, dict):
+        raise InputError("representation description must be a JSON object")
     if "builtin" in data:
         kwargs = {}
         if "power" in data:
-            kwargs["power"] = int(data["power"])
+            if data["builtin"] != "root_of_unity":
+                raise InputError("only root_of_unity takes a 'power'")
+            kwargs["power"] = _integer_field(data, "power")
         return builtin_representation(group, data["builtin"], **kwargs)
-    try:
-        degree = int(data["degree"])
-        image_map = data["images"]
-    except KeyError as exc:
-        raise InputError(f"representation description needs {exc} field")
-    images = np.zeros((group.order, degree, degree), dtype=np.complex128)
-    seen = set()
-    for label, rows in image_map.items():
-        g = group.element(str(label))
-        images[g] = _parse_complex_matrix(rows, degree)
-        seen.add(g)
-    if len(seen) != group.order:
+    degree = _integer_field(data, "degree")
+    image_map = data.get("images")
+    if not isinstance(image_map, dict):
+        raise InputError("representation 'images' must map element labels to matrices")
+    parsed = {group.element(str(label)): _parse_complex_matrix(rows, degree)
+              for label, rows in image_map.items()}
+    if len(parsed) != group.order:
         raise InputError("representation must assign a matrix to every element")
-    return UnitaryRepresentation(group, images,
+    return UnitaryRepresentation(group, np.array([parsed[g] for g in group.elements()]),
                                  irreducible=bool(data.get("irreducible", False)))
+
+
+def _integer_field(data: dict, key: str) -> int:
+    try:
+        return int(data[key])
+    except KeyError:
+        raise InputError(f"representation description needs '{key}' field")
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"representation field '{key}' must be an integer, "
+                         f"got {data[key]!r}")
 
 
 def representation_to_dict(rep: UnitaryRepresentation) -> dict:

@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .gain import GainFunction, gain_adjacency
+from .group import require_central_weak_involution
 from .phase import GPhase, PhaseContext, psi_line
 from .representation import (UnitaryRepresentation, fourier,
                              hermitian_spectrum)
@@ -75,6 +76,7 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
                          s2: int, tol: float = DEFAULT_TOL) -> ObstructionVerdict:
     """Apply the spectral necessary conditions for being a gain-line graph.
 
+    s2 must be a central weak involution, as the corollaries assume.
     One-sided rules fire when pi(s2) is (minus) the identity; the two-sided
     rule fires for declared-irreducible representations regardless of s2.
     A clean verdict is only a necessary condition; recognition gives the
@@ -82,6 +84,7 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
     """
     if zeta.group != rep.group:
         raise ValidationError("representation defined on a different group")
+    require_central_weak_involution(zeta.group, s2, "s2")
     spec = hermitian_spectrum(fourier(gain_adjacency(zeta), rep))
     lo, hi = spec.eigenvalues[0], spec.eigenvalues[-1]
     s2_class = classify_s2_image(rep, s2, tol)

@@ -245,3 +245,46 @@ DIAMOND = gl.SimpleGraph(4, ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3)))
 def q8_gain(graph: gl.SimpleGraph, labels: list[str]) -> gl.GainFunction:
     Q8 = gl.quaternion8()
     return gl.GainFunction(graph, Q8, tuple(Q8.element(l) for l in labels))
+
+
+def reference_switching_to(psi1: gl.GainFunction, psi2: gl.GainFunction):
+    """Some f with psi2 = psi1^f by propagating f along the BFS tree from
+    each seed f(0) in element order and checking every edge; oracle only."""
+    G = psi1.group
+    parent, order = gl.graph.bfs_tree(psi1.graph)
+    for seed in G.elements():
+        f = [seed] * psi1.graph.n
+        for v in order[1:]:
+            u = parent[v]
+            f[v] = G.mul(G.invert(psi1.gain(u, v)), G.mul(f[u], psi2.gain(u, v)))
+        if gl.switch(psi1, f) == psi2:
+            return gl.SwitchingFunction(G, tuple(f))
+    return None
+
+
+def reference_recognize_gain_line(zeta: gl.GainFunction, root: gl.SimpleGraph,
+                                  ctx: gl.PhaseContext):
+    """Recognition with each row anchored at its first incident edge and
+    checked on every ordered pair of incident edges; oracle only."""
+    G = zeta.group
+    rows = [[None] * root.m for _ in range(root.n)]
+    for v, incident in enumerate(root.incidence):
+        if not incident:
+            continue
+        base = incident[0]
+        rows[v][base] = G.identity
+        for e in incident[1:]:
+            rows[v][e] = G.mul(ctx.s2, zeta.gain(base, e))
+        for a, b in itertools.permutations(incident, 2):
+            lhs = G.mul(ctx.s2, G.mul(G.invert(rows[v][a]), rows[v][b]))
+            if lhs != zeta.gain(a, b):
+                return None
+    return gl.GPhase(root, G, tuple(tuple(row) for row in rows))
+
+
+def perturbed(rng: random.Random, psi: gl.GainFunction) -> gl.GainFunction:
+    """psi with one gain, chosen at random, moved to another element."""
+    forward = list(psi.forward)
+    k = rng.randrange(len(forward))
+    forward[k] = (forward[k] + rng.randrange(1, psi.group.order)) % psi.group.order
+    return gl.GainFunction(psi.graph, psi.group, tuple(forward))

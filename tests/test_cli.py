@@ -162,9 +162,10 @@ def test_error_paths_exit_one(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run(capsys, ["group", str(bad)])
-    assert code == 1 and "error:" in err
+    for text in ("{not json", "[" * 100000 + "]" * 100000):
+        bad.write_text(text)
+        code, _, err = run(capsys, ["group", str(bad)])
+        assert code == 1 and "error:" in err
 
     disconnected = write(tmp_path, "g.json", {"n": 4, "edges": [[1, 2], [3, 4]]})
     code, _, err = run(capsys, ["line", disconnected])
@@ -180,12 +181,20 @@ def test_error_paths_exit_one(tmp_path, capsys):
         assert code == 1 and err.startswith("error:"), spec
 
     for data in ({"n": 2, "edges": [["a", 2]]}, {"n": "x", "edges": [[1, 2]]},
-                 {"n": 3, "edges": [[1, 2, 3]]}):
+                 {"n": 3, "edges": [[1, 2, 3]]}, {"n": float("inf"), "edges": [[1, 2]]},
+                 {"n": 2, "edges": [[1, float("inf")]]},
+                 {"n": 10**12, "edges": [[1, 2]]}):
         code, _, err = run(capsys, ["line", write(tmp_path, "bad_graph.json", data)])
         assert code == 1 and err.startswith("error:"), data
 
-    custom = {"family": "custom", "labels": ["e", "a"], "table": [["x", "1"], ["1", "0"]]}
-    code, _, err = run(capsys, ["group", write(tmp_path, "grp.json", custom)])
+    for labels, table in ((["e", "a"], [["x", "1"], ["1", "0"]]), (5, [[0]]),
+                          (["e"], [1]), ([[1]], [[0]]), (["e"], 5),
+                          ([1, "1"], [[0, 1], [1, 0]]), (["e"], [[float("inf")]])):
+        custom = {"family": "custom", "labels": labels, "table": table}
+        code, _, err = run(capsys, ["group", write(tmp_path, "grp.json", custom)])
+        assert code == 1 and err.startswith("error:"), custom
+    inf_order = {"family": "cyclic", "n": float("inf")}
+    code, _, err = run(capsys, ["group", write(tmp_path, "grp.json", inf_order)])
     assert code == 1 and err.startswith("error:")
 
     gain_data = gl.gain_to_dict(q8_gain(PAW, PAW_GAINS))
@@ -194,14 +203,51 @@ def test_error_paths_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, ["check", "balance", bad_gain])
     assert code == 1 and err.startswith("error:")
 
+    for data in (5, []):
+        top = write(tmp_path, "top.json", data)
+        code, _, err = run(capsys, ["check", "balance", top])
+        assert code == 1 and err.startswith("error:"), data
+
     code, _, err = run(capsys, ["line", write(tmp_path, "e5.json", {"n": 2, "edges": 5})])
     assert code == 1 and err.startswith("error:")
+
+    z4_gain = write(tmp_path, "z4.json", {"graph": gl.graph_to_dict(PAW),
+                                          "group": {"family": "cyclic", "n": 4},
+                                          "gains": ["1", "2", "3", "0"]})
+    for rep in (5, {"degree": 1, "images": 5}, {"degree": "x", "images": {}},
+                {"builtin": "root_of_unity", "power": "x"}, {"builtin": [1]},
+                {"degree": 2, "images": {"1": 5}}, {"degree": 0, "images": {}},
+                {"degree": float("inf"), "images": {}},
+                {"builtin": "root_of_unity", "power": float("inf")},
+                {"builtin": "regular", "power": 2},
+                {"degree": 1, "images": {"0": [[[1, 0, 0]]]}},
+                {"degree": 1, "images": {a: [[[float("nan"), 0]]] for a in "0123"}}):
+        rep_path = write(tmp_path, "rep.json", rep)
+        code, out, err = run(capsys, ["spectrum", z4_gain, rep_path])
+        assert code == 1 and out == "" and err.startswith("error:"), rep
+        assert err.count("\n") == 1, rep
 
     gain_path = paw_gain_file(tmp_path)
     for data in ({"a": 1}, [[1]], 7):
         opath = write(tmp_path, "orient.json", data)
         code, _, err = run(capsys, ["gainline", gain_path, "--orientation", opath])
         assert code == 1 and err.startswith("error:"), data
+
+
+def test_s2_checks_agree_across_commands(tmp_path, capsys):
+    # --s2 i over Q8: not a central weak involution, refused by every command
+    gain_path = paw_gain_file(tmp_path)
+    zeta = gl.gain_line(q8_gain(PAW, PAW_GAINS), gl.default_orientation(PAW),
+                        gl.PhaseContext(gl.quaternion8(), 0, 0))
+    zeta_path = write(tmp_path, "zeta.json", gl.gain_to_dict(zeta))
+    root = write(tmp_path, "root.json", gl.graph_to_dict(PAW))
+    rep = write(tmp_path, "rep.json", {"builtin": "q8_2dim"})
+    for argv in (["gainline", gain_path],
+                 ["check", "gainline", zeta_path, "--root", root],
+                 ["check", "obstruction", zeta_path, "--rep", rep]):
+        code, out, err = run(capsys, argv + ["--s2", "i"])
+        assert (code, out, err) == (
+            1, "", "error: s2=i is not a central weak involution of Q8\n"), argv
 
 
 def test_roundtrip_all_file_formats(tmp_path):

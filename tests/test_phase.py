@@ -7,11 +7,12 @@ import gainline as gl
 from gainline.algebra import AlgebraElement, CGMatrix
 from gainline.errors import InputError, ValidationError
 
-from helpers import (K2, PAW, STAR3, all_phases, complete_graph, q8_gain,
-                     random_connected_graph, random_gain, random_orientation,
-                     random_phase, random_vector, reference_gain_line,
-                     reference_phase_rows, shuffled_graph, small_groups,
-                     star_graph)
+from helpers import (K2, PAW, STAR3, all_phases, complete_graph, perturbed,
+                     q8_gain, random_connected_graph, random_gain,
+                     random_orientation, random_phase, random_vector,
+                     reference_gain_line, reference_phase_rows,
+                     reference_recognize_gain_line, shuffled_graph,
+                     small_groups, star_graph)
 
 PAW_GAINS = ["-i", "-j", "-k", "-i"]
 
@@ -32,8 +33,11 @@ def contexts_for(G):
 
 def test_context_rejects_non_involution():
     Q8 = gl.quaternion8()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="^s1=i is not a central weak involution of Q8$"):
         gl.PhaseContext(Q8, Q8.element("i"), 0)
+    with pytest.raises(ValidationError, match="^s2=index 8 is not"):
+        gl.PhaseContext(Q8, 0, 8)
 
 
 def test_phase_support_pattern_enforced():
@@ -395,6 +399,23 @@ def test_recognize_closed_under_switching():
         assert gl.recognize_gain_line(gl.switch(zeta, g), PAW, ctx) is not None
 
 
+def test_recognize_matches_ordered_pair_reference():
+    rng = random.Random(103)
+    rejected = 0
+    for G in small_groups() + [gl.dihedral(3)]:
+        for ctx in contexts_for(G):
+            for _ in range(15):
+                graph = random_connected_graph(rng, 7)
+                zeta = gl.psi_line(random_phase(rng, graph, G), ctx)
+                if zeta.graph.m == 0:
+                    continue
+                for candidate in (zeta, perturbed(rng, zeta)):
+                    want = reference_recognize_gain_line(candidate, graph, ctx)
+                    assert gl.recognize_gain_line(candidate, graph, ctx) == want
+                    rejected += want is None
+    assert rejected > 0
+
+
 def test_recognize_requires_matching_line_graph():
     G = gl.sign_group()
     ctx = default_ctx(G)
@@ -446,6 +467,12 @@ def test_phase_file_parse_matches_per_pair_reference():
             assert str(info.value) == str(exc)
         else:
             assert gl.phase_from_dict(d).rows == want
+
+
+def test_phase_file_rejects_non_object():
+    for data in (5, [], "phase"):
+        with pytest.raises(InputError, match="must be a JSON object"):
+            gl.phase_from_dict(data)
 
 
 def test_phase_file_rejects_non_list_entries():

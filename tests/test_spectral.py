@@ -158,6 +158,18 @@ def test_obstruction_requires_matching_group():
         gl.gainline_obstruction(zeta, rep, 0)
 
 
+def test_obstruction_requires_central_weak_involution():
+    Q8 = gl.quaternion8()
+    zeta = q8_gain(DIAMOND, ["-k", "1", "1", "1", "-j"])
+    rep = gl.q8_representation(Q8)
+    for s2 in ("i", "j", "-k"):
+        with pytest.raises(ValidationError,
+                           match=f"^s2={s2} is not a central weak involution of Q8$"):
+            gl.gainline_obstruction(zeta, rep, Q8.element(s2))
+    for s2 in gl.central_weak_involutions(Q8):
+        gl.gainline_obstruction(zeta, rep, s2)
+
+
 def test_verdict_serialization():
     G = gl.sign_group()
     zeta = gl.constant_gain(K4, G, G.identity)
