@@ -7,7 +7,7 @@ convention that index 0 is the identity.  All builders return validated
 
 from __future__ import annotations
 
-import itertools
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ MAX_ORDER = 512
 class FiniteGroup:
     """A finite group given by an order x order multiplication table.
 
-    ``mult[a][b]`` is the index of the product of elements ``a`` and ``b``;
+    ``table[a, b]`` is the index of the product of elements ``a`` and ``b``;
     index 0 is always the identity.  Instances are immutable after
     construction and safe to share between threads.
     """
@@ -46,10 +46,15 @@ class FiniteGroup:
                 "group labels must be a list of strings and the table a list of rows")
 
         try:
-            table = tuple(tuple(int(x) for x in row) for row in mult)
+            T = np.array(mult)
         except (TypeError, ValueError, OverflowError):
+            T = None
+        # numpy reads a bool among ints as an int; only entries 0 and 1 can be bools.
+        if T is None or T.shape != (order, order) or T.dtype.kind not in "iu" \
+                or any(isinstance(mult[i][j], (bool, np.bool_))
+                       for i, j in np.argwhere(np.isin(T, (0, 1))).tolist()):
             raise ValidationError("multiplication table entries must be integers")
-        T = np.array(table)
+        T = T.astype(np.intp)
         T.flags.writeable = False
         full = np.arange(order)
         bad_rows = (np.sort(T, axis=1) != full).any(axis=1)
@@ -65,17 +70,29 @@ class FiniteGroup:
         bad = np.flatnonzero(T[inv, full] != 0)
         if bad.size:
             raise ValidationError(f"element {bad[0]} has no two-sided inverse")
-        _check_associativity(T)
+        # Light's test: the elements a with (x a) y = x (a y) for all x, y are
+        # closed under the product, so checking the generators proves associativity.
+        generators = _generators(T)
+        for s in generators:
+            bad = np.argwhere(T[T[:, s], :] != T[:, T[s, :]])
+            if bad.size:
+                x, y = bad[0]
+                raise ValidationError(f"table is not associative at ({x}, {s}, {y})")
 
         self.name = name
         self.labels = names
-        self.mult = table
-        #: The table as a read-only (order, order) integer array.
+        #: The validated table as a read-only (order, order) np.intp array.
         self.table = T
+        #: A generating set: every element is a product of these.
+        self.generators = generators
         self.inv = tuple(inv.tolist())
         self.order = order
         self._label_index = {label: i for i, label in enumerate(self.labels)}
-        self._abelian = bool((T == T.T).all())
+
+    @functools.cached_property
+    def mult(self) -> tuple[tuple[int, ...], ...]:
+        """The table as nested tuples, for scalar loops; built on first use."""
+        return tuple(map(tuple, self.table.tolist()))
 
     # -- basic operations ---------------------------------------------------
 
@@ -106,44 +123,34 @@ class FiniteGroup:
             raise InputError(f"unknown element label {label!r} in group {self.name}")
 
     def is_abelian(self) -> bool:
-        return self._abelian
+        return bool((self.table == self.table.T).all())
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FiniteGroup)
-                and self.labels == other.labels and self.mult == other.mult)
+        return (isinstance(other, FiniteGroup) and self.labels == other.labels
+                and np.array_equal(self.table, other.table))
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.mult))
+        return hash((self.labels, self.table.tobytes()))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def _check_associativity(T: np.ndarray) -> None:
-    """Light's test: (x s) y = x (s y) for all x, y and each generator s.
-
-    The elements a with (x a) y = x (a y) for all x, y are closed under the
-    product, so checking a generating set proves associativity.
-    """
-    for s in _generators(T):
-        bad = np.argwhere(T[T[:, s], :] != T[:, T[s, :]])
-        if bad.size:
-            x, y = bad[0]
-            raise ValidationError(f"table is not associative at ({x}, {s}, {y})")
-
-
-def _generators(T: np.ndarray) -> list[Element]:
-    """A greedy generating set: each element not yet reached from the
-    identity by right multiplication with the generators so far is added."""
-    gens: list[Element] = []
+def _generators(T: np.ndarray) -> tuple[Element, ...]:
+    """A greedy generating set: the least element not yet reached is added,
+    then the reached set is squared until it stops growing."""
+    gens = []
     reached = np.zeros(len(T), dtype=bool)
     reached[0] = True
-    for g in range(len(T)):
-        if not reached[g]:
-            gens.append(g)
-            while not reached[T[np.ix_(reached, gens)]].all():
-                reached[T[np.ix_(reached, gens)]] = True
-    return gens
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[gens[-1]] = True
+        while True:
+            R = np.flatnonzero(reached)
+            reached[T[np.ix_(R, R)]] = True
+            if np.count_nonzero(reached) == R.size:
+                break
+    return tuple(gens)
 
 
 def _check_order(order: int) -> None:
@@ -192,9 +199,8 @@ def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InputError("cyclic group needs n >= 1")
     _check_order(n)
-    labels = [str(a) for a in range(n)]
-    mult = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(labels, mult, name=f"Z{n}")
+    a = np.arange(n)
+    return FiniteGroup(list(map(str, range(n))), (a[:, None] + a) % n, name=f"Z{n}")
 
 
 def sign_group() -> FiniteGroup:
@@ -204,62 +210,43 @@ def sign_group() -> FiniteGroup:
 
 def t4() -> FiniteGroup:
     """Fourth roots of unity {1, i, -1, -i} under multiplication."""
-    labels = ["1", "i", "-1", "-i"]
-    mult = [[(a + b) % 4 for b in range(4)] for a in range(4)]
-    return FiniteGroup(labels, mult, name="T4")
+    return FiniteGroup(["1", "i", "-1", "-i"], cyclic(4).table, name="T4")
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n: rotations r0..r{n-1}, reflections s0..s{n-1}."""
+    """Dihedral group of order 2n: rotations r0..r{n-1}, reflections s0..s{n-1};
+    element s n + a is (a, s), with (a, s)(b, t) = (a + (-1)^s b, s + t)."""
     if n < 1:
         raise InputError("dihedral group needs n >= 1")
     _check_order(2 * n)
-
-    def idx(a: int, s: int) -> int:
-        return s * n + a % n
-
-    labels = [f"r{a}" for a in range(n)] + [f"s{a}" for a in range(n)]
-    mult = [[0] * (2 * n) for _ in range(2 * n)]
-    for a, s in itertools.product(range(n), range(2)):
-        for b, t in itertools.product(range(n), range(2)):
-            c = (a + b) % n if s == 0 else (a - b) % n
-            mult[idx(a, s)][idx(b, t)] = idx(c, (s + t) % 2)
-    return FiniteGroup(labels, mult, name=f"D{n}")
+    s, a = np.divmod(np.arange(2 * n), n)
+    table = (s[:, None] + s) % 2 * n + (a[:, None] + (1 - 2 * s[:, None]) * a) % n
+    labels = [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
+    return FiniteGroup(labels, table, name=f"D{n}")
 
 
-_Q8_BASIS_MULT = {
-    # (b1, b2) -> (sign, basis) for basis order 1, i, j, k
-    (0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3),
-    (1, 0): (0, 1), (1, 1): (1, 0), (1, 2): (0, 3), (1, 3): (1, 2),
-    (2, 0): (0, 2), (2, 1): (1, 3), (2, 2): (1, 0), (2, 3): (0, 1),
-    (3, 0): (0, 3), (3, 1): (0, 2), (3, 2): (1, 1), (3, 3): (1, 0),
-}
+#: 1 where the product b1 b2 of basis quaternions (order 1, i, j, k) is negative.
+_Q8_BASIS_SIGN = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
 
 
 def quaternion8() -> FiniteGroup:
-    """The quaternion group {+-1, +-i, +-j, +-k}."""
+    """The quaternion group {+-1, +-i, +-j, +-k}: element 4 sign + b is
+    (-1)^sign times basis b (1, i, j, k), and the basis of b1 b2 is b1 XOR b2."""
     labels = ["1", "i", "j", "k", "-1", "-i", "-j", "-k"]
-
-    def idx(sign: int, basis: int) -> int:
-        return sign * 4 + basis
-
-    mult = [[0] * 8 for _ in range(8)]
-    for s1, b1 in itertools.product(range(2), range(4)):
-        for s2, b2 in itertools.product(range(2), range(4)):
-            s, b = _Q8_BASIS_MULT[(b1, b2)]
-            mult[idx(s1, b1)][idx(s2, b2)] = idx((s1 + s2 + s) % 2, b)
-    return FiniteGroup(labels, mult, name="Q8")
+    sign, b = np.divmod(np.arange(8), 4)
+    table = ((sign[:, None] + sign + _Q8_BASIS_SIGN[b[:, None], b]) % 2 * 4
+             + (b[:, None] ^ b))
+    return FiniteGroup(labels, table, name="Q8")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Componentwise product on pairs, labeled "(x,y)"."""
-    _check_order(a.order * b.order)
-    pairs = list(itertools.product(range(a.order), range(b.order)))
-    index = {p: i for i, p in enumerate(pairs)}
-    labels = [f"({a.labels[x]},{b.labels[y]})" for x, y in pairs]
-    mult = [[index[(a.mult[x1][x2], b.mult[y1][y2])] for x2, y2 in pairs]
-            for x1, y1 in pairs]
-    return FiniteGroup(labels, mult, name=f"{a.name}x{b.name}")
+    """Componentwise product on pairs (x, y) = x |B| + y, labeled "(x,y)"."""
+    n = a.order * b.order
+    _check_order(n)
+    labels = [f"({x},{y})" for x in a.labels for y in b.labels]
+    table = (a.table[:, None, :, None] * b.order
+             + b.table[None, :, None, :]).reshape(n, n)
+    return FiniteGroup(labels, table, name=f"{a.name}x{b.name}")
 
 
 def build_group(spec: dict) -> FiniteGroup:
@@ -312,5 +299,5 @@ def group_to_dict(group: FiniteGroup) -> dict:
         "family": "custom",
         "name": group.name,
         "labels": list(group.labels),
-        "table": [list(row) for row in group.mult],
+        "table": group.table.tolist(),
     }

@@ -12,8 +12,6 @@ from .group import Element, FiniteGroup, same_group
 
 #: Homomorphism / unitarity validation tolerance.
 VALIDATION_TOL = 1e-10
-#: Matrix entries per block of the homomorphism check.
-_BLOCK_ENTRIES = 16384
 #: Largest group order with a regular representation.
 REGULAR_MAX_ORDER = 128
 
@@ -27,6 +25,19 @@ class UnitaryRepresentation:
     is exactly zero (regular, sign and trivial representations), so that
     validation, Fourier transforms and eigensolves run in real arithmetic,
     and complex128 otherwise.
+
+    Tolerances are on the largest entry.  The homomorphism is decided on the
+    generators S of the group first.  Let n = |G|, k the degree, and rho = 0
+    if every entry is a Gaussian integer (by unitarity 0, +-1 or +-i, whose
+    products are exact), else rho = (k + 2) 2^-52, a bound on the rounding
+    of an entry of a product.  S suffices if it is not empty, k n tol <= 1
+    and every computed |pi(s)pi(h) - pi(sh)| <= tol / (4 k n) - rho.  Proof:
+    the exact deviations at S are then at most d = tol / (4 k n), k d in the
+    spectral norm, and ||pi(g)||^2 <= u^2 = 1 + k (tol + rho).  Each g is a
+    word s_1 ... s_L in S, 1 <= L <= n; peeling one letter at a time bounds
+    ||pi(g)pi(h) - pi(gh)|| by 2 k d L u^(L-1) <= (e^(1/2) / 2) tol < 0.83 tol
+    as (n - 1) rho <= tol, and a scan, off by rho <= tol / 8, accepts every
+    pair.  Otherwise the scan decides, naming the first failing (g, h).
     """
 
     def __init__(self, group: FiniteGroup, images: np.ndarray,
@@ -42,7 +53,7 @@ class UnitaryRepresentation:
                 "images must be an (order, k, k) array of matrices")
         if not np.isfinite(images).all():
             raise ValidationError("images must have finite entries")
-        k = images.shape[1]
+        n, k = group.order, images.shape[1]
         eye = np.eye(k)
         if np.abs(images[0] - eye).max() > tol:
             raise ValidationError("pi(identity) is not the identity matrix")
@@ -50,19 +61,19 @@ class UnitaryRepresentation:
         bad = np.flatnonzero(np.abs(gram - eye).max(axis=(1, 2)) > tol)
         if bad.size:
             raise ValidationError(f"pi({group.label(bad[0])}) is not unitary")
-        # pi(g) pi(h) for a block of h per product: small degrees take every h
-        # at once, large ones keep the block in cache.
-        block = max(1, _BLOCK_ENTRIES // (k * k))
-        for g in group.elements():
-            row = group.table[g]
-            for h0 in range(0, group.order, block):
-                products = images[g] @ images[h0:h0 + block]
-                deviation = np.abs(products - images[row[h0:h0 + block]]).max(axis=(1, 2))
-                bad = np.flatnonzero(deviation > tol)
+
+        def deviation(g: Element) -> np.ndarray:  # max |pi(g)pi(h) - pi(gh)| per h
+            return np.abs(images[g] @ images - images[group.table[g]]).max(axis=(1, 2))
+
+        rho = 0.0 if np.array_equal(images, images.round()) else (k + 2) * 2.0 ** -52
+        if not (group.generators and k * n * tol <= 1 and all(
+                deviation(s).max() <= tol / (4 * k * n) - rho for s in group.generators)):
+            for g in group.elements():
+                bad = np.flatnonzero(deviation(g) > tol)
                 if bad.size:
                     raise ValidationError(
                         f"pi is not a homomorphism at ({group.label(g)}, "
-                        f"{group.label(h0 + bad[0])})")
+                        f"{group.label(bad[0])})")
         self.group = group
         self.degree = k
         self.images = images
@@ -149,8 +160,7 @@ def trivial_representation(group: FiniteGroup) -> UnitaryRepresentation:
 def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
     """Permutation matrices of left translation; faithful and unitary.
 
-    Refused above ``REGULAR_MAX_ORDER``: the images take order^3 entries and
-    their validation order^2 products of order x order matrices.
+    Refused above ``REGULAR_MAX_ORDER``: the images take order^3 entries.
     """
     n = group.order
     if n > REGULAR_MAX_ORDER:

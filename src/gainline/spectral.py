@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InputError, ValidationError
 from .gain import GainFunction, gain_adjacency
 from .group import require_central_weak_involution
 from .phase import GPhase, PhaseContext, psi_line
@@ -63,6 +63,8 @@ def verify_line_identity(H: GPhase, rep: UnitaryRepresentation,
 
 def classify_s2_image(rep: UnitaryRepresentation, s2: int,
                       tol: float = DEFAULT_TOL) -> str:
+    if not 0 <= tol < np.inf:
+        raise InputError(f"tolerance must be finite and non-negative, got {tol!r}")
     eye = np.eye(rep.degree)
     mat = rep.images[s2]
     if np.abs(mat - eye).max() <= tol:
@@ -85,9 +87,9 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
     if zeta.group != rep.group:
         raise ValidationError("representation defined on a different group")
     require_central_weak_involution(zeta.group, s2, "s2")
+    s2_class = classify_s2_image(rep, s2, tol)
     spec = hermitian_spectrum(fourier(gain_adjacency(zeta), rep))
     lo, hi = spec.eigenvalues[0], spec.eigenvalues[-1]
-    s2_class = classify_s2_image(rep, s2, tol)
 
     below = lo < -2 - tol
     above = hi > 2 + tol

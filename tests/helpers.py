@@ -225,6 +225,73 @@ def reference_representation_failure(group: gl.FiniteGroup, images,
     return None
 
 
+def reference_generators(group: gl.FiniteGroup) -> tuple[int, ...]:
+    """The greedy generating set by right multiplication from the identity:
+    each element not yet reached is added; oracle only."""
+    gens: list[int] = []
+    reached = {0}
+    for g in group.elements():
+        if g not in reached:
+            gens.append(g)
+            frontier = list(reached)
+            while frontier:
+                step = {group.mul(x, s) for x in frontier for s in gens}
+                frontier = list(step - reached)
+                reached |= step
+    return tuple(gens)
+
+
+def reference_cyclic_table(n: int) -> list[list[int]]:
+    """Z_n by the per-pair loop; oracle only."""
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def reference_dihedral(n: int) -> tuple[list[str], list[list[int]]]:
+    """Labels and table of D_n by the per-pair loop over (rotation, flip)
+    pairs, element s n + a for r^a (s = 0) or s_a (s = 1); oracle only."""
+    def idx(a: int, s: int) -> int:
+        return s * n + a % n
+
+    labels = [f"r{a}" for a in range(n)] + [f"s{a}" for a in range(n)]
+    table = [[0] * (2 * n) for _ in range(2 * n)]
+    for a, s in itertools.product(range(n), range(2)):
+        for b, t in itertools.product(range(n), range(2)):
+            c = (a + b) % n if s == 0 else (a - b) % n
+            table[idx(a, s)][idx(b, t)] = idx(c, (s + t) % 2)
+    return labels, table
+
+
+_Q8_BASIS_MULT = {
+    # (b1, b2) -> (sign, basis) for basis order 1, i, j, k
+    (0, 0): (0, 0), (0, 1): (0, 1), (0, 2): (0, 2), (0, 3): (0, 3),
+    (1, 0): (0, 1), (1, 1): (1, 0), (1, 2): (0, 3), (1, 3): (1, 2),
+    (2, 0): (0, 2), (2, 1): (1, 3), (2, 2): (1, 0), (2, 3): (0, 1),
+    (3, 0): (0, 3), (3, 1): (0, 2), (3, 2): (1, 1), (3, 3): (1, 0),
+}
+
+
+def reference_quaternion8() -> tuple[list[str], list[list[int]]]:
+    """Labels and table of Q8 from the basis product table; oracle only."""
+    labels = ["1", "i", "j", "k", "-1", "-i", "-j", "-k"]
+    table = [[0] * 8 for _ in range(8)]
+    for s1, b1 in itertools.product(range(2), range(4)):
+        for s2, b2 in itertools.product(range(2), range(4)):
+            s, b = _Q8_BASIS_MULT[(b1, b2)]
+            table[s1 * 4 + b1][s2 * 4 + b2] = (s1 + s2 + s) % 2 * 4 + b
+    return labels, table
+
+
+def reference_direct_product(a: gl.FiniteGroup, b: gl.FiniteGroup
+                             ) -> tuple[list[str], list[list[int]]]:
+    """Labels and table of a x b by a dict over index pairs; oracle only."""
+    pairs = list(itertools.product(range(a.order), range(b.order)))
+    index = {p: i for i, p in enumerate(pairs)}
+    labels = [f"({a.labels[x]},{b.labels[y]})" for x, y in pairs]
+    table = [[index[(a.mul(x1, x2), b.mul(y1, y2))] for x2, y2 in pairs]
+             for x1, y1 in pairs]
+    return labels, table
+
+
 def small_groups() -> list[gl.FiniteGroup]:
     return [
         gl.sign_group(),

@@ -193,6 +193,11 @@ def test_error_paths_exit_one(tmp_path, capsys):
         custom = {"family": "custom", "labels": labels, "table": table}
         code, _, err = run(capsys, ["group", write(tmp_path, "grp.json", custom)])
         assert code == 1 and err.startswith("error:"), custom
+    for entry in (1.5, 1.0, "1", True):
+        custom = {"family": "custom", "labels": ["e", "a"], "table": [[0, entry], [1, 0]]}
+        code, out, err = run(capsys, ["group", write(tmp_path, "grp.json", custom)])
+        assert (code, out, err) == (
+            1, "", "error: multiplication table entries must be integers\n"), custom
     inf_order = {"family": "cyclic", "n": float("inf")}
     code, _, err = run(capsys, ["group", write(tmp_path, "grp.json", inf_order)])
     assert code == 1 and err.startswith("error:")
@@ -226,6 +231,14 @@ def test_error_paths_exit_one(tmp_path, capsys):
         code, out, err = run(capsys, ["spectrum", z4_gain, rep_path])
         assert code == 1 and out == "" and err.startswith("error:"), rep
         assert err.count("\n") == 1, rep
+
+    zpath = paw_gain_file(tmp_path, "zeta.json", ["-k", "1", "1", "1", "-j"], DIAMOND)
+    rpath = write(tmp_path, "rep.json", {"builtin": "q8_2dim"})
+    for tol in ("nan", "-5", "inf"):
+        code, out, err = run(capsys, ["check", "obstruction", zpath, "--rep", rpath,
+                                      "--s2", "-1", "--tol", tol])
+        assert code == 1 and out == "" and err.startswith("error:"), tol
+        assert err.count("\n") == 1, tol
 
     gain_path = paw_gain_file(tmp_path)
     for data in ({"a": 1}, [[1]], 7):

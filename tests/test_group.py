@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +9,9 @@ import gainline as gl
 from gainline.errors import InputError, ValidationError
 from gainline.group import is_central_weak_involution
 
-from helpers import reference_center, reference_table_failure, small_groups
+from helpers import (reference_center, reference_cyclic_table, reference_dihedral,
+                     reference_direct_product, reference_generators,
+                     reference_quaternion8, reference_table_failure, small_groups)
 
 
 def test_q8_defining_relations():
@@ -236,3 +239,73 @@ def test_custom_table_with_non_integer_entry_is_rejected():
     with pytest.raises(ValidationError):
         gl.build_group({"family": "custom", "labels": ["e", "a"],
                         "table": [["x", "1"], ["1", "0"]]})
+    # no entry is converted: 1.5 is not truncated, 1.0, "1" and True are not 1
+    for entry in (1.5, 1.0, "1", True, False, [1], None, 2**64):
+        with pytest.raises(ValidationError,
+                           match="^multiplication table entries must be integers$"):
+            gl.build_group({"family": "custom", "labels": ["e", "a"],
+                            "table": [[0, entry], [1, 0]]})
+    with pytest.raises(ValidationError, match="entries must be integers"):
+        gl.FiniteGroup(["e", "a"], np.array([[False, True], [True, False]]))
+    # integer arrays of any width give the same group
+    for dtype in (np.int8, np.uint16, np.int64):
+        G = gl.FiniteGroup(["e", "a"], np.array([[0, 1], [1, 0]], dtype=dtype))
+        assert G.table.dtype == np.intp
+        assert G == gl.FiniteGroup(["e", "a"], [[0, 1], [1, 0]])
+
+
+def test_closed_form_builders_match_loop_tables():
+    for n in range(1, 25):
+        G = gl.cyclic(n)
+        assert G.labels == tuple(str(a) for a in range(n))
+        assert G.table.tolist() == reference_cyclic_table(n)
+    assert gl.t4().table.tolist() == reference_cyclic_table(4)
+    for n in range(1, 17):
+        labels, table = reference_dihedral(n)
+        G = gl.dihedral(n)
+        assert G.labels == tuple(labels) and G.table.tolist() == table
+    labels, table = reference_quaternion8()
+    Q8 = gl.quaternion8()
+    assert Q8.labels == tuple(labels) and Q8.table.tolist() == table
+    for a in small_groups():
+        for b in small_groups():
+            labels, table = reference_direct_product(a, b)
+            G = gl.direct_product(a, b)
+            assert G.labels == tuple(labels) and G.table.tolist() == table
+
+
+def test_generators_match_right_multiplication_search():
+    rng = random.Random(7)
+    groups = small_groups() + [gl.cyclic(1), gl.cyclic(60), gl.dihedral(9),
+                               gl.direct_product(gl.quaternion8(), gl.cyclic(6)),
+                               gl.direct_product(gl.sign_group(), gl.direct_product(
+                                   gl.cyclic(2), gl.cyclic(2)))]
+    for G in groups:
+        # the same group with its non-identity elements in random order
+        perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+        back = {old: new for new, old in enumerate(perm)}
+        H = gl.FiniteGroup([G.labels[p] for p in perm],
+                           [[back[G.mul(a, b)] for b in perm] for a in perm])
+        for K in (G, H):
+            assert K.generators == reference_generators(K)
+
+
+def test_equality_and_hash_follow_labels_and_table():
+    groups = [gl.cyclic(1), gl.cyclic(12), gl.sign_group(), gl.t4(), gl.dihedral(5),
+              gl.quaternion8(), gl.direct_product(gl.quaternion8(), gl.cyclic(3))]
+    for G in groups:
+        back = gl.build_group(gl.group_to_dict(G))
+        assert back == G and hash(back) == hash(G)
+        wider = gl.FiniteGroup(G.labels, G.table.astype(np.int16))
+        assert wider == G and hash(wider) == hash(G)
+        relabeled = list(G.labels)
+        relabeled[-1] += "'"
+        assert gl.FiniteGroup(relabeled, G.table) != G
+    # Z2 x Z2 with the intercalate at rows and columns 1, 2 swapped is a
+    # group again (Z4 in another element order), on the same labels
+    V = gl.direct_product(gl.cyclic(2), gl.cyclic(2))
+    table = V.table.tolist()
+    table[1][1], table[1][2], table[2][1], table[2][2] = 3, 0, 0, 3
+    W = gl.FiniteGroup(V.labels, table)
+    assert W != V and V != W and W.labels == V.labels
+    assert W.mul(1, 1) == 3 and W.mul(1, 3) == 2

@@ -195,7 +195,8 @@ def test_validation_reports_first_failure_like_the_pairwise_loop():
     cases = [(gl.quaternion8(), gl.q8_representation),
              (gl.dihedral(4), gl.regular_representation),
              (gl.cyclic(12), gl.root_of_unity_representation),
-             (gl.dihedral(32), gl.regular_representation)]  # several h-blocks
+             (gl.dihedral(32), gl.regular_representation)]
+    verdicts, accepted_by_scan, accepted_near_zero = set(), set(), set()
     for G, build in cases:
         images = build(G).images
         assert reference_representation_failure(G, images) is None
@@ -210,6 +211,49 @@ def test_validation_reports_first_failure_like_the_pairwise_loop():
             with pytest.raises(ValidationError) as info:
                 gl.UnitaryRepresentation(G, bad)
             assert str(info.value) == expected
+        if np.isrealobj(images):  # permutation images: two rows swapped in one
+            bad = images.copy()
+            g = rng.randrange(1, G.order)
+            bad[g, [0, 1]] = bad[g, [1, 0]]
+            with pytest.raises(ValidationError) as info:
+                gl.UnitaryRepresentation(G, bad)
+            assert str(info.value) == reference_representation_failure(G, bad)
+        # near the tolerance: one image moved by delta, along one entry or
+        # by a phase; every verdict and message is the pairwise loop's
+        k = images.shape[1]
+        eps = 1e-10 / (4 * k * G.order)
+        for delta in (1e-14, 1e-12, 5e-11, 2e-10, 1e-9):
+            for along_entry in (True, False):
+                bad = images.astype(np.complex128)
+                g = rng.randrange(1, G.order)
+                if along_entry:
+                    bad[g, rng.randrange(k), rng.randrange(k)] += delta
+                else:
+                    bad[g] = bad[g] * np.exp(1j * delta)
+                expected = reference_representation_failure(G, bad)
+                verdicts.add(expected is None)
+                if expected is not None:
+                    with pytest.raises(ValidationError) as info:
+                        gl.UnitaryRepresentation(G, bad)
+                    assert str(info.value) == expected
+                    continue
+                gl.UnitaryRepresentation(G, bad)
+                deviation = generator_deviation(G, bad)
+                if deviation > eps:
+                    # no generator proof exists: the all-pairs scan accepted
+                    accepted_by_scan.add(G.name)
+                elif deviation < eps / 2:
+                    accepted_near_zero.add(G.name)
+    assert verdicts == {True, False}
+    assert accepted_by_scan == {"Q8", "D4", "Z12", "D32"}
+    # at degree 64 the smallest delta already exceeds eps
+    assert accepted_near_zero == {"Q8", "D4", "Z12"}
+
+
+def generator_deviation(G, images):
+    """Largest |pi(s)pi(h) - pi(sh)| over the group's generators s."""
+    return max(np.abs(images[s] @ images[h] - images[G.mul(s, h)]).max()
+               for s in G.generators for h in G.elements())
 
 
 def test_represented_gain_matrices_laplacian_psd_when_s_is_identity():

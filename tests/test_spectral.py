@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gainline as gl
-from gainline.errors import ValidationError
+from gainline.errors import InputError, ValidationError
 
 from helpers import (DIAMOND, K2, PAW, q8_gain, random_connected_graph,
                      random_phase, small_groups)
@@ -168,6 +168,21 @@ def test_obstruction_requires_central_weak_involution():
             gl.gainline_obstruction(zeta, rep, Q8.element(s2))
     for s2 in gl.central_weak_involutions(Q8):
         gl.gainline_obstruction(zeta, rep, s2)
+
+
+def test_obstruction_rejects_bad_tolerance():
+    Q8 = gl.quaternion8()
+    zeta = q8_gain(DIAMOND, DIAMOND_GAINS)
+    rep = gl.q8_representation(Q8)
+    minus = Q8.element("-1")
+    for tol in (float("nan"), -5.0, -1e-300, float("inf")):
+        with pytest.raises(InputError, match="tolerance"):
+            gl.gainline_obstruction(zeta, rep, minus, tol=tol)
+        with pytest.raises(InputError, match="tolerance"):
+            gl.classify_s2_image(rep, minus, tol=tol)
+    # zero is a tolerance, and the verdict is the default one
+    verdict = gl.gainline_obstruction(zeta, rep, minus, tol=0.0)
+    assert (verdict.violated, verdict.s2_class) == ("gainline", "minus_identity")
 
 
 def test_verdict_serialization():
