@@ -45,14 +45,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def pure_element(self) -> Element | None:
-        """The group element if this is g with coefficient 1, else None."""
-        if len(self.coeffs) == 1:
-            (g, c), = self.coeffs.items()
-            if c == 1:
-                return g
-        return None
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_group(other)
         coeffs = dict(self.coeffs)

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import gain, graph, group, phase, representation, spectral
-from .errors import GainlineError, InputError
+from .errors import GainlineError, InputError, require_integer
 
 
 def _load_json(path: str) -> dict:
@@ -44,9 +44,10 @@ def _orientation(g: graph.SimpleGraph, spec: str) -> graph.Orientation:
         return graph.default_orientation(g)
     data = _load_json(spec)
     try:
-        heads = tuple((int(t) - 1, int(h) - 1) for t, h in data)
+        heads = tuple((require_integer(t, "orientation vertex") - 1,
+                       require_integer(h, "orientation vertex") - 1) for t, h in data)
         return graph.Orientation(g, heads)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         raise InputError(f"{spec} must be a list of [tail, head] pairs")
     except GainlineError as exc:
         raise InputError(str(exc))

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy and the integer check shared by all modules."""
 
 
 class GainlineError(Exception):
@@ -19,3 +19,11 @@ class InputError(GainlineError):
     Raised for unparsable files, walks over non-adjacent vertices, unknown
     element labels and the like.
     """
+
+
+def require_integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer: an ``int``, never a ``bool`` or a
+    float.  Otherwise an InputError naming ``what``."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, require_integer
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,6 @@ class SimpleGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_index
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -177,10 +174,10 @@ def classical_matrices(graph: SimpleGraph) -> dict[str, np.ndarray]:
 def graph_from_dict(data: dict) -> SimpleGraph:
     """Parse ``{"n": 4, "edges": [[1,2], ...]}`` with 1-based vertices."""
     try:
-        n = int(data["n"])
-        edges = data["edges"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n, edges = data["n"], data["edges"]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"graph description needs integer 'n' and 'edges': {exc}")
+    n = require_integer(n, "graph field 'n'")
     if not isinstance(edges, list):
         raise InputError("'edges' must be a list of vertex pairs")
     if not edges:
@@ -189,9 +186,10 @@ def graph_from_dict(data: dict) -> SimpleGraph:
     for e in edges:
         try:
             a, b = e
-            u, v = int(a) - 1, int(b) - 1
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError):
             raise InputError(f"edge {e} must be a pair of integer endpoints")
+        u = require_integer(a, "edge endpoint") - 1
+        v = require_integer(b, "edge endpoint") - 1
         if u < 0 or v < 0:
             raise InputError(f"vertices are 1-based; got edge {e}")
         converted.append((u, v))

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, require_integer
 
 Element = int
 
@@ -287,10 +287,7 @@ def _fields(spec: dict, *keys: str) -> tuple:
 
 def _order_field(spec: dict) -> int:
     (n,) = _fields(spec, "n")
-    try:
-        return int(n)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"group field 'n' must be an integer, got {n!r}")
+    return require_integer(n, "group field 'n'")
 
 
 def group_to_dict(group: FiniteGroup) -> dict:

@@ -32,31 +32,33 @@ class PhaseContext:
         require_central_weak_involution(self.group, self.s2, "s2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GPhase:
     """A group element per incident (vertex, edge) pair.
 
-    ``rows[i][k]`` is the element at vertex i, edge k, or None where the
-    vertex is not an endpoint of the edge.
+    Stored as ``ends``, per edge k = (u, v) with u < v the pair (H[u,k],
+    H[v,k]), so H[i,k] is ``ends[k][i == v]``.  Built from, and viewed as,
+    dense ``rows``: None where vertex i is not an endpoint of edge k.
     """
 
     graph: SimpleGraph
     group: FiniteGroup
-    rows: tuple[tuple[Element | None, ...], ...]
+    ends: tuple[tuple[Element, Element], ...]
 
-    def __post_init__(self):
-        if len(self.rows) != self.graph.n:
+    def __init__(self, graph: SimpleGraph, group: FiniteGroup,
+                 rows: tuple[tuple[Element | None, ...], ...]):
+        if len(rows) != graph.n:
             raise ValidationError("phase must have one row per vertex")
-        m = self.graph.m
-        for i, row in enumerate(self.rows):
+        m = graph.m
+        for i, row in enumerate(rows):
             if len(row) != m:
                 raise ValidationError("phase must have one column per edge")
-            incident = self.graph.incidence[i]
+            incident = graph.incidence[i]
             for k in incident:
                 if row[k] is None:
                     raise ValidationError(
                         f"missing entry at incident pair (v{i + 1}, e{k + 1})")
-                if not 0 <= row[k] < self.group.order:
+                if not 0 <= row[k] < group.order:
                     raise ValidationError(f"element index {row[k]} out of range")
             # The incident entries are set, so any further non-None is misplaced.
             if row.count(None) != m - len(incident):
@@ -64,49 +66,69 @@ class GPhase:
                          if x is not None and k not in incident)
                 raise ValidationError(
                     f"nonzero entry at non-incident pair (v{i + 1}, e{k + 1})")
+        # Frozen: each field is set once here, past the dataclass's guard.
+        vars(self).update(graph=graph, group=group, ends=tuple(
+            (rows[u][k], rows[v][k]) for k, (u, v) in enumerate(graph.edges)))
+
+    @classmethod
+    def _from_ends(cls, graph: SimpleGraph, group: FiniteGroup,
+                   ends: tuple[tuple[Element, Element], ...]) -> "GPhase":
+        """The phase with the given pairs, one per edge in edge order."""
+        bad = [g for pair in ends for g in pair if not 0 <= g < group.order]
+        if bad:
+            raise ValidationError(f"element index {bad[0]} out of range")
+        H = cls.__new__(cls)
+        vars(H).update(graph=graph, group=group, ends=ends)
+        return H
+
+    @property
+    def rows(self) -> tuple[tuple[Element | None, ...], ...]:
+        """The dense vertex-by-edge view; built on each access."""
+        return tuple(map(tuple, self._grid(None, self.ends)))
+
+    def _grid(self, zero, ends) -> list[list]:
+        """An n x m grid of ``zero`` with each edge's pair at its endpoints."""
+        grid = [[zero] * self.graph.m for _ in range(self.graph.n)]
+        for k, ((u, v), (a, b)) in enumerate(zip(self.graph.edges, ends)):
+            grid[u][k] = a
+            grid[v][k] = b
+        return grid
 
     def entry(self, i: int, k: int) -> Element:
-        g = self.rows[i][k]
-        if g is None:
+        u, v = self.graph.edges[k]
+        if i != u and i != v:
             raise ValidationError(f"vertex {i} is not incident to edge {k}")
-        return g
+        return self.ends[k][i == v]
 
     def to_cg_matrix(self) -> CGMatrix:
         G = self.group
-        return CGMatrix(G, {(i, k): AlgebraElement.unit(G, self.rows[i][k])
-                            for i, incident in enumerate(self.graph.incidence)
-                            for k in incident},
+        return CGMatrix(G, {(i, k): AlgebraElement.unit(G, g)
+                            for k, pair in enumerate(zip(self.graph.edges, self.ends))
+                            for i, g in zip(*pair)},
                         (self.graph.n, self.graph.m))
 
 
 def incidence_phase(graph: SimpleGraph, group: FiniteGroup) -> GPhase:
     """The all-identity phase, the CG analogue of the incidence matrix."""
-    rows = [[None] * graph.m for _ in range(graph.n)]
-    for i, incident in enumerate(graph.incidence):
-        for k in incident:
-            rows[i][k] = group.identity
-    return GPhase(graph, group, tuple(tuple(row) for row in rows))
+    return GPhase._from_ends(graph, group, ((group.identity,) * 2,) * graph.m)
 
 
 def psi(H: GPhase, ctx: PhaseContext) -> GainFunction:
     """The induced gain on the graph: s1 * H[i,k] * H[j,k]^-1 per edge."""
     G = _shared_group(H, ctx)
-    out = []
-    for k, (i, j) in enumerate(H.graph.edges):
-        g = G.mul(ctx.s1, G.mul(H.entry(i, k), G.invert(H.entry(j, k))))
-        out.append(g)
-    return GainFunction(H.graph, G, tuple(out))
+    mul, inv, s1 = G.mult, G.inv, G.mult[ctx.s1]
+    return GainFunction(H.graph, G, tuple(s1[mul[a][inv[b]]] for a, b in H.ends))
 
 
 def psi_line(H: GPhase, ctx: PhaseContext) -> GainFunction:
     """The induced gain on the line graph: s2 * H[k,i]^-1 * H[k,j]."""
     G = _shared_group(H, ctx)
     data = line_graph(H.graph)
-    out = []
-    for (i, j), k in zip(data.line.edges, data.shared_vertex):
-        g = G.mul(ctx.s2, G.mul(G.invert(H.entry(k, i)), H.entry(k, j)))
-        out.append(g)
-    return GainFunction(data.line, G, tuple(out))
+    mul, inv, s2 = G.mult, G.inv, G.mult[ctx.s2]
+    edges, ends = H.graph.edges, H.ends
+    return GainFunction(data.line, G, tuple(
+        s2[mul[inv[ends[i][edges[i][1] == v]]][ends[j][edges[j][1] == v]]]
+        for (i, j), v in zip(data.line.edges, data.shared_vertex)))
 
 
 def phase_from_orientation(psi_fn: GainFunction, orientation: Orientation,
@@ -115,12 +137,11 @@ def phase_from_orientation(psi_fn: GainFunction, orientation: Orientation,
     if orientation.graph != psi_fn.graph:
         raise ValidationError("orientation belongs to a different graph")
     G = _shared_group(psi_fn, ctx)
-    graph = psi_fn.graph
-    rows = [[None] * graph.m for _ in range(graph.n)]
-    for k, (tail, head) in enumerate(orientation.heads):
-        rows[tail][k] = psi_fn.gain(tail, head)
-        rows[head][k] = ctx.s1
-    return GPhase(graph, G, tuple(tuple(row) for row in rows))
+    inv, s1 = G.inv, ctx.s1
+    # forward[k] is read from the lower end, so a higher tail gets its inverse.
+    return GPhase._from_ends(psi_fn.graph, G, tuple(
+        (g, s1) if tail < head else (s1, inv[g])
+        for (tail, head), g in zip(orientation.heads, psi_fn.forward)))
 
 
 def act(H: GPhase, f: tuple[Element, ...] | None = None,
@@ -131,14 +152,13 @@ def act(H: GPhase, f: tuple[Element, ...] | None = None,
         raise ValidationError("left action vector must have one entry per vertex")
     if g is not None and len(g) != H.graph.m:
         raise ValidationError("right action vector must have one entry per edge")
-    rows = [list(row) for row in H.rows]
-    for i, incident in enumerate(H.graph.incidence):
-        for k in incident:
-            if f is not None:
-                rows[i][k] = G.mul(G.invert(f[i]), rows[i][k])
-            if g is not None:
-                rows[i][k] = G.mul(rows[i][k], g[k])
-    return GPhase(H.graph, G, tuple(tuple(row) for row in rows))
+    ends = H.ends
+    if f is not None:
+        ends = tuple((G.mul(G.invert(f[u]), a), G.mul(G.invert(f[v]), b))
+                     for (u, v), (a, b) in zip(H.graph.edges, ends))
+    if g is not None:
+        ends = tuple((G.mul(a, x), G.mul(b, x)) for (a, b), x in zip(ends, g))
+    return GPhase._from_ends(H.graph, G, ends)
 
 
 def same_orbit(H1: GPhase, H2: GPhase, which: str, ctx: PhaseContext) -> bool:
@@ -177,14 +197,11 @@ def reff_line_phase(H: GPhase) -> GPhase:
     """The line phase: inverse of the shared-vertex entry, per incidence."""
     G = H.group
     data = line_graph(H.graph)
-    m = H.graph.m
-    q = data.line.m
-    rows: list[list[Element | None]] = [[None] * q for _ in range(m)]
-    for pos, (i, j) in enumerate(data.line.edges):
-        v = data.shared_vertex[pos]
-        rows[i][pos] = G.invert(H.entry(v, i))
-        rows[j][pos] = G.invert(H.entry(v, j))
-    return GPhase(data.line, G, tuple(tuple(row) for row in rows))
+    inv, edges, ends = G.inv, H.graph.edges, H.ends
+    # Line edge (i, j) has i < j, so H[v,i]^-1 sits at its lower end.
+    return GPhase._from_ends(data.line, G, tuple(
+        (inv[ends[i][edges[i][1] == v]], inv[ends[j][edges[j][1] == v]])
+        for (i, j), v in zip(data.line.edges, data.shared_vertex)))
 
 
 def recognize_gain_line(zeta: GainFunction, root: SimpleGraph,
@@ -201,17 +218,15 @@ def recognize_gain_line(zeta: GainFunction, root: SimpleGraph,
     data = line_graph(root)
     if zeta.graph != data.line:
         raise ValidationError("gain function does not live on the root's line graph")
-    mul, inv, s2 = G.mult, G.inv, ctx.s2
-    rows: list[list[Element | None]] = [[None] * root.m for _ in range(root.n)]
-    for v, incident in enumerate(root.incidence):
-        rows[v][incident[0]] = G.identity
+    mul, inv, s2 = G.mult, G.inv, G.mult[ctx.s2]
+    H = {(v, incident[0]): G.identity for v, incident in enumerate(root.incidence)}
     for (a, b), v, g in zip(data.line.edges, data.shared_vertex, zeta.forward):
-        row = rows[v]
         if a == root.incidence[v][0]:
-            row[b] = mul[s2][g]
-        elif mul[s2][mul[inv[row[a]]][row[b]]] != g:
+            H[v, b] = s2[g]
+        elif s2[mul[inv[H[v, a]]][H[v, b]]] != g:
             return None
-    return GPhase(root, G, tuple(tuple(row) for row in rows))
+    return GPhase._from_ends(root, G, tuple((H[u, k], H[v, k])
+                                            for k, (u, v) in enumerate(root.edges)))
 
 
 def _shared_group(obj, ctx: PhaseContext) -> FiniteGroup:
@@ -240,21 +255,17 @@ def phase_from_dict(data: dict) -> GPhase:
             or any(not isinstance(row, list) or len(row) != graph.m
                    for row in entries)):
         raise InputError("phase entries must form an n x m array")
-    rows = []
+    H = {}
     for i, (row, incident) in enumerate(zip(entries, graph.incidence)):
         # Incidence decides whether "0" is a structural zero or a label
         # (cyclic groups label their identity "0").
         zeros_elsewhere = row.count("0") - sum(row[k] == "0" for k in incident)
         if zeros_elsewhere != graph.m - len(incident):
             _first_row_failure(group, i, row, set(incident))
-        parsed: list[Element | None] = [None] * graph.m
         for k in incident:
-            parsed[k] = group.element(str(row[k]))
-        rows.append(tuple(parsed))
-    try:
-        return GPhase(graph, group, tuple(rows))
-    except ValidationError as exc:
-        raise InputError(str(exc))
+            H[i, k] = group.element(str(row[k]))
+    return GPhase._from_ends(graph, group, tuple((H[u, k], H[v, k])
+                                                 for k, (u, v) in enumerate(graph.edges)))
 
 
 def _first_row_failure(group: FiniteGroup, i: int, row: list,
@@ -270,9 +281,9 @@ def _first_row_failure(group: FiniteGroup, i: int, row: list,
 
 
 def phase_to_dict(H: GPhase) -> dict:
+    labels = H.group.labels
     return {
         "graph": graph_to_dict(H.graph),
         "group": group_to_dict(H.group),
-        "entries": [["0" if g is None else H.group.label(g) for g in row]
-                    for row in H.rows],
+        "entries": H._grid("0", [(labels[a], labels[b]) for a, b in H.ends]),
     }

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CGMatrix
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, require_integer
 from .group import Element, FiniteGroup, same_group
 
 #: Homomorphism / unitarity validation tolerance.
@@ -282,18 +282,20 @@ def representation_from_dict(data: dict, group: FiniteGroup) -> UnitaryRepresent
               for label, rows in image_map.items()}
     if len(parsed) != group.order:
         raise InputError("representation must assign a matrix to every element")
+    irreducible = data.get("irreducible", False)
+    if not isinstance(irreducible, bool):
+        raise InputError("representation field 'irreducible' must be true or false, "
+                         f"got {irreducible!r}")
     return UnitaryRepresentation(group, np.array([parsed[g] for g in group.elements()]),
-                                 irreducible=bool(data.get("irreducible", False)))
+                                 irreducible=irreducible)
 
 
 def _integer_field(data: dict, key: str) -> int:
     try:
-        return int(data[key])
+        value = data[key]
     except KeyError:
         raise InputError(f"representation description needs '{key}' field")
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"representation field '{key}' must be an integer, "
-                         f"got {data[key]!r}")
+    return require_integer(value, f"representation field '{key}'")
 
 
 def representation_to_dict(rep: UnitaryRepresentation) -> dict:

@@ -98,6 +98,68 @@ def reference_phase_rows(graph: gl.SimpleGraph, group: gl.FiniteGroup, entries):
     return tuple(rows)
 
 
+def reference_phase_from_orientation(psi: gl.GainFunction,
+                                     orientation: gl.Orientation,
+                                     ctx: gl.PhaseContext) -> gl.GPhase:
+    """The section phase filled into dense rows; oracle only."""
+    graph = psi.graph
+    rows = [[None] * graph.m for _ in range(graph.n)]
+    for k, (tail, head) in enumerate(orientation.heads):
+        rows[tail][k] = psi.gain(tail, head)
+        rows[head][k] = ctx.s1
+    return gl.GPhase(graph, psi.group, tuple(tuple(row) for row in rows))
+
+
+def reference_psi(H: gl.GPhase, ctx: gl.PhaseContext) -> gl.GainFunction:
+    """s1 H[i,k] H[j,k]^-1 per edge (i, j), read from the dense rows; oracle only."""
+    G, rows = H.group, H.rows
+    return gl.GainFunction(H.graph, G, tuple(
+        G.mul(ctx.s1, G.mul(rows[i][k], G.invert(rows[j][k])))
+        for k, (i, j) in enumerate(H.graph.edges)))
+
+
+def reference_psi_line(H: gl.GPhase, ctx: gl.PhaseContext) -> gl.GainFunction:
+    """s2 H[v,i]^-1 H[v,j] per line edge (i, j) at shared vertex v, read from
+    the dense rows; oracle only."""
+    G, rows = H.group, H.rows
+    data = gl.line_graph(H.graph)
+    return gl.GainFunction(data.line, G, tuple(
+        G.mul(ctx.s2, G.mul(G.invert(rows[v][i]), rows[v][j]))
+        for (i, j), v in zip(data.line.edges, data.shared_vertex)))
+
+
+def reference_act(H: gl.GPhase, f=None, g=None) -> gl.GPhase:
+    """f_i^-1 H[i,k] g_k on every incident pair of the dense rows; oracle only."""
+    G = H.group
+    rows = [list(row) for row in H.rows]
+    for i, incident in enumerate(H.graph.incidence):
+        for k in incident:
+            if f is not None:
+                rows[i][k] = G.mul(G.invert(f[i]), rows[i][k])
+            if g is not None:
+                rows[i][k] = G.mul(rows[i][k], g[k])
+    return gl.GPhase(H.graph, G, tuple(tuple(row) for row in rows))
+
+
+def reference_reff_line_phase(H: gl.GPhase) -> gl.GPhase:
+    """Reff's line phase filled into dense rows; oracle only."""
+    G, rows = H.group, H.rows
+    data = gl.line_graph(H.graph)
+    out = [[None] * data.line.m for _ in range(H.graph.m)]
+    for pos, ((i, j), v) in enumerate(zip(data.line.edges, data.shared_vertex)):
+        out[i][pos] = G.invert(rows[v][i])
+        out[j][pos] = G.invert(rows[v][j])
+    return gl.GPhase(data.line, G, tuple(tuple(row) for row in out))
+
+
+def reference_to_cg_matrix(H: gl.GPhase) -> gl.CGMatrix:
+    """The dense grid of units and zeros; oracle only."""
+    zero = gl.AlgebraElement.zero(H.group)
+    return gl.CGMatrix(H.group, [
+        [zero if g is None else gl.AlgebraElement.unit(H.group, g) for g in row]
+        for row in H.rows])
+
+
 def reference_center(group: gl.FiniteGroup) -> list[int]:
     """Central elements by the per-pair table scan; oracle only."""
     return [g for g in group.elements()

@@ -172,6 +172,8 @@ def test_error_paths_exit_one(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
     for spec in ({"family": "cyclic"}, {"family": "cyclic", "n": "x"},
+                 {"family": "cyclic", "n": 1.5}, {"family": "cyclic", "n": True},
+                 {"family": "dihedral", "n": "3"},
                  {"family": "direct_product", "left": {"family": "sign"}},
                  {"family": "cyclic", "n": 100000},
                  {"family": "dihedral", "n": 100000},
@@ -179,13 +181,17 @@ def test_error_paths_exit_one(tmp_path, capsys):
                   "right": {"family": "cyclic", "n": 32}}):
         code, _, err = run(capsys, ["group", write(tmp_path, "grp.json", spec)])
         assert code == 1 and err.startswith("error:"), spec
+        assert err.count("\n") == 1, spec
 
     for data in ({"n": 2, "edges": [["a", 2]]}, {"n": "x", "edges": [[1, 2]]},
                  {"n": 3, "edges": [[1, 2, 3]]}, {"n": float("inf"), "edges": [[1, 2]]},
                  {"n": 2, "edges": [[1, float("inf")]]},
-                 {"n": 10**12, "edges": [[1, 2]]}):
+                 {"n": 10**12, "edges": [[1, 2]]}, {"n": 2.7, "edges": [[1, 2]]},
+                 {"n": True, "edges": [[1, 2]]}, {"n": 2, "edges": [["1", 2.5]]},
+                 {"n": 2, "edges": [[True, 2]]}, {"n": 2, "edges": [[1, 2.0]]}):
         code, _, err = run(capsys, ["line", write(tmp_path, "bad_graph.json", data)])
         assert code == 1 and err.startswith("error:"), data
+        assert err.count("\n") == 1, data
 
     for labels, table in ((["e", "a"], [["x", "1"], ["1", "0"]]), (5, [[0]]),
                           (["e"], [1]), ([[1]], [[0]]), (["e"], 5),
@@ -224,6 +230,13 @@ def test_error_paths_exit_one(tmp_path, capsys):
                 {"degree": 2, "images": {"1": 5}}, {"degree": 0, "images": {}},
                 {"degree": float("inf"), "images": {}},
                 {"builtin": "root_of_unity", "power": float("inf")},
+                {"degree": 1.7, "images": {}}, {"degree": True, "images": {}},
+                {"builtin": "root_of_unity", "power": 1.9},
+                {"builtin": "root_of_unity", "power": True},
+                {"degree": 1, "irreducible": "false",
+                 "images": {a: [[[1, 0]]] for a in "0123"}},
+                {"degree": 1, "irreducible": 1,
+                 "images": {a: [[[1, 0]]] for a in "0123"}},
                 {"builtin": "regular", "power": 2},
                 {"degree": 1, "images": {"0": [[[1, 0, 0]]]}},
                 {"degree": 1, "images": {a: [[[float("nan"), 0]]] for a in "0123"}}):
@@ -241,10 +254,12 @@ def test_error_paths_exit_one(tmp_path, capsys):
         assert err.count("\n") == 1, tol
 
     gain_path = paw_gain_file(tmp_path)
-    for data in ({"a": 1}, [[1]], 7):
+    for data in ({"a": 1}, [[1]], 7, [[1.5, 2], [2, 3], [3, 4], [2, 4]],
+                 [[True, 2], [2, 3], [3, 4], [2, 4]], [["1", 2], [2, 3], [3, 4], [2, 4]]):
         opath = write(tmp_path, "orient.json", data)
         code, _, err = run(capsys, ["gainline", gain_path, "--orientation", opath])
         assert code == 1 and err.startswith("error:"), data
+        assert err.count("\n") == 1, data
 
 
 def test_s2_checks_agree_across_commands(tmp_path, capsys):

@@ -10,9 +10,12 @@ from gainline.errors import InputError, ValidationError
 from helpers import (K2, PAW, STAR3, all_phases, complete_graph, perturbed,
                      q8_gain, random_connected_graph, random_gain,
                      random_orientation, random_phase, random_vector,
-                     reference_gain_line, reference_phase_rows,
-                     reference_recognize_gain_line, shuffled_graph,
-                     small_groups, star_graph)
+                     reference_act, reference_gain_line,
+                     reference_phase_from_orientation, reference_phase_rows,
+                     reference_psi, reference_psi_line,
+                     reference_recognize_gain_line, reference_reff_line_phase,
+                     reference_to_cg_matrix, shuffled_graph, small_groups,
+                     star_graph)
 
 PAW_GAINS = ["-i", "-j", "-k", "-i"]
 
@@ -89,6 +92,44 @@ def test_section_property():
         o = gl.Orientation(graph, tuple(
             (u, v) if rng.random() < 0.5 else (v, u) for u, v in graph.edges))
         assert gl.psi(gl.phase_from_orientation(psi, o, ctx), ctx) == psi
+
+
+def test_pair_storage_matches_dense_row_references():
+    rng = random.Random(109)
+    graphs = [K2, PAW, star_graph(4)]
+    graphs += [shuffled_graph(rng, random_connected_graph(rng, max_n))
+               for max_n in (5, 8, 12, 30)]
+    for graph in graphs:
+        for G in small_groups():
+            for ctx in contexts_for(G):
+                psi_fn = random_gain(rng, graph, G)
+                o = random_orientation(rng, graph)
+                section = gl.phase_from_orientation(psi_fn, o, ctx)
+                want = reference_phase_from_orientation(psi_fn, o, ctx)
+                assert section == want and section.rows == want.rows
+                for H in (section, random_phase(rng, graph, G)):
+                    # the dense constructor and the pair path give one value
+                    dense = gl.GPhase(graph, G, H.rows)
+                    assert dense == H and hash(dense) == hash(H)
+                    assert dense.rows == H.rows and dense.ends == H.ends
+                    assert all(H.entry(i, k) == H.rows[i][k]
+                               for i, incident in enumerate(graph.incidence)
+                               for k in incident)
+                    assert gl.psi(H, ctx) == reference_psi(H, ctx)
+                    assert gl.psi_line(H, ctx) == reference_psi_line(H, ctx)
+                    f = random_vector(rng, G, graph.n)
+                    g = random_vector(rng, G, graph.m)
+                    for args in ((f, None), (None, g), (f, g)):
+                        assert gl.act(H, *args) == reference_act(H, *args)
+                    LH, want_LH = gl.reff_line_phase(H), reference_reff_line_phase(H)
+                    assert LH == want_LH and LH.rows == want_LH.rows
+                    assert H.to_cg_matrix() == reference_to_cg_matrix(H)
+
+
+def test_entry_off_the_support_is_refused():
+    H = gl.incidence_phase(PAW, gl.quaternion8())
+    with pytest.raises(ValidationError, match="^vertex 0 is not incident to edge 1$"):
+        H.entry(0, 1)
 
 
 def test_single_edge_psi_formula():
