@@ -192,7 +192,7 @@ def gain_from_dict(data: dict) -> GainFunction:
     if len(gains) != graph.m:
         raise InputError(
             f"expected {graph.m} gains (one per edge), got {len(gains)}")
-    forward = tuple(group.element(str(label)) for label in gains)
+    forward = tuple(map(group.element, gains))
     return GainFunction(graph, group, forward)
 
 

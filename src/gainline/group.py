@@ -35,8 +35,10 @@ class FiniteGroup:
             if order == 0:
                 raise ValidationError("group must have at least one element")
             _check_order(order)
-            names = tuple(str(label) for label in labels)
-            if len(set(labels)) != order or len(set(names)) != order:
+            if not isinstance(labels, (list, tuple)) \
+                    or not all(isinstance(label, str) for label in labels):
+                raise TypeError("labels are not a list of strings")  # reported below
+            if len(set(labels)) != order:
                 raise ValidationError("element labels must be unique")
             if len(mult) != order or any(len(row) != order for row in mult):
                 raise ValidationError(
@@ -80,7 +82,7 @@ class FiniteGroup:
                 raise ValidationError(f"table is not associative at ({x}, {s}, {y})")
 
         self.name = name
-        self.labels = names
+        self.labels = tuple(labels)
         #: The validated table as a read-only (order, order) np.intp array.
         self.table = T
         #: A generating set: every element is a product of these.
@@ -119,7 +121,7 @@ class FiniteGroup:
     def element(self, label: str) -> Element:
         try:
             return self._label_index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label such as [1]
             raise InputError(f"unknown element label {label!r} in group {self.name}")
 
     def is_abelian(self) -> bool:
@@ -274,7 +276,10 @@ def build_group(spec: dict) -> FiniteGroup:
         return direct_product(build_group(left), build_group(right))
     if family == "custom":
         labels, table = _fields(spec, "labels", "table")
-        return FiniteGroup(labels, table, name=spec.get("name", "custom"))
+        name = spec.get("name", "custom")
+        if not isinstance(name, str):
+            raise InputError(f"group field 'name' must be a string, got {name!r}")
+        return FiniteGroup(labels, table, name=name)
     raise InputError(f"unknown group family {family!r}")
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .algebra import CGMatrix
 from .errors import InputError, ValidationError, require_integer
-from .group import Element, FiniteGroup, same_group
+from .group import Element, FiniteGroup, quaternion8, same_group
 
 #: Homomorphism / unitarity validation tolerance.
 VALIDATION_TOL = 1e-10
@@ -190,26 +190,25 @@ def root_of_unity_representation(group: FiniteGroup,
 
 
 def sign_character(group: FiniteGroup) -> UnitaryRepresentation:
-    """An order-2 character: -1 on the non-trivial coset of an index-2 subgroup.
-
-    Supported for the sign group, even cyclic groups (parity of the
-    exponent) and dihedral groups (reflections -> -1).
-    """
-    n = group.order
-    values: list[int] | None = None
-    if group.name == "sign":
-        values = [1, -1]
-    elif group.name.startswith("Z") and n % 2 == 0:
-        values = [1 if a % 2 == 0 else -1 for a in range(n)]
-    elif group.name == "T4":
-        values = [1, -1, 1, -1]
-    elif group.name.startswith("D") and 2 * (n // 2) == n:
-        half = n // 2
-        values = [1] * half + [-1] * half
-    if values is None:
-        raise InputError(f"no builtin sign character for group {group.name}")
-    images = np.array([[[float(v)]] for v in values])
-    return UnitaryRepresentation(group, images, irreducible=True)
+    """-1 off the least index-2 subgroup, as a sorted index tuple: the parity
+    on even Z_n and T4, the reflections of D_n, and on A x B the character of A
+    if A has one (so Z2xZ2 takes the first factor).  Every sign choice e on the
+    generators S spreads along one breadth-first tree and is kept if
+    e(xs) = e(x) + e(s) for all x and s in S, a proof by induction on length."""
+    T, S = group.table, list(group.generators)
+    parity, queue, steps = [0] + [None] * (group.order - 1), [0], T[:, S].tolist()
+    for x in queue:  # bit j of parity[x]: odd count of s_j on the tree path to x
+        for j, y in enumerate(steps[x]):
+            if parity[y] is None:
+                parity[y] = parity[x] ^ 1 << j
+                queue.append(y)
+    bits = (np.arange(2 ** len(S))[:, None] >> np.arange(len(S))) % 2
+    e = bits @ bits[parity].T % 2 == 1  # e[c, x]: x is -1 under choice c
+    kept = e[(e[:, T[:, S]] ^ e[..., None] == e[:, None, S]).all((1, 2)) & e.any(1)]
+    if not kept.size:
+        raise InputError(f"group {group.name} has no sign character")
+    values = kept[np.lexsort(kept.T[::-1])[0]]
+    return UnitaryRepresentation(group, 1 - 2.0 * values[:, None, None], irreducible=True)
 
 
 _Q8_2DIM = {
@@ -222,7 +221,7 @@ _Q8_2DIM = {
 
 def q8_representation(group: FiniteGroup) -> UnitaryRepresentation:
     """The faithful 2-dimensional representation of the quaternion group."""
-    if group.labels != ("1", "i", "j", "k", "-1", "-i", "-j", "-k"):
+    if group != quaternion8():
         raise InputError("q8_2dim requires the builtin quaternion8 group")
     images = np.zeros((8, 2, 2), dtype=np.complex128)
     for b, label in enumerate(("1", "i", "j", "k")):
@@ -278,7 +277,7 @@ def representation_from_dict(data: dict, group: FiniteGroup) -> UnitaryRepresent
     image_map = data.get("images")
     if not isinstance(image_map, dict):
         raise InputError("representation 'images' must map element labels to matrices")
-    parsed = {group.element(str(label)): _parse_complex_matrix(rows, degree)
+    parsed = {group.element(label): _parse_complex_matrix(rows, degree)
               for label, rows in image_map.items()}
     if len(parsed) != group.order:
         raise InputError("representation must assign a matrix to every element")

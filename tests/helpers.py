@@ -354,6 +354,45 @@ def reference_direct_product(a: gl.FiniteGroup, b: gl.FiniteGroup
     return labels, table
 
 
+def relabeled(rng: random.Random, group: gl.FiniteGroup) -> gl.FiniteGroup:
+    """An isomorphic custom table: seeded order of the non-identity
+    elements and fresh labels "g0", "g1", ..."""
+    perm = [0] + rng.sample(range(1, group.order), group.order - 1)
+    back = {old: new for new, old in enumerate(perm)}
+    return gl.FiniteGroup([f"g{i}" for i in range(group.order)],
+                          [[back[group.mult[a][b]] for b in perm] for a in perm])
+
+
+def reference_sign_values(group: gl.FiniteGroup) -> list[int]:
+    """The sign character of a named builtin family, read off its name and
+    order: sign, even Z_n (parity of the exponent), T4 and D_n (reflections
+    -> -1); oracle only."""
+    n = group.order
+    if group.name == "sign":
+        return [1, -1]
+    if group.name == "T4":
+        return [1, -1, 1, -1]
+    if group.name.startswith("Z") and n % 2 == 0:
+        return [1 if a % 2 == 0 else -1 for a in range(n)]
+    if group.name.startswith("D"):
+        return [1] * (n // 2) + [-1] * (n // 2)
+    raise ValueError(f"no named sign character for {group.name}")
+
+
+def index_two_subgroups(group: gl.FiniteGroup) -> list[tuple[int, ...]]:
+    """Every subgroup of index 2 as a sorted index tuple, by testing each
+    half-size subset that holds the identity for closure; oracle only."""
+    if group.order % 2:
+        return []
+    found = []
+    for rest in itertools.combinations(range(1, group.order), group.order // 2 - 1):
+        subset = (0,) + rest
+        members = set(subset)
+        if all(group.mult[a][b] in members for a in subset for b in subset):
+            found.append(subset)
+    return found
+
+
 def small_groups() -> list[gl.FiniteGroup]:
     return [
         gl.sign_group(),

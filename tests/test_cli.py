@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -178,7 +182,11 @@ def test_error_paths_exit_one(tmp_path, capsys):
                  {"family": "cyclic", "n": 100000},
                  {"family": "dihedral", "n": 100000},
                  {"family": "direct_product", "left": {"family": "cyclic", "n": 32},
-                  "right": {"family": "cyclic", "n": 32}}):
+                  "right": {"family": "cyclic", "n": 32}},
+                 {"family": "custom", "name": 5, "labels": ["e", "a"],
+                  "table": [[0, 1], [1, 0]]},
+                 {"family": "custom", "name": None, "labels": ["e", "a"],
+                  "table": [[0, 1], [1, 0]]}):
         code, _, err = run(capsys, ["group", write(tmp_path, "grp.json", spec)])
         assert code == 1 and err.startswith("error:"), spec
         assert err.count("\n") == 1, spec
@@ -195,7 +203,8 @@ def test_error_paths_exit_one(tmp_path, capsys):
 
     for labels, table in ((["e", "a"], [["x", "1"], ["1", "0"]]), (5, [[0]]),
                           (["e"], [1]), ([[1]], [[0]]), (["e"], 5),
-                          ([1, "1"], [[0, 1], [1, 0]]), (["e"], [[float("inf")]])):
+                          ([1, "1"], [[0, 1], [1, 0]]), (["e"], [[float("inf")]]),
+                          ([1, "b"], [[0, 1], [1, 0]]), ("ab", [[0, 1], [1, 0]])):
         custom = {"family": "custom", "labels": labels, "table": table}
         code, _, err = run(capsys, ["group", write(tmp_path, "grp.json", custom)])
         assert code == 1 and err.startswith("error:"), custom
@@ -213,6 +222,13 @@ def test_error_paths_exit_one(tmp_path, capsys):
     bad_gain = write(tmp_path, "g5.json", gain_data)
     code, _, err = run(capsys, ["check", "balance", bad_gain])
     assert code == 1 and err.startswith("error:")
+
+    for gains in ([3], [[1]], [None]):
+        k2_z4 = {"graph": {"n": 2, "edges": [[1, 2]]},
+                 "group": {"family": "cyclic", "n": 4}, "gains": gains}
+        code, out, err = run(capsys, ["check", "balance", write(tmp_path, "k2.json", k2_z4)])
+        assert code == 1 and out == "" and err.startswith("error:"), gains
+        assert err.count("\n") == 1, gains
 
     for data in (5, []):
         top = write(tmp_path, "top.json", data)
@@ -299,3 +315,17 @@ def test_roundtrip_all_file_formats(tmp_path):
     path.write_text(json.dumps(gl.representation_to_dict(rep)))
     back = gl.representation_from_dict(json.loads(path.read_text()), Q8)
     assert abs(back.images - rep.images).max() < 1e-12
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # the reader closes after one line of a table echo far larger than the pipe
+    path = write(tmp_path, "z512.json", {"family": "cyclic", "n": 512})
+    src = str(Path(gl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "gainline.cli", "group", path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")

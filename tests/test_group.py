@@ -231,8 +231,9 @@ def test_order_cap():
 
 
 def test_unknown_label_is_input_error():
-    with pytest.raises(InputError):
-        gl.sign_group().element("q")
+    for label in ("q", 1, None, [1]):
+        with pytest.raises(InputError):
+            gl.sign_group().element(label)
 
 
 def test_custom_table_with_non_integer_entry_is_rejected():

@@ -8,10 +8,11 @@ import gainline as gl
 from gainline.algebra import CGMatrix
 from gainline.errors import InputError, ValidationError
 
-from helpers import (DIAMOND, PAW, q8_gain, random_cg_matrix,
+from helpers import (DIAMOND, PAW, index_two_subgroups, q8_gain, random_cg_matrix,
                      random_connected_graph, random_gain, random_phase,
                      random_pure_matrix, random_vector, reference_fourier,
-                     reference_representation_failure, small_groups)
+                     reference_representation_failure, reference_sign_values,
+                     relabeled, small_groups)
 
 DIAMOND_GAINS = ["-k", "1", "1", "1", "-j"]
 
@@ -46,6 +47,8 @@ def test_builtin_dispatch():
         gl.builtin_representation(Q8, "mystery")
     with pytest.raises(InputError):
         gl.builtin_representation(Q8, "root_of_unity")
+    with pytest.raises(InputError):  # Q8's labels over the table of Z8
+        gl.q8_representation(gl.FiniteGroup(Q8.labels, gl.cyclic(8).table))
 
 
 def test_root_of_unity_values():
@@ -64,6 +67,52 @@ def test_sign_character_families():
     assert gl.sign_character(D4)(D4.element("s0"))[0, 0] == -1
     with pytest.raises(InputError):
         gl.sign_character(gl.cyclic(5))
+    # read off the table, never the name
+    V = gl.direct_product(gl.cyclic(2), gl.cyclic(2))
+    assert gl.sign_character(gl.FiniteGroup(V.labels, V.table, name="sign")).images \
+        .tolist() == [[[1.0]], [[1.0]], [[-1.0]], [[-1.0]]]
+    rng = random.Random(61)
+    for G in (gl.direct_product(gl.quaternion8(), gl.cyclic(8)),
+              relabeled(rng, gl.dihedral(64)), relabeled(rng, gl.cyclic(64))):
+        values = gl.sign_character(G).images[:, 0, 0]
+        assert sorted(values) == [-1.0] * (G.order // 2) + [1.0] * (G.order // 2)
+
+
+def test_sign_character_keeps_the_values_of_the_named_families():
+    groups = ([gl.sign_group(), gl.t4(), gl.cyclic(512), gl.dihedral(256)]
+              + [gl.cyclic(n) for n in range(2, 65, 2)]
+              + [gl.dihedral(n) for n in range(1, 65)])
+    for G in groups:
+        values = gl.sign_character(G).images[:, 0, 0]
+        assert values.tolist() == reference_sign_values(G), G.name
+
+
+def test_sign_character_kernel_is_the_least_index_two_subgroup():
+    rng = random.Random(67)
+    groups = ([gl.cyclic(n) for n in range(1, 17)] + [gl.dihedral(n) for n in range(1, 9)]
+              + [gl.sign_group(), gl.t4(), gl.quaternion8(),
+                 gl.direct_product(gl.cyclic(2), gl.cyclic(3))]
+              + [gl.direct_product(a, b) for a in small_groups() for b in small_groups()
+                 if a.order * b.order <= 16])
+    groups += [relabeled(rng, G) for G in groups]
+    for G in groups:
+        subgroups = index_two_subgroups(G)
+        if not subgroups:
+            with pytest.raises(InputError, match="has no sign character"):
+                gl.sign_character(G)
+            continue
+        values = gl.sign_character(G).images[:, 0, 0]
+        assert np.array_equal(np.abs(values), np.ones(G.order)), G
+        assert tuple(np.flatnonzero(values == 1)) == min(subgroups), G
+
+
+def test_sign_character_of_z2_to_the_ninth():
+    G = gl.cyclic(2)
+    for _ in range(8):
+        G = gl.direct_product(G, gl.cyclic(2))
+    assert G.order == 512 and len(G.generators) == 9
+    values = gl.sign_character(G).images[:, 0, 0]
+    assert np.flatnonzero(values == 1).tolist() == list(range(256))
 
 
 def test_regular_representation_is_faithful_permutation():
