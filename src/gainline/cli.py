@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import gain, graph, group, phase, representation, spectral
-from .errors import GainlineError, InputError, require_integer
+from .errors import GainlineError, InputError
 
 
 def _load_json(path: str) -> dict:
@@ -25,7 +25,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or integer
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 
@@ -43,15 +43,8 @@ def _context(G: group.FiniteGroup, args) -> phase.PhaseContext:
 def _orientation(g: graph.SimpleGraph, spec: str) -> graph.Orientation:
     if spec == "default":
         return graph.default_orientation(g)
-    data = _load_json(spec)
-    try:
-        heads = tuple((require_integer(t, "orientation vertex") - 1,
-                       require_integer(h, "orientation vertex") - 1) for t, h in data)
-        return graph.Orientation(g, heads)
-    except (TypeError, ValueError):
-        raise InputError(f"{spec} must be a list of [tail, head] pairs")
-    except GainlineError as exc:
-        raise InputError(str(exc))
+    heads = graph.vertex_pairs(_load_json(spec), f"orientation file {spec}")
+    return graph.Orientation(g, heads)
 
 
 def cmd_group(args) -> int:

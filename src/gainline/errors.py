@@ -1,4 +1,4 @@
-"""Exception hierarchy and the integer check shared by all modules."""
+"""Exception hierarchy and the two checks every JSON parser reads through."""
 
 
 class GainlineError(Exception):
@@ -21,9 +21,25 @@ class InputError(GainlineError):
     """
 
 
-def require_integer(value, what: str) -> int:
-    """``value`` if it is a JSON integer: an ``int``, never a ``bool`` or a
-    float.  Otherwise an InputError naming ``what``."""
-    if type(value) is not int:
-        raise InputError(f"{what} must be an integer, got {value!r}")
+_KIND_NAMES = {int: "an integer", str: "a string", bool: "true or false",
+               list: "a list"}
+
+
+def require_fields(data, what: str, *keys: str) -> tuple:
+    """The values of ``keys`` in order, if ``data`` is a JSON object that
+    has them all.  Otherwise an InputError naming ``what``."""
+    if type(data) is not dict:
+        raise InputError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise InputError(f"{what} needs '{missing[0]}' field")
+    return tuple(data[key] for key in keys)
+
+
+def require_type(value, kind: type, what: str):
+    """``value`` if its JSON type is exactly ``kind``: ``int`` (never a
+    ``bool`` or a float), ``str``, ``bool`` or ``list``.  Otherwise an
+    InputError naming ``what``."""
+    if type(value) is not kind:
+        raise InputError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import AlgebraElement, CGMatrix, group_diagonal
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, require_fields, require_type
 from .graph import SimpleGraph, bfs_tree, graph_from_dict, graph_to_dict
 from .group import (Element, FiniteGroup, build_group, group_to_dict,
                     require_central_weak_involution)
@@ -179,17 +179,10 @@ def gain_from_dict(data: dict) -> GainFunction:
     Gains are labels, one per edge in edge order, read on the default
     orientation.
     """
-    if not isinstance(data, dict):
-        raise InputError("gain description must be a JSON object")
-    try:
-        graph = graph_from_dict(data["graph"])
-        group = build_group(data["group"])
-        gains = data["gains"]
-    except KeyError as exc:
-        raise InputError(f"gain description needs {exc} field")
-    if not isinstance(gains, list):
-        raise InputError("'gains' must be a list of element labels")
-    if len(gains) != graph.m:
+    graph, group, gains = require_fields(data, "gain description",
+                                         "graph", "group", "gains")
+    graph, group = graph_from_dict(graph), build_group(group)
+    if len(require_type(gains, list, "gain field 'gains'")) != graph.m:
         raise InputError(
             f"expected {graph.m} gains (one per edge), got {len(gains)}")
     forward = tuple(map(group.element, gains))

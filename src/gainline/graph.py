@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, ValidationError, require_integer
+from .errors import InputError, ValidationError, require_fields, require_type
 
 
 @dataclass(frozen=True)
@@ -173,30 +173,29 @@ def classical_matrices(graph: SimpleGraph) -> dict[str, np.ndarray]:
 
 def graph_from_dict(data: dict) -> SimpleGraph:
     """Parse ``{"n": 4, "edges": [[1,2], ...]}`` with 1-based vertices."""
-    try:
-        n, edges = data["n"], data["edges"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"graph description needs integer 'n' and 'edges': {exc}")
-    n = require_integer(n, "graph field 'n'")
-    if not isinstance(edges, list):
-        raise InputError("'edges' must be a list of vertex pairs")
+    n, edges = require_fields(data, "graph description", "n", "edges")
+    n = require_type(n, int, "graph field 'n'")
+    edges = vertex_pairs(edges, "graph field 'edges'")
     if not edges:
         raise InputError("input graph needs at least one edge")
-    converted = []
-    for e in edges:
-        try:
-            a, b = e
-        except (TypeError, ValueError):
-            raise InputError(f"edge {e} must be a pair of integer endpoints")
-        u = require_integer(a, "edge endpoint") - 1
-        v = require_integer(b, "edge endpoint") - 1
-        if u < 0 or v < 0:
-            raise InputError(f"vertices are 1-based; got edge {e}")
-        converted.append((u, v))
     try:
-        return SimpleGraph(n, tuple(converted))
+        return SimpleGraph(n, edges)
     except ValidationError as exc:
         raise InputError(str(exc))
+
+
+def vertex_pairs(data: list, what: str) -> tuple[tuple[int, int], ...]:
+    """Read ``what``, a JSON list of ``[a, b]`` pairs of 1-based vertices,
+    as 0-based tuples."""
+    pairs, one_pair, one_vertex = [], f"a pair in {what}", f"a vertex in {what}"
+    for pair in require_type(data, list, what):
+        if len(require_type(pair, list, one_pair)) != 2:
+            raise InputError(f"{pair} in {what} must be a pair of vertices")
+        a, b = pair
+        if require_type(a, int, one_vertex) < 1 or require_type(b, int, one_vertex) < 1:
+            raise InputError(f"vertices are 1-based; got {pair} in {what}")
+        pairs.append((a - 1, b - 1))
+    return tuple(pairs)
 
 
 def graph_to_dict(graph: SimpleGraph) -> dict:

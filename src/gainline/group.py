@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, ValidationError, require_integer
+from .errors import InputError, ValidationError, require_fields, require_type
 
 Element = int
 
@@ -258,41 +258,25 @@ def build_group(spec: dict) -> FiniteGroup:
     parameter where the family needs one); custom tables supply ``labels``
     and ``table`` explicitly.
     """
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise InputError("group description must be an object with a 'family' key")
-    family = spec["family"]
-    if family == "cyclic":
-        return cyclic(_order_field(spec))
+    (family,) = require_fields(spec, "group description", "family")
+    if family in ("cyclic", "dihedral"):
+        (n,) = require_fields(spec, f"{family} group", "n")
+        build = cyclic if family == "cyclic" else dihedral
+        return build(require_type(n, int, "group field 'n'"))
     if family == "sign":
         return sign_group()
     if family == "t4":
         return t4()
-    if family == "dihedral":
-        return dihedral(_order_field(spec))
     if family == "quaternion8":
         return quaternion8()
     if family == "direct_product":
-        left, right = _fields(spec, "left", "right")
+        left, right = require_fields(spec, "direct_product group", "left", "right")
         return direct_product(build_group(left), build_group(right))
     if family == "custom":
-        labels, table = _fields(spec, "labels", "table")
-        name = spec.get("name", "custom")
-        if not isinstance(name, str):
-            raise InputError(f"group field 'name' must be a string, got {name!r}")
+        labels, table = require_fields(spec, "custom group", "labels", "table")
+        name = require_type(spec.get("name", "custom"), str, "group field 'name'")
         return FiniteGroup(labels, table, name=name)
     raise InputError(f"unknown group family {family!r}")
-
-
-def _fields(spec: dict, *keys: str) -> tuple:
-    try:
-        return tuple(spec[key] for key in keys)
-    except KeyError as exc:
-        raise InputError(f"{spec['family']} group needs {exc} field")
-
-
-def _order_field(spec: dict) -> int:
-    (n,) = _fields(spec, "n")
-    return require_integer(n, "group field 'n'")
 
 
 def group_to_dict(group: FiniteGroup) -> dict:

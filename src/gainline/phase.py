@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, CGMatrix
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, require_fields, require_type
 from .gain import GainFunction, switching_to
 from .graph import (Orientation, SimpleGraph, graph_from_dict, graph_to_dict,
                     line_graph)
@@ -243,17 +243,11 @@ def phase_from_dict(data: dict) -> GPhase:
     ``"0"`` marks structural zeros; the support must match the graph's
     incidence pattern.
     """
-    if not isinstance(data, dict):
-        raise InputError("phase description must be a JSON object")
-    try:
-        graph = graph_from_dict(data["graph"])
-        group = build_group(data["group"])
-        entries = data["entries"]
-    except KeyError as exc:
-        raise InputError(f"phase description needs {exc} field")
-    if (not isinstance(entries, list) or len(entries) != graph.n
-            or any(not isinstance(row, list) or len(row) != graph.m
-                   for row in entries)):
+    graph, group, entries = require_fields(data, "phase description",
+                                           "graph", "group", "entries")
+    graph, group = graph_from_dict(graph), build_group(group)
+    if len(require_type(entries, list, "phase field 'entries'")) != graph.n or any(
+            len(require_type(row, list, "phase row")) != graph.m for row in entries):
         raise InputError("phase entries must form an n x m array")
     H = {}
     for i, (row, incident) in enumerate(zip(entries, graph.incidence)):

@@ -7,21 +7,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CGMatrix
-from .errors import InputError, ValidationError, require_integer
+from .errors import InputError, ValidationError, require_fields, require_type
 from .group import Element, FiniteGroup, quaternion8, same_group
 
-#: Homomorphism / unitarity validation tolerance.
+#: Homomorphism, unitarity and Hermitian validation tolerance.
 VALIDATION_TOL = 1e-10
+#: Eigenvalues closer than this share a multiplicity group.
+MULTIPLICITY_TOL = 1e-8
 #: Largest group order with a regular representation.
 REGULAR_MAX_ORDER = 128
+#: Largest side of a represented matrix, rows (or columns) times the degree.
+MAX_EIG_DIM = 4096
 
 
 class UnitaryRepresentation:
     """A per-element table of unitary matrices g -> pi(g).
 
     Validated at construction: pi(1) = I, pi(g)pi(h) = pi(gh) and
-    pi(g)* pi(g) = I, all within ``tol``.  Irreducibility is declared by the
-    caller, never verified.  ``images`` is float64 when every imaginary part
+    pi(g)* pi(g) = I, all within tol = ``VALIDATION_TOL``.  Irreducibility is
+    declared by the caller, never verified.  ``images`` is float64 when every imaginary part
     is exactly zero (regular, sign and trivial representations), so that
     validation, Fourier transforms and eigensolves run in real arithmetic,
     and complex128 otherwise.
@@ -41,7 +45,7 @@ class UnitaryRepresentation:
     """
 
     def __init__(self, group: FiniteGroup, images: np.ndarray,
-                 irreducible: bool = False, tol: float = VALIDATION_TOL):
+                 irreducible: bool = False):
         images = np.asarray(images)
         if np.iscomplexobj(images) and not images.imag.any():
             images = images.real
@@ -53,12 +57,13 @@ class UnitaryRepresentation:
                 "images must be an (order, k, k) array of matrices")
         if not np.isfinite(images).all():
             raise ValidationError("images must have finite entries")
-        n, k = group.order, images.shape[1]
+        n, k, tol = group.order, images.shape[1], VALIDATION_TOL
         eye = np.eye(k)
         if np.abs(images[0] - eye).max() > tol:
             raise ValidationError("pi(identity) is not the identity matrix")
-        gram = images.conj().transpose(0, 2, 1) @ images
-        bad = np.flatnonzero(np.abs(gram - eye).max(axis=(1, 2)) > tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: not unitary
+            gram = images.conj().transpose(0, 2, 1) @ images
+        bad = np.flatnonzero(~(np.abs(gram - eye).max(axis=(1, 2)) <= tol))
         if bad.size:
             raise ValidationError(f"pi({group.label(bad[0])}) is not unitary")
 
@@ -102,10 +107,15 @@ def fourier(A: CGMatrix, rep: UnitaryRepresentation) -> RepresentedMatrix:
 
     Every term c*x of every stored entry is scattered into its block in one
     pass.  The result is real when the images and the coefficients are.
+    Refused, before anything is allocated, when a side of the result would
+    exceed ``MAX_EIG_DIM``.
     """
     if not same_group(A.group, rep.group):
         raise ValidationError("representation defined on a different group")
     k = rep.degree
+    if max(A.rows, A.cols) * k > MAX_EIG_DIM:
+        raise InputError(f"represented matrix of size {A.rows * k} x {A.cols * k} "
+                         f"exceeds cap {MAX_EIG_DIM}")
     where = np.array([(i, j, g) for (i, j), entry in A.support.items()
                       for g in entry.coeffs], dtype=np.intp).reshape(-1, 3)
     coeffs = np.array([c for entry in A.support.values()
@@ -125,24 +135,25 @@ class Spectrum:
 
     eigenvalues: tuple[float, ...]
 
-    def multiplicity_groups(self, tol: float = 1e-8) -> list[int]:
-        """Group id per eigenvalue; consecutive values within tol share one."""
+    def multiplicity_groups(self) -> list[int]:
+        """Group id per eigenvalue; consecutive values within
+        ``MULTIPLICITY_TOL`` share one."""
         ids = []
         current = 0
         for i, lam in enumerate(self.eigenvalues):
-            if i > 0 and lam - self.eigenvalues[i - 1] > tol:
+            if i > 0 and lam - self.eigenvalues[i - 1] > MULTIPLICITY_TOL:
                 current += 1
             ids.append(current)
         return ids
 
 
-def hermitian_spectrum(M: RepresentedMatrix | np.ndarray,
-                       tol: float = VALIDATION_TOL) -> Spectrum:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
+def hermitian_spectrum(M: RepresentedMatrix | np.ndarray) -> Spectrum:
+    """Real eigenvalues of a Hermitian matrix (within ``VALIDATION_TOL``),
+    ascending."""
     data = M.data if isinstance(M, RepresentedMatrix) else np.asarray(M)
     if data.shape[0] != data.shape[1]:
         raise ValidationError("spectrum requires a square matrix")
-    if data.size and np.abs(data - data.conj().T).max() > tol:
+    if data.size and np.abs(data - data.conj().T).max() > VALIDATION_TOL:
         raise ValidationError("matrix is not Hermitian within tolerance")
     if data.size == 0:
         return Spectrum(())
@@ -177,14 +188,15 @@ def root_of_unity_representation(group: FiniteGroup,
     """Degree-1 character of a cyclic group: generator -> e^(2 pi i power / n).
 
     Requires the group to be cyclic with the table of Z_n (which covers the
-    cyclic and t4 builders).
+    cyclic and t4 builders).  Only power mod n matters, so it is reduced
+    first: any integer power is exact.
     """
     n = group.order
     a = np.arange(n)
     if not (group.table == (a[:, None] + a) % n).all():
         raise InputError(
             f"group {group.name} does not carry the standard cyclic table")
-    omega = np.exp(2j * np.pi * power / n)
+    omega = np.exp(2j * np.pi * (power % n) / n)
     images = np.array([[[omega ** a]] for a in range(n)])
     return UnitaryRepresentation(group, images, irreducible=True)
 
@@ -192,9 +204,11 @@ def root_of_unity_representation(group: FiniteGroup,
 def sign_character(group: FiniteGroup) -> UnitaryRepresentation:
     """-1 off the least index-2 subgroup, as a sorted index tuple: the parity
     on even Z_n and T4, the reflections of D_n, and on A x B the character of A
-    if A has one (so Z2xZ2 takes the first factor).  Every sign choice e on the
-    generators S spreads along one breadth-first tree and is kept if
-    e(xs) = e(x) + e(s) for all x and s in S, a proof by induction on length."""
+    if A has one (so Z2xZ2 takes the first factor).  Every sign choice c on the
+    generators S spreads along one breadth-first tree, e(x) = <c, parity[x]>,
+    and is kept if e(xs) = e(x) + e(s) for all x and s in S, a proof by
+    induction on length.  e is linear in c, so that holds iff <c, r> is even
+    for each distinct relation vector r = parity[xs] ^ parity[x] ^ parity[s]."""
     T, S = group.table, list(group.generators)
     parity, queue, steps = [0] + [None] * (group.order - 1), [0], T[:, S].tolist()
     for x in queue:  # bit j of parity[x]: odd count of s_j on the tree path to x
@@ -202,9 +216,12 @@ def sign_character(group: FiniteGroup) -> UnitaryRepresentation:
             if parity[y] is None:
                 parity[y] = parity[x] ^ 1 << j
                 queue.append(y)
+    parity = np.array(parity)
+    relations = np.zeros(2 ** len(S), dtype=bool)  # the values r takes
+    relations[parity[T[:, S]] ^ parity[:, None] ^ parity[S]] = True
     bits = (np.arange(2 ** len(S))[:, None] >> np.arange(len(S))) % 2
     e = bits @ bits[parity].T % 2 == 1  # e[c, x]: x is -1 under choice c
-    kept = e[(e[:, T[:, S]] ^ e[..., None] == e[:, None, S]).all((1, 2)) & e.any(1)]
+    kept = e[(bits @ bits[relations].T % 2 == 0).all(1) & e.any(1)]
     if not kept.size:
         raise InputError(f"group {group.name} has no sign character")
     values = kept[np.lexsort(kept.T[::-1])[0]]
@@ -249,13 +266,16 @@ def builtin_representation(group: FiniteGroup, which: str,
 # -- serialization ----------------------------------------------------------
 
 def _parse_complex_matrix(rows, degree: int) -> np.ndarray:
-    try:
-        pairs = np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError("complex entries must be [re, im] pairs of numbers")
+    """One image: a degree x degree list of [re, im] pairs of JSON numbers."""
+    pairs = np.array(rows, dtype=object)
     if pairs.shape != (degree, degree, 2):
         raise InputError("representation image has wrong shape")
-    return pairs[..., 0] + 1j * pairs[..., 1]
+    if {type(x) for x in pairs.flat} <= {int, float}:
+        try:
+            return pairs.astype(np.float64).view(np.complex128)[..., 0]
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise InputError("complex entries must be [re, im] pairs of numbers")
 
 
 def representation_from_dict(data: dict, group: FiniteGroup) -> UnitaryRepresentation:
@@ -264,37 +284,28 @@ def representation_from_dict(data: dict, group: FiniteGroup) -> UnitaryRepresent
     A ``"builtin"`` key selects a named construction instead of explicit
     images.
     """
-    if not isinstance(data, dict):
-        raise InputError("representation description must be a JSON object")
+    what = "representation description"
+    require_fields(data, what)
     if "builtin" in data:
+        which = require_type(data["builtin"], str, "representation field 'builtin'")
         kwargs = {}
         if "power" in data:
-            if data["builtin"] != "root_of_unity":
+            if which != "root_of_unity":
                 raise InputError("only root_of_unity takes a 'power'")
-            kwargs["power"] = _integer_field(data, "power")
-        return builtin_representation(group, data["builtin"], **kwargs)
-    degree = _integer_field(data, "degree")
-    image_map = data.get("images")
-    if not isinstance(image_map, dict):
-        raise InputError("representation 'images' must map element labels to matrices")
+            kwargs["power"] = require_type(data["power"], int,
+                                           "representation field 'power'")
+        return builtin_representation(group, which, **kwargs)
+    degree, image_map = require_fields(data, what, "degree", "images")
+    degree = require_type(degree, int, "representation field 'degree'")
+    require_fields(image_map, "representation field 'images'")
     parsed = {group.element(label): _parse_complex_matrix(rows, degree)
               for label, rows in image_map.items()}
     if len(parsed) != group.order:
         raise InputError("representation must assign a matrix to every element")
-    irreducible = data.get("irreducible", False)
-    if not isinstance(irreducible, bool):
-        raise InputError("representation field 'irreducible' must be true or false, "
-                         f"got {irreducible!r}")
+    irreducible = require_type(data.get("irreducible", False), bool,
+                               "representation field 'irreducible'")
     return UnitaryRepresentation(group, np.array([parsed[g] for g in group.elements()]),
                                  irreducible=irreducible)
-
-
-def _integer_field(data: dict, key: str) -> int:
-    try:
-        value = data[key]
-    except KeyError:
-        raise InputError(f"representation description needs '{key}' field")
-    return require_integer(value, f"representation field '{key}'")
 
 
 def representation_to_dict(rep: UnitaryRepresentation) -> dict:

@@ -161,15 +161,45 @@ def test_spectrum_refuses_regular_representation_of_order_512(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_spectrum_refuses_represented_matrix_above_cap(tmp_path, capsys):
+    # a 1000-vertex path over Z128: the regular representation is allowed, but
+    # its 128000 x 128000 represented adjacency is refused before allocation
+    n = 1000
+    data = {"graph": {"n": n, "edges": [[v, v + 1] for v in range(1, n)]},
+            "group": {"family": "cyclic", "n": 128},
+            "gains": [str(v % 128) for v in range(n - 1)]}
+    gain_path = write(tmp_path, "path_z128.json", data)
+    rep_path = write(tmp_path, "rep.json", {"builtin": "regular"})
+    code, out, err = run(capsys, ["spectrum", gain_path, rep_path])
+    assert (code, out) == (1, "") and err.startswith("error:") and err.count("\n") == 1
+    start = time.perf_counter()  # a second run, so a cold BLAS load does not count
+    assert run(capsys, ["spectrum", gain_path, rep_path]) == (code, out, err)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_spectrum_reads_a_huge_power_modulo_the_order(tmp_path, capsys):
+    z4_gain = write(tmp_path, "z4.json", {"graph": gl.graph_to_dict(PAW),
+                                          "group": {"family": "cyclic", "n": 4},
+                                          "gains": ["1", "2", "3", "0"]})
+    outs = []
+    for power in (10**400 + 1, 1):
+        rep_path = write(tmp_path, "rep.json", {"builtin": "root_of_unity", "power": power})
+        code, out, err = run(capsys, ["spectrum", z4_gain, rep_path])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_error_paths_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, ["group", str(tmp_path / "missing.json")])
     assert code == 1 and "error:" in err
 
     bad = tmp_path / "bad.json"
-    for text in ("{not json", "[" * 100000 + "]" * 100000):
-        bad.write_text(text)
+    for raw in (b"{not json", b"[" * 100000 + b"]" * 100000, b'{"n": ' + b"1" * 5000 + b"}",
+                b'\xff\xfe{"family": "sign"}'):
+        bad.write_bytes(raw)
         code, _, err = run(capsys, ["group", str(bad)])
-        assert code == 1 and "error:" in err
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1, raw[:20]
 
     disconnected = write(tmp_path, "g.json", {"n": 4, "edges": [[1, 2], [3, 4]]})
     code, _, err = run(capsys, ["line", disconnected])
@@ -255,7 +285,11 @@ def test_error_paths_exit_one(tmp_path, capsys):
                  "images": {a: [[[1, 0]]] for a in "0123"}},
                 {"builtin": "regular", "power": 2},
                 {"degree": 1, "images": {"0": [[[1, 0, 0]]]}},
-                {"degree": 1, "images": {a: [[[float("nan"), 0]]] for a in "0123"}}):
+                {"degree": 1, "images": {a: [[[float("nan"), 0]]] for a in "0123"}},
+                {"degree": 1, "images": {a: [[[1, 0]]] for a in "123"} | {"0": [[["1", 0]]]}},
+                {"degree": 1, "images": {a: [[[1, 0]]] for a in "123"} | {"0": [[[True, 0]]]}},
+                {"degree": 1, "images": {a: [[[1, 0]]] for a in "123"} | {"0": [[[None, 0]]]}},
+                {"degree": 1, "images": {a: [[[1, 0]]] for a in "123"} | {"0": [[[10**400, 0]]]}}):
         rep_path = write(tmp_path, "rep.json", rep)
         code, out, err = run(capsys, ["spectrum", z4_gain, rep_path])
         assert code == 1 and out == "" and err.startswith("error:"), rep

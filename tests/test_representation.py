@@ -58,6 +58,10 @@ def test_root_of_unity_values():
     assert abs(rep(2)[0, 0] + 1) < 1e-12
     squared = gl.root_of_unity_representation(Z4, power=2)
     assert abs(squared(1)[0, 0] + 1) < 1e-12
+    # only power mod n matters; a huge or negative power is reduced exactly
+    for n, power in ((4, 10**400 + 1), (12, -5), (512, 3 * 10**400 + 7)):
+        assert np.array_equal(gl.root_of_unity_representation(gl.cyclic(n), power).images,
+                              gl.root_of_unity_representation(gl.cyclic(n), power % n).images)
 
 
 def test_sign_character_families():
