@@ -54,7 +54,7 @@ class SwitchingFunction:
 def constant_gain(graph: SimpleGraph, group: FiniteGroup, s: Element) -> GainFunction:
     """The constant gain s; s must be a weak involution so that it is a
     well-defined gain on unordered edges."""
-    if group.mult[s][s] != 0:
+    if group.mul(s, s) != 0:  # mul range-checks s
         raise ValidationError("constant gain requires s with s^2 = 1")
     return GainFunction(graph, group, (s,) * graph.m)
 

@@ -24,11 +24,10 @@ class UnitaryRepresentation:
     """A per-element table of unitary matrices g -> pi(g).
 
     Validated at construction: pi(1) = I, pi(g)pi(h) = pi(gh) and
-    pi(g)* pi(g) = I, all within tol = ``VALIDATION_TOL``.  Irreducibility is
-    declared by the caller, never verified.  ``images`` is float64 when every imaginary part
-    is exactly zero (regular, sign and trivial representations), so that
-    validation, Fourier transforms and eigensolves run in real arithmetic,
-    and complex128 otherwise.
+    pi(g)* pi(g) = I, all within tol = ``VALIDATION_TOL``.  ``images`` is
+    float64 when every imaginary part is exactly zero (regular, sign and
+    trivial representations), so that validation, Fourier transforms and
+    eigensolves run in real arithmetic, and complex128 otherwise.
 
     Tolerances are on the largest entry.  The homomorphism is decided on the
     generators S of the group first.  Let n = |G|, k the degree, and rho = 0
@@ -42,17 +41,36 @@ class UnitaryRepresentation:
     ||pi(g)pi(h) - pi(gh)|| by 2 k d L u^(L-1) <= (e^(1/2) / 2) tol < 0.83 tol
     as (n - 1) rho <= tol, and a scan, off by rho <= tol / 8, accepts every
     pair.  Otherwise the scan decides, naming the first failing (g, h).
+
+    ``irreducible`` is decided, never declared: pi is irreducible iff
+    <chi, chi> = (1/n) sum_g |tr pi(g)|^2 = 1 (Serre, section 2.3, Thm 5), and
+    the flag is round(<chi, chi>) == 1.  <chi, chi> = tr P for
+    P = (1/n) sum_g pi(g) (x) conj(pi(g)), which for exact images is the
+    projection onto the commutant, of rank sum_i m_i^2.  For k <= MAX_EIG_DIM
+    the checks above bound every exact entry of pi(g)pi(h) - pi(gh) and of
+    pi(g)* pi(g) - I by t = 1.01 tol (their own rounding is under
+    (k + 2) 2^-52 w^2 <= tol / 100), so ||pi(g)|| <= w = (1 + k t)^(1/2).
+    P^2 - P is the mean over (g, h) of A (x) conj(A) - B (x) conj(B), with
+    A = pi(g)pi(h) and B = pi(gh), so its nuclear norm is at most
+    c = k^(5/2) t (w^2 + w).  Its eigenvalues are lambda_i^2 - lambda_i over
+    the k^2 eigenvalues lambda_i of P, and Weyl's inequality (the sum of
+    |eigenvalues| is at most the nuclear norm) gives
+    sum_i |lambda_i^2 - lambda_i| <= c.  Each lambda_i lies within
+    2 |lambda_i^2 - lambda_i| of 0 or 1, so tr P is within 2 c < 0.44 of the
+    number N of lambda_i nearer 1, and rounding in the sum adds under
+    (k + n) k^2 2^-51 < 1e-4.  So round(<chi, chi>) = N, which is
+    sum_i m_i^2 for exact images.  Above MAX_EIG_DIM, the largest degree
+    ``fourier`` accepts, this is not proved.
     """
 
-    def __init__(self, group: FiniteGroup, images: np.ndarray,
-                 irreducible: bool = False):
+    def __init__(self, group: FiniteGroup, images: np.ndarray):
         images = np.asarray(images)
         if np.iscomplexobj(images) and not images.imag.any():
             images = images.real
         images = np.ascontiguousarray(
             images, dtype=np.complex128 if np.iscomplexobj(images) else np.float64)
         if images.ndim != 3 or images.shape[0] != group.order \
-                or images.shape[1] != images.shape[2]:
+                or images.shape[1] != images.shape[2] or images.shape[1] == 0:
             raise ValidationError(
                 "images must be an (order, k, k) array of matrices")
         if not np.isfinite(images).all():
@@ -82,14 +100,15 @@ class UnitaryRepresentation:
         self.group = group
         self.degree = k
         self.images = images
-        self.irreducible = bool(irreducible)
+        chi = np.trace(images, axis1=1, axis2=2)
+        self.irreducible = round(np.vdot(chi, chi).real / n) == 1
 
     def __call__(self, g: Element) -> np.ndarray:
         return self.images[g]
 
     def __repr__(self) -> str:
         return (f"UnitaryRepresentation({self.group.name}, degree={self.degree}, "
-                f"irreducible={self.irreducible})")
+                f"{'irreducible' if self.irreducible else 'reducible'})")
 
 
 @dataclass(frozen=True)
@@ -165,7 +184,7 @@ def hermitian_spectrum(M: RepresentedMatrix | np.ndarray) -> Spectrum:
 
 def trivial_representation(group: FiniteGroup) -> UnitaryRepresentation:
     images = np.ones((group.order, 1, 1))
-    return UnitaryRepresentation(group, images, irreducible=True)
+    return UnitaryRepresentation(group, images)
 
 
 def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
@@ -180,7 +199,7 @@ def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
     images = np.zeros((n, n, n))
     g = np.arange(n)
     images[g[:, None], group.table, g[None, :]] = 1
-    return UnitaryRepresentation(group, images, irreducible=(n == 1))
+    return UnitaryRepresentation(group, images)
 
 
 def root_of_unity_representation(group: FiniteGroup,
@@ -198,7 +217,7 @@ def root_of_unity_representation(group: FiniteGroup,
             f"group {group.name} does not carry the standard cyclic table")
     omega = np.exp(2j * np.pi * (power % n) / n)
     images = np.array([[[omega ** a]] for a in range(n)])
-    return UnitaryRepresentation(group, images, irreducible=True)
+    return UnitaryRepresentation(group, images)
 
 
 def sign_character(group: FiniteGroup) -> UnitaryRepresentation:
@@ -225,7 +244,7 @@ def sign_character(group: FiniteGroup) -> UnitaryRepresentation:
     if not kept.size:
         raise InputError(f"group {group.name} has no sign character")
     values = kept[np.lexsort(kept.T[::-1])[0]]
-    return UnitaryRepresentation(group, 1 - 2.0 * values[:, None, None], irreducible=True)
+    return UnitaryRepresentation(group, 1 - 2.0 * values[:, None, None])
 
 
 _Q8_2DIM = {
@@ -244,7 +263,7 @@ def q8_representation(group: FiniteGroup) -> UnitaryRepresentation:
     for b, label in enumerate(("1", "i", "j", "k")):
         images[b] = _Q8_2DIM[label]
         images[4 + b] = -_Q8_2DIM[label]
-    return UnitaryRepresentation(group, images, irreducible=True)
+    return UnitaryRepresentation(group, images)
 
 
 def builtin_representation(group: FiniteGroup, which: str,
@@ -282,10 +301,13 @@ def representation_from_dict(data: dict, group: FiniteGroup) -> UnitaryRepresent
     """Parse ``{"degree": k, "images": {label: [[[re, im], ...], ...]}}``.
 
     A ``"builtin"`` key selects a named construction instead of explicit
-    images.
+    images.  An optional ``"irreducible"`` (true or false) sets nothing: it is
+    a claim, refused unless it equals the value decided from <chi, chi>.
     """
     what = "representation description"
     require_fields(data, what)
+    if "irreducible" in data:
+        require_type(data["irreducible"], bool, "representation field 'irreducible'")
     if "builtin" in data:
         which = require_type(data["builtin"], str, "representation field 'builtin'")
         kwargs = {}
@@ -294,18 +316,21 @@ def representation_from_dict(data: dict, group: FiniteGroup) -> UnitaryRepresent
                 raise InputError("only root_of_unity takes a 'power'")
             kwargs["power"] = require_type(data["power"], int,
                                            "representation field 'power'")
-        return builtin_representation(group, which, **kwargs)
-    degree, image_map = require_fields(data, what, "degree", "images")
-    degree = require_type(degree, int, "representation field 'degree'")
-    require_fields(image_map, "representation field 'images'")
-    parsed = {group.element(label): _parse_complex_matrix(rows, degree)
-              for label, rows in image_map.items()}
-    if len(parsed) != group.order:
-        raise InputError("representation must assign a matrix to every element")
-    irreducible = require_type(data.get("irreducible", False), bool,
-                               "representation field 'irreducible'")
-    return UnitaryRepresentation(group, np.array([parsed[g] for g in group.elements()]),
-                                 irreducible=irreducible)
+        rep = builtin_representation(group, which, **kwargs)
+    else:
+        degree, image_map = require_fields(data, what, "degree", "images")
+        degree = require_type(degree, int, "representation field 'degree'")
+        require_fields(image_map, "representation field 'images'")
+        parsed = {group.element(label): _parse_complex_matrix(rows, degree)
+                  for label, rows in image_map.items()}
+        if len(parsed) != group.order:
+            raise InputError("representation must assign a matrix to every element")
+        rep = UnitaryRepresentation(group, np.array([parsed[g] for g in group.elements()]))
+    if data.get("irreducible", rep.irreducible) != rep.irreducible:
+        decided = "irreducible" if rep.irreducible else "reducible"
+        raise InputError("representation field 'irreducible' is wrong: "
+                         f"<chi, chi> decides the images are {decided}")
+    return rep
 
 
 def representation_to_dict(rep: UnitaryRepresentation) -> dict:

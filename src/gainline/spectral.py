@@ -65,6 +65,8 @@ def classify_s2_image(rep: UnitaryRepresentation, s2: int,
                       tol: float = DEFAULT_TOL) -> str:
     if not 0 <= tol < np.inf:
         raise InputError(f"tolerance must be finite and non-negative, got {tol!r}")
+    if not 0 <= s2 < rep.group.order:
+        raise ValidationError(f"element index out of range: {s2}")
     eye = np.eye(rep.degree)
     mat = rep.images[s2]
     if np.abs(mat - eye).max() <= tol:
@@ -80,7 +82,8 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
 
     s2 must be a central weak involution, as the corollaries assume.
     One-sided rules fire when pi(s2) is (minus) the identity; the two-sided
-    rule fires for declared-irreducible representations regardless of s2.
+    rule fires for irreducible representations regardless of s2, where
+    irreducibility is decided from <chi, chi> when the representation is built.
     A clean verdict is only a necessary condition; recognition gives the
     exact decision.
     """

@@ -134,6 +134,25 @@ def test_check_obstruction_command(tmp_path, capsys):
     assert data["min_eig"] == pytest.approx(-2.1357789, abs=1e-6)
     assert data["max_eig"] == pytest.approx(2.1357789, abs=1e-6)
 
+    # a gain-line graph whose regular spectrum breaches both -2 and 2: the
+    # two-sided rule needs an irreducible pi, so a false claim of it is refused
+    code, out, _ = run(capsys, ["gainline", paw_gain_file(tmp_path),
+                                "--s1", "-1", "--s2", "-1"])
+    zpath = write(tmp_path, "line.json", json.loads(out))
+    regular = gl.representation_to_dict(gl.regular_representation(gl.quaternion8()))
+    unclaimed = {key: regular[key] for key in ("degree", "images")}
+    for rep in (regular | {"irreducible": True}, regular, unclaimed):
+        argv = ["check", "obstruction", zpath, "--rep", write(tmp_path, "regular.json", rep),
+                "--s2", "-1"]
+        code, out, err = run(capsys, argv)
+        if rep.get("irreducible"):
+            assert code == 1 and out == "" and err.startswith("error:")
+            assert err.count("\n") == 1
+            continue
+        data = json.loads(out)
+        assert code == 0 and data["violated"] is None, rep.keys()
+        assert data["min_eig"] < -2 and data["max_eig"] > 2
+
 
 def test_spectrum_command(tmp_path, capsys):
     zpath = paw_gain_file(tmp_path, "zeta.json",

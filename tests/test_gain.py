@@ -62,6 +62,9 @@ def test_s_laplacian_requires_central_involution():
     psi = q8_gain(PAW, PAW_GAINS)
     with pytest.raises(ValidationError):
         gl.s_laplacian(psi, Q8.element("i"))
+    for s in (7, -1):  # never wrapped into the group
+        with pytest.raises(ValidationError, match="^element index out of range"):
+            gl.constant_gain(PAW, gl.cyclic(4), s)
 
 
 def test_s_laplacian_trivial_gain_is_signless_laplacian():
@@ -211,6 +214,7 @@ def test_switching_equivalence_agrees_with_brute_force():
             fast = gl.switching_to(psi1, psi2)
             brute = brute_force_switching(psi1, psi2)
             assert (fast is None) == (brute is None)
+            assert gl.switching_equivalent(psi1, psi2) == (brute is not None)
             if fast is not None:
                 assert gl.switch(psi1, fast) == psi2
             verdicts.add((psi1.group.order, fast is None))

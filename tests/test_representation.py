@@ -35,8 +35,9 @@ def test_validation_rejects_bad_tables():
         gl.UnitaryRepresentation(Z2, [[[1.0]], [[2.0]]])
     with pytest.raises(ValidationError):  # not a homomorphism
         gl.UnitaryRepresentation(Z2, [[[1.0]], [[1j]]])
-    with pytest.raises(ValidationError):  # wrong shape
-        gl.UnitaryRepresentation(Z2, [[[1.0]]])
+    for images in ([[[1.0]]], np.zeros((2, 0, 0))):  # wrong shape, degree 0
+        with pytest.raises(ValidationError, match="must be an .order, k, k. array"):
+            gl.UnitaryRepresentation(Z2, images)
 
 
 def test_builtin_dispatch():
@@ -350,6 +351,17 @@ def test_representation_file_builtin_and_errors():
     partial = {"degree": 1, "images": {"1": [[[1, 0]]]}}
     with pytest.raises(InputError):
         gl.representation_from_dict(partial, Q8)
+    # "irreducible" is a claim checked against <chi, chi>, never a setting
+    regular = gl.representation_to_dict(gl.regular_representation(Q8))
+    for data in (regular | {"irreducible": True}, {"builtin": "regular", "irreducible": True},
+                 {"builtin": "q8_2dim", "irreducible": False}):
+        with pytest.raises(InputError, match="'irreducible' is wrong"):
+            gl.representation_from_dict(data, Q8)
+    for data in (regular, {"builtin": "q8_2dim", "irreducible": True}):
+        claim = data.get("irreducible")
+        assert gl.representation_from_dict(data, Q8).irreducible == claim
+    del regular["irreducible"]
+    assert not gl.representation_from_dict(regular, Q8).irreducible
 
 
 def _real_representations(G):
@@ -418,6 +430,29 @@ def test_real_driver_eigenvalues_match_complex_driver():
         got = np.array(gl.hermitian_spectrum(M).eigenvalues)
         want = np.linalg.eigvalsh(M.astype(np.complex128))
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.linalg.norm(M, 2))
+
+
+def test_irreducibility_is_decided_from_the_character():
+    # the builtins decide what they used to declare
+    groups = ([gl.cyclic(n) for n in range(1, 65)] + [gl.dihedral(n) for n in range(1, 65)]
+              + [gl.quaternion8(), gl.t4(), gl.sign_group(), gl.cyclic(512), gl.dihedral(256),
+                 gl.direct_product(gl.quaternion8(), gl.cyclic(8)),
+                 gl.direct_product(gl.cyclic(2), gl.cyclic(2))])
+    built = 0
+    for G in groups:
+        for which in ("trivial", "regular", "root_of_unity", "sign_character", "q8_2dim"):
+            try:
+                rep = gl.builtin_representation(G, which)
+            except InputError:
+                continue
+            assert rep.irreducible is (which != "regular" or G.order == 1), (G.name, which)
+            built += 1
+    assert built == 440
+    # an inexact image that passes validation keeps the decision
+    Q8 = gl.quaternion8()
+    moved = gl.q8_representation(Q8).images.copy()
+    moved[Q8.element("j"), 0, 1] += 1e-12
+    assert gl.UnitaryRepresentation(Q8, moved).irreducible
 
 
 def test_regular_representation_refused_above_cap():

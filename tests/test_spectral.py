@@ -17,8 +17,14 @@ def reps_for(G):
     reps = [gl.trivial_representation(G), gl.regular_representation(G)]
     if G.labels == gl.quaternion8().labels:
         reps.append(gl.q8_representation(G))
+        q8 = reps[-1].images
+        twice = np.zeros((8, 4, 4), dtype=complex)
+        twice[:, :2, :2] = twice[:, 2:, 2:] = q8
+        reps.append(gl.UnitaryRepresentation(G, twice))  # <chi, chi> = 4
     if G.order == 2:
         reps.append(gl.sign_character(G))
+    # raw degree-1 images, so irreducible by decision alone
+    reps.append(gl.UnitaryRepresentation(G, gl.sign_character(G).images))
     return reps
 
 
@@ -132,6 +138,7 @@ def test_reducible_rep_never_uses_two_sided_rule():
 def test_obstruction_sound_on_actual_gain_lines():
     # no gain line produced by the library is ever flagged
     rng = random.Random(57)
+    decided = set()
     for _ in range(80):
         G = rng.choice(small_groups())
         graph = random_connected_graph(rng, 7)
@@ -143,11 +150,13 @@ def test_obstruction_sound_on_actual_gain_lines():
         for rep in reps_for(G):
             verdict = gl.gainline_obstruction(zeta, rep, ctx.s2)
             assert verdict.violated is None
+            decided.add(rep.irreducible)
             cls = verdict.s2_class
             if cls == "plus_identity":
                 assert verdict.min_eig >= -2 - 1e-8
             elif cls == "minus_identity":
                 assert verdict.max_eig <= 2 + 1e-8
+    assert decided == {True, False}
 
 
 def test_obstruction_requires_matching_group():
@@ -168,6 +177,8 @@ def test_obstruction_requires_central_weak_involution():
             gl.gainline_obstruction(zeta, rep, Q8.element(s2))
     for s2 in gl.central_weak_involutions(Q8):
         gl.gainline_obstruction(zeta, rep, s2)
+    with pytest.raises(ValidationError, match="^element index out of range: 9$"):
+        gl.classify_s2_image(gl.regular_representation(gl.cyclic(4)), 9)
 
 
 def test_obstruction_rejects_bad_tolerance():
