@@ -9,11 +9,12 @@ a "violated" one); nonzero signals an input or validation error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
+import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import gain, graph, group, phase, representation, spectral
 from .errors import GainlineError, InputError
@@ -29,8 +30,67 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 
+#: Exact types that the C encoder writes as JSON scalars.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(level: int):
+    """Item indentation, item separator and closing pad of a container at
+    nesting ``level``, and a C encoder whose item separator is that one."""
+    inner = "\n" + "  " * (level + 1)
+    comma = "," + inner
+    return inner, comma, inner[:-2], json.JSONEncoder(separators=(comma, ": ")).encode
+
+
+def _encode(value, level: int, write, head: str = "") -> None:
+    """Write ``head`` and then ``value`` at nesting ``level``, exactly as
+    ``json.dump(value, fp, indent=2, sort_keys=True)`` writes ``value``.
+
+    With ``indent`` set, ``json.dump`` runs the pure-Python encoder.  Here
+    only dicts and lists that hold containers are walked in Python: every
+    maximal run of scalars in a list (exact types in ``_SCALARS``) goes out
+    in one call of the C encoder, whose item separator carries the
+    indentation, and any other scalar goes through that encoder on its own.
+    Each ``write`` gets at most one run with its brackets and the separator
+    or key before it, never the whole document, so the text held at once is
+    one table row or phase row, not the 26 MB of a large witness.  Dict keys
+    must be ``str``, as in every gainline wire format.
+    """
+    inner, comma, pad, encode = _layout(level)
+    if isinstance(value, dict):
+        if not value:
+            write(head + "{}")
+            return
+        sep = head + "{" + inner
+        for key, item in sorted(value.items()):
+            _encode(item, level + 1, write, sep + encode_basestring_ascii(key) + ": ")
+            sep = comma
+        write(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write(head + "[]")
+        elif set(map(type, value)) <= _SCALARS:
+            write(head + "[" + inner + encode(value)[1:-1] + pad + "]")
+        else:
+            sep, run = head + "[" + inner, []
+            for kind, items in itertools.groupby(value, type):
+                if kind in _SCALARS:
+                    run.extend(items)
+                    continue
+                if run:
+                    write(sep + encode(run)[1:-1])
+                    sep, run = comma, []
+                for item in items:
+                    _encode(item, level + 1, write, sep)
+                    sep = comma
+            write((sep + encode(run)[1:-1] if run else "") + pad + "]")
+    else:
+        write(head + encode(value))
+
+
 def _emit(data: dict) -> None:
-    json.dump(data, sys.stdout, indent=2, sort_keys=True)
+    _encode(data, 0, sys.stdout.write)
     sys.stdout.write("\n")
 
 
@@ -128,12 +188,10 @@ def cmd_spectrum(args) -> int:
     spec = representation.hermitian_spectrum(
         representation.fourier(gain.gain_adjacency(psi_fn), rep))
     groups = spec.multiplicity_groups()
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["index", "eigenvalue", "multiplicity_group"])
-    for i, (lam, gid) in enumerate(zip(spec.eigenvalues, groups)):
-        writer.writerow([i, repr(lam), gid])
-    sys.stdout.write(out.getvalue())
+    sys.stdout.write("".join(
+        ["index,eigenvalue,multiplicity_group\r\n"]
+        + [f"{i},{lam!r},{gid}\r\n"
+           for i, (lam, gid) in enumerate(zip(spec.eigenvalues, groups))]))
     return 0
 
 

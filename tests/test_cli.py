@@ -1,14 +1,18 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gainline as gl
-from gainline.cli import main
+from gainline.cli import _emit, main
 
 from helpers import DIAMOND, PAW, q8_gain
 
@@ -382,3 +386,132 @@ def test_closed_pipe_exits_quietly(tmp_path):
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
+
+
+def canonical(out):
+    """The bytes json.dump(indent=2, sort_keys=True) writes for ``out``'s value."""
+    return json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+TEXTS = st.text(max_size=8) | st.sampled_from(["é", "λ", "\U0001F600", "𝔾_8", "a\"\\\n\x00"])
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=2**64, max_value=2**200).flatmap(
+               lambda k: st.sampled_from([k, -k]))
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e308])
+           | TEXTS)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: (st.lists(children, max_size=6)
+                      | st.lists(children, max_size=6).map(tuple)
+                      | st.dictionaries(TEXTS, children, max_size=5)),
+    max_leaves=30)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(JSON_VALUES)
+@example({"é": [1, "λ\U0001F600", (2, "x"), [], {}, [[]], {"\U0001F600": {}}, 3],
+          "": [float("nan"), float("inf"), float("-inf"), -0.0, 1e308, 2**70, -2**70],
+          "b": (True, False, None, [True, [False, [None]]], 0.5, "")})
+def test_emit_writes_the_bytes_of_json_dumps(value):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        _emit(value)
+    assert buf.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_every_json_subcommand_prints_canonical_json(tmp_path, capsys):
+    # a custom Z3 with non-ASCII labels, through every command that echoes labels
+    z3 = {"family": "custom", "name": "Z3-λ", "labels": ["e", "é", "λ"],
+          "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+    z3_gain = write(tmp_path, "z3_gain.json", {"graph": gl.graph_to_dict(PAW),
+                                               "group": z3, "gains": ["é", "λ", "é", "e"]})
+    z3_line = write(tmp_path, "z3_line.json", json.loads(run(capsys, ["gainline", z3_gain])[1]))
+    q8_line = write(tmp_path, "q8_line.json", gl.gain_to_dict(gl.gain_line(
+        q8_gain(PAW, PAW_GAINS), gl.default_orientation(PAW),
+        gl.PhaseContext(gl.quaternion8(), gl.quaternion8().element("-1"),
+                        gl.quaternion8().element("-1")))))
+    q8_gain_path = paw_gain_file(tmp_path)
+    switched = write(tmp_path, "switched.json", gl.gain_to_dict(
+        gl.switch(q8_gain(PAW, PAW_GAINS), (gl.quaternion8().element("j"),) * 4)))
+    balanced = paw_gain_file(tmp_path, "balanced.json", ["1", "1", "1", "1"])
+    root = write(tmp_path, "root.json", gl.graph_to_dict(PAW))
+    diamond = paw_gain_file(tmp_path, "diamond.json", ["-k", "1", "1", "1", "-j"], DIAMOND)
+    q8_2dim = write(tmp_path, "q8_2dim.json", {"builtin": "q8_2dim"})
+    argvs = [
+        ["group", write(tmp_path, "q8.json", {"family": "quaternion8"})],
+        ["group", write(tmp_path, "z3.json", z3)],
+        ["line", root],
+        ["gainline", q8_gain_path, "--s1", "-1", "--s2", "-1"],
+        ["gainline", z3_gain],
+        ["check", "balance", q8_gain_path],
+        ["check", "balance", balanced],
+        ["check", "balance", z3_gain],
+        ["check", "switch-equiv", q8_gain_path, switched],
+        ["check", "switch-equiv", z3_gain, z3_gain],
+        ["check", "gainline", q8_line, "--root", root, "--s1", "-1", "--s2", "-1"],
+        ["check", "obstruction", diamond, "--rep", q8_2dim, "--s2", "-1"],
+        ["check", "obstruction", q8_line, "--rep", q8_2dim, "--s2", "-1"],
+        ["check", "gainline", z3_line, "--root", root],
+    ]
+    for argv in argvs:
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out == canonical(out), argv
+    # the last gain-line check printed a witness grid of escaped labels
+    entries = json.loads(out)["witness_phase"]["entries"]
+    assert {"é", "λ"} & {label for row in entries for label in row}
+    assert "\\u00e9" in out and out.isascii()
+
+
+def test_spectrum_prints_the_rows_of_csv_writer(tmp_path, capsys):
+    z4 = {"graph": gl.graph_to_dict(PAW), "group": {"family": "cyclic", "n": 4},
+          "gains": ["1", "2", "3", "0"]}
+    cases = [(gl.gain_to_dict(q8_gain(DIAMOND, ["-k", "1", "1", "1", "-j"])),
+              {"builtin": "q8_2dim"}),
+             (z4, {"builtin": "root_of_unity", "power": 1}),
+             (z4, {"builtin": "regular"})]
+    for gain_data, rep_data in cases:
+        argv = ["spectrum", write(tmp_path, "gain.json", gain_data),
+                write(tmp_path, "rep.json", rep_data)]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        psi = gl.gain_from_dict(gain_data)
+        spec = gl.hermitian_spectrum(gl.fourier(
+            gl.gain_adjacency(psi), gl.representation_from_dict(rep_data, psi.group)))
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["index", "eigenvalue", "multiplicity_group"])
+        for i, (lam, gid) in enumerate(zip(spec.eigenvalues, spec.multiplicity_groups())):
+            writer.writerow([i, repr(lam), gid])
+        assert out == expected.getvalue(), rep_data
+
+
+class WriteRecorder:
+    """A stdout that keeps every write it is given."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_emit_streams_a_large_document(tmp_path, monkeypatch):
+    # the order-512 table echo is 3.4 MB; no write may hold more than one row
+    path = write(tmp_path, "z512.json", {"family": "cyclic", "n": 512})
+    recorder = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(["group", path]) == 0
+    out = "".join(recorder.writes)
+    canonical_bytes = out == canonical(out)  # not in the assert: pytest would diff 3.4 MB
+    assert canonical_bytes
+    table = json.loads(out)["group"]["table"]
+    # a row as it stands in the document, at nesting level 3, plus the
+    # separator, key and bracket that may share its write
+    row = max(len(json.dumps(r, indent=2).replace("\n", "\n" + "  " * 3)) for r in table)
+    assert max(map(len, recorder.writes)) <= row + len(',\n    "table": [\n      ')
