@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .group import Element, FiniteGroup, same_group
+from .group import Element, FiniteGroup
 
 
 class AlgebraElement:
@@ -46,7 +46,8 @@ class AlgebraElement:
         return not self.coeffs
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._same_group(other)
+        if self.group != other.group:
+            raise ValidationError("algebra elements belong to different groups")
         coeffs = dict(self.coeffs)
         for g, c in other.coeffs.items():
             coeffs[g] = coeffs.get(g, 0) + c
@@ -60,7 +61,8 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Convolution product, the linear extension of the group product."""
-        self._same_group(other)
+        if self.group != other.group:
+            raise ValidationError("algebra elements belong to different groups")
         mult = self.group.mult
         coeffs: dict[Element, complex] = {}
         for x, fx in self.coeffs.items():
@@ -79,13 +81,9 @@ class AlgebraElement:
         return AlgebraElement(
             self.group, {inv[g]: c.conjugate() for g, c in self.coeffs.items()})
 
-    def _same_group(self, other: "AlgebraElement") -> None:
-        if not same_group(self.group, other.group):
-            raise ValidationError("algebra elements belong to different groups")
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, AlgebraElement)
-                and same_group(self.group, other.group)
+                and self.group == other.group
                 and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
@@ -128,7 +126,7 @@ class CGMatrix:
             raise ValidationError("matrix must have at least one row")
         support = {}
         for (i, j), a in entries.items():
-            if not same_group(a.group, group):
+            if a.group != group:
                 raise ValidationError("matrix entry from a different group")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValidationError(
@@ -164,7 +162,7 @@ class CGMatrix:
         return self.support.get((i, j)) or AlgebraElement.zero(self.group)
 
     def __matmul__(self, other: "CGMatrix") -> "CGMatrix":
-        if not same_group(self.group, other.group):
+        if self.group != other.group:
             raise ValidationError("matrix product across different groups")
         if self.cols != other.rows:
             raise ValidationError(
@@ -180,7 +178,7 @@ class CGMatrix:
         return CGMatrix(self.group, out, (self.rows, other.cols))
 
     def __add__(self, other: "CGMatrix") -> "CGMatrix":
-        if not same_group(self.group, other.group):
+        if self.group != other.group:
             raise ValidationError("matrix sum across different groups")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("matrix sum with mismatched shapes")
@@ -197,7 +195,7 @@ class CGMatrix:
 
     def scalar_mul(self, a: AlgebraElement, side: str = "left") -> "CGMatrix":
         """Entrywise multiplication by a fixed algebra element."""
-        if not same_group(a.group, self.group):
+        if a.group != self.group:
             raise ValidationError("scalar from a different group")
         if side == "left":
             out = {key: a * x for key, x in self.support.items()}
@@ -213,7 +211,7 @@ class CGMatrix:
                         (self.rows, self.cols))
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, CGMatrix) and same_group(self.group, other.group)
+        return (isinstance(other, CGMatrix) and self.group == other.group
                 and (self.rows, self.cols) == (other.rows, other.cols)
                 and self.support == other.support)
 

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from . import gain, graph, group, phase, representation, spectral
 from .errors import GainlineError, InputError
@@ -48,43 +46,30 @@ def _encode(value, level: int, write, head: str = "") -> None:
     ``json.dump(value, fp, indent=2, sort_keys=True)`` writes ``value``.
 
     With ``indent`` set, ``json.dump`` runs the pure-Python encoder.  Here
-    only dicts and lists that hold containers are walked in Python: every
-    maximal run of scalars in a list (exact types in ``_SCALARS``) goes out
-    in one call of the C encoder, whose item separator carries the
-    indentation, and any other scalar goes through that encoder on its own.
-    Each ``write`` gets at most one run with its brackets and the separator
-    or key before it, never the whole document, so the text held at once is
+    only non-empty dicts and lists that hold a container are walked in
+    Python; everything else (a scalar, a dict key, an empty container, or a
+    list whose items all have exact ``_SCALARS`` types) goes out in one call
+    of the level's C encoder, whose item separator carries the indentation.
+    Each ``write`` gets at most one such piece with the separator, key or
+    bracket before it, never the whole document, so the text held at once is
     one table row or phase row, not the 26 MB of a large witness.  Dict keys
     must be ``str``, as in every gainline wire format.
     """
     inner, comma, pad, encode = _layout(level)
-    if isinstance(value, dict):
-        if not value:
-            write(head + "{}")
-            return
+    if isinstance(value, dict) and value:
         sep = head + "{" + inner
         for key, item in sorted(value.items()):
-            _encode(item, level + 1, write, sep + encode_basestring_ascii(key) + ": ")
+            _encode(item, level + 1, write, sep + encode(key) + ": ")
             sep = comma
         write(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            write(head + "[]")
-        elif set(map(type, value)) <= _SCALARS:
-            write(head + "[" + inner + encode(value)[1:-1] + pad + "]")
-        else:
-            sep, run = head + "[" + inner, []
-            for kind, items in itertools.groupby(value, type):
-                if kind in _SCALARS:
-                    run.extend(items)
-                    continue
-                if run:
-                    write(sep + encode(run)[1:-1])
-                    sep, run = comma, []
-                for item in items:
-                    _encode(item, level + 1, write, sep)
-                    sep = comma
-            write((sep + encode(run)[1:-1] if run else "") + pad + "]")
+    elif isinstance(value, (list, tuple)) and not set(map(type, value)) <= _SCALARS:
+        sep = head + "[" + inner
+        for item in value:
+            _encode(item, level + 1, write, sep)
+            sep = comma
+        write(pad + "]")
+    elif isinstance(value, (list, tuple)) and value:
+        write(head + "[" + inner + encode(value)[1:-1] + pad + "]")
     else:
         write(head + encode(value))
 
@@ -123,11 +108,8 @@ def cmd_group(args) -> int:
 def cmd_line(args) -> int:
     g = graph.graph_from_dict(_load_json(args.file))
     data = graph.line_graph(g)
-    _emit({
-        "line": {"n": data.line.n,
-                 "edges": [[u + 1, v + 1] for u, v in data.line.edges]},
-        "shared_vertex": [v + 1 for v in data.shared_vertex],
-    })
+    _emit({"line": graph.graph_to_dict(data.line),
+           "shared_vertex": [v + 1 for v in data.shared_vertex]})
     return 0
 
 

@@ -128,8 +128,11 @@ class FiniteGroup:
         return bool((self.table == self.table.T).all())
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FiniteGroup) and self.labels == other.labels
-                and np.array_equal(self.table, other.table))
+        """Value equality, decided by identity first: most operands share one
+        group object, and comparing tables costs O(order^2)."""
+        return self is other or (
+            isinstance(other, FiniteGroup) and self.labels == other.labels
+            and np.array_equal(self.table, other.table))
 
     def __hash__(self) -> int:
         return hash((self.labels, self.table.tobytes()))
@@ -158,12 +161,6 @@ def _generators(T: np.ndarray) -> tuple[Element, ...]:
 def _check_order(order: int) -> None:
     if order > MAX_ORDER:
         raise ValidationError(f"group order {order} exceeds cap {MAX_ORDER}")
-
-
-def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Value equality, decided by identity first: most operands share one
-    group object, and comparing tables costs O(order^2)."""
-    return a is b or a == b
 
 
 def center(group: FiniteGroup) -> list[Element]:

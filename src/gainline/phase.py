@@ -95,6 +95,8 @@ class GPhase:
         return grid
 
     def entry(self, i: int, k: int) -> Element:
+        if not 0 <= k < self.graph.m:
+            raise ValidationError(f"edge index {k} out of range for {self.graph.m} edges")
         u, v = self.graph.edges[k]
         if i != u and i != v:
             raise ValidationError(f"vertex {i} is not incident to edge {k}")

@@ -8,7 +8,7 @@ import numpy as np
 
 from .algebra import CGMatrix
 from .errors import InputError, ValidationError, require_fields, require_type
-from .group import Element, FiniteGroup, quaternion8, same_group
+from .group import Element, FiniteGroup, quaternion8
 
 #: Homomorphism, unitarity and Hermitian validation tolerance.
 VALIDATION_TOL = 1e-10
@@ -116,8 +116,6 @@ class RepresentedMatrix:
     """A complex block matrix, one degree-sized block per CG entry."""
 
     data: np.ndarray
-    block_rows: int
-    block_cols: int
     degree: int
 
 
@@ -129,7 +127,7 @@ def fourier(A: CGMatrix, rep: UnitaryRepresentation) -> RepresentedMatrix:
     Refused, before anything is allocated, when a side of the result would
     exceed ``MAX_EIG_DIM``.
     """
-    if not same_group(A.group, rep.group):
+    if A.group != rep.group:
         raise ValidationError("representation defined on a different group")
     k = rep.degree
     if max(A.rows, A.cols) * k > MAX_EIG_DIM:
@@ -144,8 +142,7 @@ def fourier(A: CGMatrix, rep: UnitaryRepresentation) -> RepresentedMatrix:
     blocks = coeffs[:, None, None] * rep.images[where[:, 2]]
     out = np.zeros((A.rows, k, A.cols, k), dtype=blocks.dtype)
     np.add.at(out, (where[:, 0], slice(None), where[:, 1]), blocks)
-    return RepresentedMatrix(out.reshape(A.rows * k, A.cols * k),
-                             A.rows, A.cols, k)
+    return RepresentedMatrix(out.reshape(A.rows * k, A.cols * k), k)
 
 
 @dataclass(frozen=True)
@@ -167,15 +164,17 @@ class Spectrum:
 
 
 def hermitian_spectrum(M: RepresentedMatrix | np.ndarray) -> Spectrum:
-    """Real eigenvalues of a Hermitian matrix (within ``VALIDATION_TOL``),
-    ascending."""
+    """Real eigenvalues of a finite Hermitian matrix (within
+    ``VALIDATION_TOL``), ascending."""
     data = M.data if isinstance(M, RepresentedMatrix) else np.asarray(M)
-    if data.shape[0] != data.shape[1]:
+    if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValidationError("spectrum requires a square matrix")
-    if data.size and np.abs(data - data.conj().T).max() > VALIDATION_TOL:
-        raise ValidationError("matrix is not Hermitian within tolerance")
     if data.size == 0:
         return Spectrum(())
+    if not np.isfinite(data).all():
+        raise ValidationError("matrix must have finite entries")
+    if np.abs(data - data.conj().T).max() > VALIDATION_TOL:
+        raise ValidationError("matrix is not Hermitian within tolerance")
     values = np.linalg.eigvalsh(data)
     return Spectrum(tuple(float(v) for v in values))
 

@@ -66,6 +66,26 @@ def test_group_mismatch_raises():
         a * b
 
 
+def test_negation_and_difference():
+    Q8 = gl.quaternion8()
+    i, j = unit(Q8, "i"), unit(Q8, "j")
+    assert -i == i.scale(-1) == AlgebraElement(Q8, {Q8.element("i"): -1})
+    assert i - j == AlgebraElement(Q8, {Q8.element("i"): 1, Q8.element("j"): -1})
+    assert (i - i).is_zero() and -AlgebraElement.zero(Q8) == AlgebraElement.zero(Q8)
+    with pytest.raises(ValidationError):
+        i - unit(gl.sign_group(), "1")
+
+
+def test_repr_of_elements_and_matrices():
+    Q8 = gl.quaternion8()
+    i, zero = unit(Q8, "i"), AlgebraElement.zero(Q8)
+    assert repr(zero) == "0"
+    assert repr(i) == "i"
+    assert repr(unit(Q8, "1") + i.scale(2)) == "1 + ((2+0j))i"
+    assert repr(CGMatrix(Q8, [[i, zero], [zero, unit(Q8, "-k").scale(3)]])) \
+        == "CGMatrix[i, 0; 0, ((3+0j))-k]"
+
+
 def test_matmul_identity_diagonal():
     rng = random.Random(3)
     Q8 = gl.quaternion8()

@@ -310,3 +310,14 @@ def test_equality_and_hash_follow_labels_and_table():
     W = gl.FiniteGroup(V.labels, table)
     assert W != V and V != W and W.labels == V.labels
     assert W.mul(1, 1) == 3 and W.mul(1, 3) == 2
+
+
+def test_a_group_equals_itself_without_a_table_comparison(monkeypatch):
+    # most operands share one group object: equality is decided by identity
+    # first, and only distinct objects compare their tables
+    G, H = gl.dihedral(32), gl.dihedral(32)
+    compared = []
+    monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(1) or True)
+    assert G == G and not G != G and not (G == 5)
+    assert compared == []
+    assert G == H and compared == [1]

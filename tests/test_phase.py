@@ -130,6 +130,10 @@ def test_entry_off_the_support_is_refused():
     H = gl.incidence_phase(PAW, gl.quaternion8())
     with pytest.raises(ValidationError, match="^vertex 0 is not incident to edge 1$"):
         H.entry(0, 1)
+    # edge indices outside 0..m-1 are refused, not read from the other end
+    for k in (-1, -4, 4, 10):
+        with pytest.raises(ValidationError, match=f"^edge index {k} out of range for 4 edges$"):
+            H.entry(1, k)
 
 
 def test_single_edge_psi_formula():

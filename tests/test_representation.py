@@ -198,6 +198,22 @@ def test_hermitian_spectrum_rejects_non_hermitian():
         gl.hermitian_spectrum(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ValidationError):
         gl.hermitian_spectrum(np.zeros((2, 3)))
+    with pytest.raises(ValidationError):
+        gl.hermitian_spectrum(np.zeros(3))
+
+
+def test_hermitian_spectrum_refuses_non_finite_entries():
+    # NaN fails every comparison and inf - inf is NaN, so neither may reach
+    # the Hermitian test; warnings are errors here, so none may be raised
+    nan, inf = float("nan"), float("inf")
+    for M in ([[nan]], [[0, nan], [nan, 0]], [[inf, 0], [0, 1]], [[0, inf], [inf, 0]],
+              [[1, -inf], [-inf, 1]], [[0, complex(0, inf)], [complex(0, -inf), 0]]):
+        with pytest.raises(ValidationError, match="^matrix must have finite entries$"):
+            gl.hermitian_spectrum(np.array(M))
+
+
+def test_hermitian_spectrum_of_the_empty_matrix_is_empty():
+    assert gl.hermitian_spectrum(np.zeros((0, 0))) == gl.Spectrum(())
 
 
 def test_eigenvalues_match_residual_certified_pairs():
