@@ -126,7 +126,9 @@ class CGMatrix:
             raise ValidationError("matrix must have at least one row")
         support = {}
         for (i, j), a in entries.items():
-            if a.group != group:
+            # Entries nearly always share the matrix's group object, which is
+            # settled by identity; only another object pays for equality.
+            if a.group is not group and a.group != group:
                 raise ValidationError("matrix entry from a different group")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValidationError(

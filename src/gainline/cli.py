@@ -70,8 +70,36 @@ def _encode(value, level: int, write, head: str = "") -> None:
         write(pad + "]")
     elif isinstance(value, (list, tuple)) and value:
         write(head + "[" + inner + encode(value)[1:-1] + pad + "]")
+    elif isinstance(value, phase._SparseRows):
+        _encode_sparse_rows(value, level, write, head)
     else:
         write(head + encode(value))
+
+
+def _encode_sparse_rows(rows: phase._SparseRows, level: int, write, head: str) -> None:
+    """Write ``head`` and then ``rows.dense()`` at nesting ``level`` as
+    :func:`_encode` would, without building the grid.
+
+    A row is its encoded support cells with runs of the encoded zero cell,
+    each run one string product, between them: O(n + m) Python steps for the
+    whole grid instead of one per cell.  Each row goes out in one ``write``.
+    A graph has a vertex, so there is at least one row.
+    """
+    inner, comma, pad, _ = _layout(level)
+    row_inner, row_comma, row_pad, encode = _layout(level + 1)
+    zero = encode(rows.zero) + row_comma
+    sep = head + "[" + inner
+    for cells in rows.cells:
+        parts, done = [], 0
+        for k, value in cells:
+            parts += (zero * (k - done), encode(value), row_comma)
+            done = k + 1
+        parts.append(zero * (rows.width - done))
+        # Every cell is followed by the separator; the last one is dropped.
+        body = "".join(parts)[:-len(row_comma)]
+        write(sep + ("[" + row_inner + body + row_pad + "]" if body else "[]"))
+        sep = comma
+    write(pad + "]")
 
 
 def _emit(data: dict) -> None:
@@ -150,7 +178,7 @@ def cmd_check_gainline(args) -> int:
     H = phase.recognize_gain_line(zeta, root, ctx)
     verdict = {"gain_line": H is not None}
     if H is not None:
-        verdict["witness_phase"] = phase.phase_to_dict(H)
+        verdict["witness_phase"] = phase._phase_wire(H)
     _emit(verdict)
     return 0
 

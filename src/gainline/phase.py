@@ -8,6 +8,7 @@ relations of the right/left/two-sided diagonal actions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, CGMatrix
@@ -30,6 +31,25 @@ class PhaseContext:
     def __post_init__(self):
         require_central_weak_involution(self.group, self.s1, "s1")
         require_central_weak_involution(self.group, self.s2, "s2")
+
+
+@dataclass(frozen=True)
+class _SparseRows:
+    """An n x m grid stored as its support: row i holds ``zero`` except at
+    the (column, value) pairs of ``cells[i]``, which come in column order."""
+
+    width: int
+    zero: object
+    cells: list[list[tuple[int, object]]]
+
+    def dense(self) -> list[list]:
+        grid = []
+        for cells in self.cells:
+            row = [self.zero] * self.width
+            for k, x in cells:
+                row[k] = x
+            grid.append(row)
+        return grid
 
 
 @dataclass(frozen=True, init=False)
@@ -84,15 +104,16 @@ class GPhase:
     @property
     def rows(self) -> tuple[tuple[Element | None, ...], ...]:
         """The dense vertex-by-edge view; built on each access."""
-        return tuple(map(tuple, self._grid(None, self.ends)))
+        return tuple(map(tuple, self._sparse_rows(None, range(self.group.order)).dense()))
 
-    def _grid(self, zero, ends) -> list[list]:
-        """An n x m grid of ``zero`` with each edge's pair at its endpoints."""
-        grid = [[zero] * self.graph.m for _ in range(self.graph.n)]
-        for k, ((u, v), (a, b)) in enumerate(zip(self.graph.edges, ends)):
-            grid[u][k] = a
-            grid[v][k] = b
-        return grid
+    def _sparse_rows(self, zero, labels: Sequence) -> _SparseRows:
+        """The n x m view, ``labels[H[i,k]]`` at each incident pair and
+        ``zero`` elsewhere, kept as its 2m incident cells.  ``labels`` is
+        indexed by element; ``range(order)`` gives the elements themselves."""
+        edges, ends = self.graph.edges, self.ends
+        return _SparseRows(self.graph.m, zero, [
+            [(k, labels[ends[k][edges[k][1] == i]]) for k in incident]
+            for i, incident in enumerate(self.graph.incidence)])
 
     def entry(self, i: int, k: int) -> Element:
         if not 0 <= k < self.graph.m:
@@ -276,10 +297,14 @@ def _first_row_failure(group: FiniteGroup, i: int, row: list,
             raise InputError(f"expected structural zero at (v{i + 1}, e{k + 1})")
 
 
+def _phase_wire(H: GPhase) -> dict:
+    """The wire form of H with its ``entries`` left sparse ("0" off the
+    support): :func:`phase_to_dict` densifies them, the CLI writes them."""
+    return {"graph": graph_to_dict(H.graph), "group": group_to_dict(H.group),
+            "entries": H._sparse_rows("0", H.group.labels)}
+
+
 def phase_to_dict(H: GPhase) -> dict:
-    labels = H.group.labels
-    return {
-        "graph": graph_to_dict(H.graph),
-        "group": group_to_dict(H.group),
-        "entries": H._grid("0", [(labels[a], labels[b]) for a, b in H.ends]),
-    }
+    data = _phase_wire(H)
+    data["entries"] = data["entries"].dense()
+    return data

@@ -219,6 +219,18 @@ def test_support_holds_only_nonzero_entries():
         CGMatrix(G, {(2, 0): unit(G, "i")}, (2, 2))
 
 
+def test_entries_must_come_from_the_matrix_group():
+    G, twin = gl.quaternion8(), gl.quaternion8()
+    assert twin is not G and twin == G
+    # an equal group object is the same group; another group is refused
+    assert CGMatrix(G, [[unit(twin, "i"), unit(G, "j")]]).support[0, 0] == unit(G, "i")
+    refused = "^matrix entry from a different group$"
+    with pytest.raises(ValidationError, match=refused):
+        CGMatrix(G, [[unit(G, "i"), unit(gl.dihedral(4), "r1")]])
+    with pytest.raises(ValidationError, match=refused):
+        CGMatrix(G, {(0, 1): AlgebraElement.unit(gl.cyclic(8), 3)}, (1, 2))
+
+
 def test_sparse_products_match_dense_expansion():
     rng = random.Random(41)
     for G in small_groups():

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import gainline as gl
 from gainline.cli import _emit, main
+from gainline.phase import _SparseRows, _phase_wire
 
-from helpers import DIAMOND, PAW, q8_gain
+from helpers import DIAMOND, K2, PAW, q8_gain, random_connected_graph, random_phase
 
 PAW_GAINS = ["-i", "-j", "-k", "-i"]
 
@@ -517,3 +519,80 @@ def test_emit_streams_a_large_document(tmp_path, monkeypatch):
     # separator, key and bracket that may share its write
     row = max(len(json.dumps(r, indent=2).replace("\n", "\n" + "  " * 3)) for r in table)
     assert max(map(len, recorder.writes)) <= row + len(',\n    "table": [\n      ')
+
+
+def recognized(tmp_path, H, s2):
+    """The `check gainline` argv for psi_line(H) over H's root, and the
+    verdict the library reaches on it."""
+    G = H.group
+    ctx = gl.PhaseContext(G, G.identity, s2)
+    zeta = gl.psi_line(H, ctx)
+    witness = gl.recognize_gain_line(zeta, H.graph, ctx)
+    argv = ["check", "gainline", write(tmp_path, "zeta.json", gl.gain_to_dict(zeta)),
+            "--root", write(tmp_path, "root.json", gl.graph_to_dict(H.graph)),
+            "--s2", G.label(s2)]
+    return argv, {"gain_line": True, "witness_phase": gl.phase_to_dict(witness)}
+
+
+def test_check_gainline_prints_the_witness_of_json_dumps(tmp_path, capsys):
+    rng = random.Random(131)
+    escaped = gl.build_group({"family": "custom", "name": "Z3 \"escaped\"",
+                              "labels": ["e", 'q"\\', "\u00e9\U0001F600"],
+                              "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
+    c4 = gl.SimpleGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    assert c4.incidence[0] == (0, 3)  # v1 is on the first and the last edge
+    cases = [
+        (random_phase(rng, PAW, gl.cyclic(4)), "2"),  # the identity "0" is also the zero
+        (random_phase(rng, PAW, escaped), "e"),
+        (random_phase(rng, c4, gl.dihedral(4)), "r2"),
+        (random_phase(rng, random_connected_graph(rng, 40), gl.quaternion8()), "-1"),
+        (random_phase(rng, random_connected_graph(rng, 40), gl.dihedral(32)), "r16"),
+    ]
+    for H, s2 in cases:
+        argv, verdict = recognized(tmp_path, H, H.group.element(s2))
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), H.group
+        assert out == json.dumps(verdict, indent=2, sort_keys=True) + "\n", H.group
+    # a K2 root (m = 1) has an edgeless line graph, which no input file may
+    # hold, and an edgeless graph has empty rows: their witness rows go
+    # through the same writer from the library
+    for graph in (K2, gl.SimpleGraph(1, ())):
+        H = random_phase(rng, graph, gl.quaternion8())
+        _emit({"gain_line": True, "witness_phase": _phase_wire(H)})
+        verdict = {"gain_line": True, "witness_phase": gl.phase_to_dict(H)}
+        assert capsys.readouterr().out == json.dumps(verdict, indent=2, sort_keys=True) + "\n"
+
+
+def test_check_gainline_streams_its_witness_rows(tmp_path, monkeypatch):
+    # a 1000-vertex, 1500-edge root over Q8: the witness grid has 1.5 M cells,
+    # all but 3000 of them the structural zero, and is never built
+    rng = random.Random(137)
+    n, m = 1000, 1500
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    root = gl.SimpleGraph(n, tuple(sorted(edges)))
+    Q8 = gl.quaternion8()
+    H = gl.GPhase._from_ends(root, Q8, tuple(
+        (rng.randrange(8), rng.randrange(8)) for _ in range(m)))
+    argv, verdict = recognized(tmp_path, H, Q8.element("-1"))
+
+    def no_grid(self):
+        raise AssertionError("the dense witness grid was built")
+
+    monkeypatch.setattr(_SparseRows, "dense", no_grid)
+    recorder = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    out = "".join(recorder.writes)
+    expected = json.dumps(verdict, indent=2, sort_keys=True) + "\n"
+    same = out == expected  # not in the assert: pytest would diff 20 MB
+    assert same
+    # a row as it stands in the document, at nesting level 3, plus the
+    # separator, keys and brackets that may share its write
+    row = max(len(json.dumps(r, indent=2).replace("\n", "\n" + "  " * 3))
+              for r in verdict["witness_phase"]["entries"])
+    assert max(map(len, recorder.writes)) <= row + len(
+        ',\n  "witness_phase": {\n    "entries": [\n      ')

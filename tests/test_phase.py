@@ -112,9 +112,13 @@ def test_pair_storage_matches_dense_row_references():
                     dense = gl.GPhase(graph, G, H.rows)
                     assert dense == H and hash(dense) == hash(H)
                     assert dense.rows == H.rows and dense.ends == H.ends
-                    assert all(H.entry(i, k) == H.rows[i][k]
-                               for i, incident in enumerate(graph.incidence)
-                               for k in incident)
+                    cells = [[H.entry(i, k) if i in graph.edges[k] else None
+                              for k in range(graph.m)] for i in range(graph.n)]
+                    assert H.rows == tuple(map(tuple, cells))
+                    assert gl.phase_to_dict(H) == {
+                        "graph": gl.graph_to_dict(graph), "group": gl.group_to_dict(G),
+                        "entries": [["0" if g is None else G.labels[g] for g in row]
+                                    for row in cells]}
                     assert gl.psi(H, ctx) == reference_psi(H, ctx)
                     assert gl.psi_line(H, ctx) == reference_psi_line(H, ctx)
                     f = random_vector(rng, G, graph.n)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,16 @@ def test_hermitian_spectrum_refuses_non_finite_entries():
               [[1, -inf], [-inf, 1]], [[0, complex(0, inf)], [complex(0, -inf), 0]]):
         with pytest.raises(ValidationError, match="^matrix must have finite entries$"):
             gl.hermitian_spectrum(np.array(M))
+
+
+def test_hermitian_spectrum_refuses_a_huge_non_hermitian_matrix_without_warning():
+    # finite entries whose Hermitian deviation overflows to inf
+    for M in ([[0, -1e308], [1e308, 0]], [[0, -1e308 - 1e308j], [1e308 + 1e308j, 0]],
+              [[1e308, 0], [0, -1e308j]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^matrix is not Hermitian within tolerance$"):
+                gl.hermitian_spectrum(np.array(M))
 
 
 def test_hermitian_spectrum_of_the_empty_matrix_is_empty():
