@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import gain, graph, group, phase, representation, spectral
 from .errors import GainlineError, InputError
@@ -35,10 +36,17 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 @functools.lru_cache(maxsize=None)
 def _layout(level: int):
     """Item indentation, item separator and closing pad of a container at
-    nesting ``level``, and a C encoder whose item separator is that one."""
+    nesting ``level``, and an encoder whose item separator is that one.
+
+    The encoder is the C encoder that ``json.dumps(separators=(comma, ": "))``
+    builds on every call, built here once per level.  It keeps no markers
+    for circular references: every document the CLI writes is a tree.
+    """
     inner = "\n" + "  " * (level + 1)
     comma = "," + inner
-    return inner, comma, inner[:-2], json.JSONEncoder(separators=(comma, ": ")).encode
+    chunks = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                            None, ": ", comma, False, False, True)
+    return inner, comma, inner[:-2], lambda value: "".join(chunks(value, 0))
 
 
 def _encode(value, level: int, write, head: str = "") -> None:

@@ -8,6 +8,7 @@ graph are deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,26 +29,22 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        n, edges = self.n, tuple(self.edges)
+        if n < 1:
             raise ValidationError("graph needs at least one vertex")
-        if not self.edges and self.n > 1:
+        if not edges and n > 1:
             raise ValidationError("graph needs at least one edge")
-        seen = set()
-        norm = []
-        for e in self.edges:
-            u, v = e
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValidationError(f"edge {e} out of vertex range")
-            if u == v:
-                raise ValidationError(f"loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValidationError(f"duplicate edge {key}")
-            seen.add(key)
-            norm.append(key)
-        object.__setattr__(self, "edges", tuple(norm))
+        norm = tuple([(u, v) if u < v else (v, u) for u, v in edges])
+        if norm:
+            # A few C-level passes decide; the per-edge scan runs only to
+            # name the first bad edge.
+            lo, hi = zip(*norm)
+            if not (min(lo) >= 0 and max(hi) < n and all(map(operator.lt, lo, hi))
+                    and len(set(norm)) == len(norm)):
+                _raise_first_fault(n, edges)
+        object.__setattr__(self, "edges", norm)
         # Connected needs n - 1 edges; checked before the BFS allocates n.
-        if self.n > len(norm) + 1 or len(bfs_tree(self)[1]) != self.n:
+        if n > len(norm) + 1 or len(self._tree[1]) != n:
             raise ValidationError("graph is not connected")
 
     @property
@@ -69,6 +66,11 @@ class SimpleGraph:
         return tuple(tuple(ks) for ks in out)
 
     @cached_property
+    def _tree(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The BFS tree from vertex 0, run once; read it through :func:`bfs_tree`."""
+        return _bfs(self)
+
+    @cached_property
     def _line(self) -> "LineGraphData":
         """The line graph, built once; read it through :func:`line_graph`."""
         pairs = []
@@ -77,9 +79,11 @@ class SimpleGraph:
                 for j in ks[a + 1:]:
                     pairs.append((i, j, v))
         # Two distinct edges of a simple graph share at most one vertex, so
-        # the (i, j) pairs are distinct and sorting fixes the order.
+        # the (i, j) pairs are distinct and sorting fixes the order.  The
+        # line graph of a connected simple graph is connected and simple, so
+        # it is built without a check.
         pairs.sort()
-        return LineGraphData(SimpleGraph(self.m, tuple((i, j) for i, j, _ in pairs)),
+        return LineGraphData(_trusted(self.m, tuple((i, j) for i, j, _ in pairs)),
                              tuple(v for _, _, v in pairs))
 
     def incident_edges(self, v: int) -> list[int]:
@@ -89,20 +93,51 @@ class SimpleGraph:
         return len(self.incidence[v])
 
 
-def bfs_tree(graph: SimpleGraph) -> tuple[list[int], list[int]]:
-    """BFS from vertex 0: (parent per vertex, with the root its own parent
-    and -1 where unreached; reached vertices in visiting order)."""
+def _raise_first_fault(n: int, edges: tuple) -> None:
+    """Scan the edges in order and raise for the first one that is out of
+    range, a loop or a duplicate."""
+    seen = set()
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(f"edge {e} out of vertex range")
+        if u == v:
+            raise ValidationError(f"loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValidationError(f"duplicate edge {key}")
+        seen.add(key)
+
+
+def _trusted(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleGraph:
+    """A SimpleGraph on ``edges`` that are already known to be (min, max)
+    pairs of a connected simple graph on ``n`` vertices; nothing is checked."""
+    graph = object.__new__(SimpleGraph)
+    object.__setattr__(graph, "n", n)
+    object.__setattr__(graph, "edges", edges)
+    return graph
+
+
+def bfs_tree(graph: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """BFS from vertex 0: (parent per vertex, with the root its own parent;
+    vertices in visiting order).  Run once per graph and shared."""
+    return graph._tree
+
+
+def _bfs(graph: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The BFS behind :func:`bfs_tree`; parent is -1 where unreached."""
     parent = [-1] * graph.n
     parent[0] = 0
     order = [0]
+    edges = graph.edges
     for u in order:
         for k in graph.incidence[u]:
-            a, b = graph.edges[k]
+            a, b = edges[k]
             w = a + b - u
             if parent[w] < 0:
                 parent[w] = u
                 order.append(w)
-    return parent, order
+    return tuple(parent), tuple(order)
 
 
 @dataclass(frozen=True)

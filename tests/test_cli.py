@@ -109,6 +109,26 @@ def test_check_switch_equiv_command(tmp_path, capsys):
     assert code == 0 and json.loads(out)["equivalent"] is False
 
 
+def test_check_commands_run_one_bfs_per_graph(tmp_path, capsys, monkeypatch):
+    """Each graph read from a file is searched once, when it is checked;
+    switching_to and balance_witness reuse that tree."""
+    runs = []
+    bfs = gl.graph._bfs
+    monkeypatch.setattr(gl.graph, "_bfs", lambda graph: runs.append(graph) or bfs(graph))
+    psi = q8_gain(PAW, PAW_GAINS)
+    a = paw_gain_file(tmp_path, "a.json")
+    b = write(tmp_path, "b.json", gl.gain_to_dict(gl.switch(psi, (2, 5, 1, 0))))
+    code, out, _ = run(capsys, ["check", "switch-equiv", a, b])
+    assert code == 0 and json.loads(out)["equivalent"] is True
+    assert len(runs) == 2 and runs[0] is not runs[1]
+
+    runs.clear()
+    balanced = paw_gain_file(tmp_path, "c.json", ["1", "1", "1", "1"])
+    code, out, _ = run(capsys, ["check", "balance", balanced])
+    assert code == 0 and json.loads(out)["balanced"] is True
+    assert len(runs) == 1
+
+
 def test_check_gainline_command(tmp_path, capsys):
     ctx = gl.PhaseContext(gl.quaternion8(), gl.quaternion8().element("-1"),
                           gl.quaternion8().element("-1"))

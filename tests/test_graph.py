@@ -6,6 +6,7 @@ import pytest
 
 import gainline as gl
 from gainline.errors import InputError, ValidationError
+from gainline.graph import bfs_tree
 
 from helpers import (K2, PAW, STAR3, TRIANGLE, complete_graph,
                      random_connected_graph, reference_line_graph,
@@ -39,7 +40,7 @@ def test_shared_vertex_incident_to_both_endpoints():
             assert v in g.edges[i] and v in g.edges[j]
 
 
-def test_line_graph_matches_pairwise_reference():
+def test_line_graph_matches_pairwise_reference(monkeypatch):
     rng = random.Random(101)
     graphs = [star_graph(k) for k in (1, 2, 7, 40)]
     graphs += [complete_graph(n) for n in (2, 3, 5, 9)]
@@ -50,6 +51,21 @@ def test_line_graph_matches_pairwise_reference():
         assert data.line.n == g.m
         assert (data.line.edges, data.shared_vertex) == reference_line_graph(g)
         assert gl.line_graph(g) is data
+        # built without a check, yet equal to the checked graph on its edges
+        checked = gl.SimpleGraph(g.m, data.line.edges)
+        assert data.line == checked and hash(data.line) == hash(checked)
+        assert data.line.incidence == checked.incidence
+        assert bfs_tree(data.line) == bfs_tree(checked)
+    assert graphs[0].m == 1 and gl.line_graph(graphs[0]).line.n == 1  # K2
+
+    def refuse(self):
+        raise AssertionError("a derived line graph was checked again")
+
+    fresh = [gl.SimpleGraph(g.n, g.edges) for g in graphs]
+    with monkeypatch.context() as patch:
+        patch.setattr(gl.SimpleGraph, "__post_init__", refuse)
+        lines = [gl.line_graph(g).line for g in fresh]
+    assert lines == [gl.line_graph(g).line for g in graphs]
 
 
 def test_incidence_lists_and_degrees():
@@ -120,6 +136,46 @@ def test_rejects_loops_and_duplicates():
         gl.SimpleGraph(2, ((0, 0),))
     with pytest.raises(ValidationError):
         gl.SimpleGraph(2, ((0, 1), (1, 0)))
+
+
+#: Edge lists with several faults each, and the message that names the
+#: first one in edge order (range, then loop, then duplicate, per edge).
+FIRST_FAULTS = [
+    (3, ((0, 1), (1, 1), (3, 0), (1, 0)), "loop at vertex 1"),
+    (3, ((0, 1), (2, 5), (1, 1), (0, 1)), "edge (2, 5) out of vertex range"),
+    (3, ((0, 1), (4, 4), (2, 2)), "edge (4, 4) out of vertex range"),
+    (4, ((0, 1), (1, 2), (2, 1), (3, 3), (0, 9)), "duplicate edge (1, 2)"),
+    (4, ((1, 0), (0, 1), (2, 2), (2, 7)), "duplicate edge (0, 1)"),
+    (4, ((2, 3), (0, 1), (3, 2), (1, 0)), "duplicate edge (2, 3)"),
+    (2, ((0, 1), (0, 1), (1, 1), (0, 2)), "duplicate edge (0, 1)"),
+    (5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 4)), "loop at vertex 4"),
+    (5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)), "edge (4, 5) out of vertex range"),
+]
+
+
+@pytest.mark.parametrize("n, edges, message", FIRST_FAULTS)
+def test_first_fault_is_named_in_edge_order(n, edges, message):
+    with pytest.raises(ValidationError) as checked:
+        gl.SimpleGraph(n, edges)
+    assert str(checked.value) == message
+    # the file reader checks the same graph, 1-based on the wire
+    data = {"n": n, "edges": [[u + 1, v + 1] for u, v in edges]}
+    with pytest.raises(InputError) as read:
+        gl.graph_from_dict(data)
+    assert str(read.value) == message
+
+
+def test_bfs_tree_is_run_once_and_cannot_be_changed():
+    rng = random.Random(107)
+    g = shuffled_graph(rng, random_connected_graph(rng, 40))
+    parent, order = bfs_tree(g)
+    assert bfs_tree(g) is bfs_tree(g)
+    assert sorted(order) == list(range(g.n)) and order[0] == parent[0] == 0
+    assert all((min(v, parent[v]), max(v, parent[v])) in g.edge_index for v in order[1:])
+    # what every caller reads is the cached tree itself, so it is immutable
+    assert type(parent) is tuple and type(order) is tuple
+    with pytest.raises(TypeError):
+        parent[1] = 0
 
 
 def test_graph_file_roundtrip():
