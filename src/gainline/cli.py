@@ -58,18 +58,43 @@ def _encode(value, level: int, write, head: str = "") -> None:
     Python; everything else (a scalar, a dict key, an empty container, or a
     list whose items all have exact ``_SCALARS`` types) goes out in one call
     of the level's C encoder, whose item separator carries the indentation.
-    Each ``write`` gets at most one such piece with the separator, key or
-    bracket before it, never the whole document, so the text held at once is
-    one table row or phase row, not the 26 MB of a large witness.  Dict keys
-    must be ``str``, as in every gainline wire format.
+    A non-empty list of such lists (a table, an edge list) and a phase's
+    ``_SparseRows`` (which has a row per vertex) are written in one loop.
+    Each ``write`` gets at most one row or piece with the separator, key or
+    bracket before it, so the text held at once is never the 26 MB of a
+    large witness.  Dict keys must be ``str``, as in every gainline wire
+    format.
     """
     inner, comma, pad, encode = _layout(level)
+    sparse = isinstance(value, phase._SparseRows)
     if isinstance(value, dict) and value:
         sep = head + "{" + inner
         for key, item in sorted(value.items()):
             _encode(item, level + 1, write, sep + encode(key) + ": ")
             sep = comma
         write(pad + "}")
+    elif sparse or (isinstance(value, (list, tuple)) and value
+            and all(isinstance(row, (list, tuple)) and set(map(type, row)) <= _SCALARS
+                    for row in value)):
+        row_inner, row_comma, row_pad, row_encode = _layout(level + 1)
+        if sparse:
+            zero = row_encode(value.zero) + row_comma
+        sep = head + "[" + inner
+        for row in value.cells if sparse else value:
+            if sparse:
+                # Zero runs are string products, so a row costs O(its support)
+                # steps; every cell is followed by the separator, the last dropped.
+                parts, done = [], 0
+                for k, cell in row:
+                    parts += (zero * (k - done), row_encode(cell), row_comma)
+                    done = k + 1
+                parts.append(zero * (value.width - done))
+                body = "".join(parts)[:-len(row_comma)]
+            else:
+                body = row_encode(row)[1:-1]
+            write(sep + ("[" + row_inner + body + row_pad + "]" if body else "[]"))
+            sep = comma
+        write(pad + "]")
     elif isinstance(value, (list, tuple)) and not set(map(type, value)) <= _SCALARS:
         sep = head + "[" + inner
         for item in value:
@@ -78,36 +103,8 @@ def _encode(value, level: int, write, head: str = "") -> None:
         write(pad + "]")
     elif isinstance(value, (list, tuple)) and value:
         write(head + "[" + inner + encode(value)[1:-1] + pad + "]")
-    elif isinstance(value, phase._SparseRows):
-        _encode_sparse_rows(value, level, write, head)
     else:
         write(head + encode(value))
-
-
-def _encode_sparse_rows(rows: phase._SparseRows, level: int, write, head: str) -> None:
-    """Write ``head`` and then ``rows.dense()`` at nesting ``level`` as
-    :func:`_encode` would, without building the grid.
-
-    A row is its encoded support cells with runs of the encoded zero cell,
-    each run one string product, between them: O(n + m) Python steps for the
-    whole grid instead of one per cell.  Each row goes out in one ``write``.
-    A graph has a vertex, so there is at least one row.
-    """
-    inner, comma, pad, _ = _layout(level)
-    row_inner, row_comma, row_pad, encode = _layout(level + 1)
-    zero = encode(rows.zero) + row_comma
-    sep = head + "[" + inner
-    for cells in rows.cells:
-        parts, done = [], 0
-        for k, value in cells:
-            parts += (zero * (k - done), encode(value), row_comma)
-            done = k + 1
-        parts.append(zero * (rows.width - done))
-        # Every cell is followed by the separator; the last one is dropped.
-        body = "".join(parts)[:-len(row_comma)]
-        write(sep + ("[" + row_inner + body + row_pad + "]" if body else "[]"))
-        sep = comma
-    write(pad + "]")
 
 
 def _emit(data: dict) -> None:

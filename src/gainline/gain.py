@@ -33,14 +33,14 @@ class GainFunction:
                 raise ValidationError(f"gain index {g} out of range")
 
     def gain(self, u: int, v: int) -> Element:
-        """The gain of the oriented edge (u, v)."""
-        key = (min(u, v), max(u, v))
-        try:
-            k = self.graph.edge_index[key]
-        except KeyError:
-            raise InputError(f"vertices {u} and {v} are not adjacent")
-        g = self.forward[k]
-        return g if (u, v) == self.graph.edges[k] else self.group.invert(g)
+        """The gain of the oriented edge (u, v), found among the edges at u
+        in O(deg u)."""
+        if 0 <= u < self.graph.n:
+            for k in self.graph.incidence[u]:
+                a, b = self.graph.edges[k]
+                if a + b - u == v:
+                    return self.forward[k] if u == a else self.group.invert(self.forward[k])
+        raise InputError(f"vertices {u} and {v} are not adjacent")
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,14 @@ def switching_to(psi1: GainFunction, psi2: GainFunction) -> SwitchingFunction | 
     G = psi1.group
     # Gains are range-checked on construction, so the table is read directly.
     mul, inv = G.mult, G.inv
-    parent, order = bfs_tree(psi1.graph)
+    parent, order, via = bfs_tree(psi1.graph)
     p = [G.identity] * psi1.graph.n
     q = [G.identity] * psi1.graph.n
     for v in order[1:]:
-        u = parent[v]
-        p[v] = mul[p[u]][psi1.gain(u, v)]
-        q[v] = mul[q[u]][psi2.gain(u, v)]
+        # forward[k] is read from the lower end, so a higher parent inverts it.
+        u, k = parent[v], via[v]
+        p[v] = mul[p[u]][psi1.forward[k] if u < v else inv[psi1.forward[k]]]
+        q[v] = mul[q[u]][psi2.forward[k] if u < v else inv[psi2.forward[k]]]
     cycles = {(mul[mul[p[u]][g1]][inv[p[v]]], mul[mul[q[u]][g2]][inv[q[v]]])
               for (u, v), g1, g2 in zip(psi1.graph.edges, psi1.forward, psi2.forward)}
     for s in G.elements():

@@ -52,11 +52,6 @@ class SimpleGraph:
         return len(self.edges)
 
     @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map (min, max) endpoint pair -> edge position."""
-        return {e: k for k, e in enumerate(self.edges)}
-
-    @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, the indices of its incident edges in edge order."""
         out: list[list[int]] = [[] for _ in range(self.n)]
@@ -66,13 +61,15 @@ class SimpleGraph:
         return tuple(tuple(ks) for ks in out)
 
     @cached_property
-    def _tree(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _tree(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """The BFS tree from vertex 0, run once; read it through :func:`bfs_tree`."""
         return _bfs(self)
 
     @cached_property
     def _line(self) -> "LineGraphData":
         """The line graph, built once; read it through :func:`line_graph`."""
+        if not self.edges:  # the one-vertex graph: its line graph has no vertex
+            raise ValidationError("graph needs at least one vertex")
         pairs = []
         for v, ks in enumerate(self.incidence):
             for a, i in enumerate(ks):
@@ -118,15 +115,17 @@ def _trusted(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleGraph:
     return graph
 
 
-def bfs_tree(graph: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def bfs_tree(graph: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """BFS from vertex 0: (parent per vertex, with the root its own parent;
-    vertices in visiting order).  Run once per graph and shared."""
+    vertices in visiting order; per vertex the index of the tree edge that
+    joins it to its parent, -1 at the root).  Run once per graph and shared."""
     return graph._tree
 
 
-def _bfs(graph: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _bfs(graph: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The BFS behind :func:`bfs_tree`; parent is -1 where unreached."""
     parent = [-1] * graph.n
+    via = [-1] * graph.n
     parent[0] = 0
     order = [0]
     edges = graph.edges
@@ -136,8 +135,9 @@ def _bfs(graph: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
             w = a + b - u
             if parent[w] < 0:
                 parent[w] = u
+                via[w] = k
                 order.append(w)
-    return tuple(parent), tuple(order)
+    return tuple(parent), tuple(order), tuple(via)
 
 
 @dataclass(frozen=True)

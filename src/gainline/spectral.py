@@ -56,8 +56,6 @@ def verify_line_identity(H: GPhase, rep: UnitaryRepresentation,
     m = H.graph.m
     s2_block = np.kron(np.eye(m), rep.images[ctx.s2])
     right = s2_block @ (fh.conj().T @ fh - 2 * np.eye(k * m))
-    if left.size == 0:
-        return 0.0
     return float(np.abs(left - right).max())
 
 

@@ -419,7 +419,7 @@ def reference_switching_to(psi1: gl.GainFunction, psi2: gl.GainFunction):
     """Some f with psi2 = psi1^f by propagating f along the BFS tree from
     each seed f(0) in element order and checking every edge; oracle only."""
     G = psi1.group
-    parent, order = gl.graph.bfs_tree(psi1.graph)
+    parent, order, _ = gl.graph.bfs_tree(psi1.graph)
     for seed in G.elements():
         f = [seed] * psi1.graph.n
         for v in order[1:]:

@@ -66,6 +66,35 @@ def test_group_mismatch_raises():
         a * b
 
 
+def test_algebra_faults_are_named():
+    Q8, D4 = gl.quaternion8(), gl.dihedral(4)
+    one = unit(Q8, "1")
+    square = CGMatrix(Q8, [[one, one], [one, one]])
+    column = CGMatrix(Q8, [[one], [one], [one]])
+    other = CGMatrix(D4, [[unit(D4, "r1")] * 2] * 2)
+    cases = [
+        (lambda: AlgebraElement.unit(Q8, 8), ValidationError,
+         "element index out of range: 8"),
+        (lambda: CGMatrix(Q8, [[one], [one, one]]), ValidationError,
+         "matrix rows have inconsistent lengths"),
+        (lambda: CGMatrix(Q8, {}, (0, 1)), ValidationError,
+         "matrix must have at least one row"),
+        (lambda: square[2, 0], IndexError, "entry (2, 0) outside a 2x2 matrix"),
+        (lambda: square @ other, ValidationError, "matrix product across different groups"),
+        (lambda: square @ column, ValidationError, "dimension mismatch: 2x2 @ 3x1"),
+        (lambda: square + other, ValidationError, "matrix sum across different groups"),
+        (lambda: square + column, ValidationError, "matrix sum with mismatched shapes"),
+        (lambda: square.scalar_mul(unit(D4, "r1")), ValidationError,
+         "scalar from a different group"),
+        (lambda: square.scalar_mul(one, side="up"), ValidationError,
+         "side must be 'left' or 'right', got 'up'"),
+    ]
+    for build, kind, message in cases:
+        with pytest.raises(kind) as refused:
+            build()
+        assert str(refused.value) == message
+
+
 def test_negation_and_difference():
     Q8 = gl.quaternion8()
     i, j = unit(Q8, "i"), unit(Q8, "j")

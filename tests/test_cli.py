@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gainline as gl
+from gainline import cli
 from gainline.cli import _emit, main
 from gainline.phase import _SparseRows, _phase_wire
 
@@ -127,6 +128,28 @@ def test_check_commands_run_one_bfs_per_graph(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["check", "balance", balanced])
     assert code == 0 and json.loads(out)["balanced"] is True
     assert len(runs) == 1
+
+
+def test_check_commands_read_tree_gains_without_a_lookup(tmp_path, capsys, monkeypatch):
+    """switching_to reads each tree edge's gain from the BFS; it never looks
+    an edge up by its endpoints."""
+    def refuse(self, u, v):
+        raise AssertionError("a gain was looked up by its endpoints")
+
+    monkeypatch.setattr(gl.GainFunction, "gain", refuse)
+    psi = q8_gain(PAW, PAW_GAINS)
+    a = paw_gain_file(tmp_path, "a.json")
+    switched = gl.switch(psi, (2, 5, 1, 0))
+    b = write(tmp_path, "b.json", gl.gain_to_dict(switched))
+    code, out, _ = run(capsys, ["check", "switch-equiv", a, b])
+    witness = json.loads(out)["witness"]
+    assert code == 0 and gl.switch(psi, tuple(map(psi.group.element, witness))) == switched
+    c = paw_gain_file(tmp_path, "c.json", ["1", "1", "1", "i"])
+    code, out, _ = run(capsys, ["check", "switch-equiv", a, c])
+    assert code == 0 and json.loads(out) == {"equivalent": False}
+    for gains, balanced in ((PAW_GAINS, False), (["i", "j", "-i", "k"], True)):
+        code, out, _ = run(capsys, ["check", "balance", paw_gain_file(tmp_path, "d.json", gains)])
+        assert code == 0 and json.loads(out)["balanced"] is balanced
 
 
 def test_check_gainline_command(tmp_path, capsys):
@@ -359,6 +382,18 @@ def test_error_paths_exit_one(tmp_path, capsys):
         assert err.count("\n") == 1, data
 
 
+def test_named_faults_reach_the_cli_as_one_error_line(tmp_path, capsys):
+    twins = write(tmp_path, "twins.json", {"family": "custom", "labels": ["e", "e"],
+                                           "table": [[0, 1], [1, 0]]})
+    assert run(capsys, ["group", twins]) == (
+        1, "", "error: element labels must be unique\n")
+    # the last pair joins v2 and v3, but the fourth edge of the paw is v2-v4
+    orientation = write(tmp_path, "orient.json", [[1, 2], [2, 3], [3, 4], [2, 3]])
+    argv = ["gainline", paw_gain_file(tmp_path), "--orientation", orientation]
+    assert run(capsys, argv) == (
+        1, "", "error: oriented pair (1, 2) does not match edge (1, 3)\n")
+
+
 def test_s2_checks_agree_across_commands(tmp_path, capsys):
     # --s2 i over Q8: not a central weak involution, refused by every command
     gain_path = paw_gain_file(tmp_path)
@@ -539,6 +574,25 @@ def test_emit_streams_a_large_document(tmp_path, monkeypatch):
     # separator, key and bracket that may share its write
     row = max(len(json.dumps(r, indent=2).replace("\n", "\n" + "  " * 3)) for r in table)
     assert max(map(len, recorder.writes)) <= row + len(',\n    "table": [\n      ')
+
+
+def test_rows_of_a_list_are_written_without_a_call_each(tmp_path, capsys, monkeypatch):
+    # the edge list of a line graph is one list of rows, however many it has
+    calls = []
+    encode = cli._encode
+    monkeypatch.setattr(cli, "_encode", lambda *args: calls.append(1) or encode(*args))
+    rng = random.Random(157)
+    counts = []
+    for n in (10, 1000):
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        while len(edges) < 2 * n:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        graph = gl.SimpleGraph(n, tuple(sorted(edges)))
+        assert run(capsys, ["line", write(tmp_path, "g.json", gl.graph_to_dict(graph))])[0] == 0
+        counts.append((len(calls), gl.line_graph(graph).line.m))
+        calls.clear()
+    (small, small_rows), (large, large_rows) = counts
+    assert large_rows > 50 * small_rows and large == small
 
 
 def recognized(tmp_path, H, s2):

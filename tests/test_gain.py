@@ -8,7 +8,7 @@ from gainline.algebra import AlgebraElement
 from gainline.errors import InputError, ValidationError
 from gainline.gain import switching_diagonal
 
-from helpers import (K2, PAW, TRIANGLE, all_gains, brute_force_switching,
+from helpers import (DIAMOND, K2, PAW, TRIANGLE, all_gains, brute_force_switching,
                      perturbed, q8_gain, random_connected_graph, random_gain,
                      random_vector, reference_switching_to, small_groups)
 
@@ -134,6 +134,44 @@ def test_walk_gain_rejects_non_adjacent():
     psi = q8_gain(PAW, PAW_GAINS)
     with pytest.raises(InputError):
         gl.walk_gain(psi, [0, 2])
+
+
+def test_gain_reads_both_orientations_and_refuses_the_rest():
+    rng = random.Random(151)
+    Q8 = gl.quaternion8()
+    for graph in (PAW, DIAMOND):
+        psi = gl.GainFunction(graph, Q8, tuple(rng.randrange(8) for _ in graph.edges))
+        for (u, v), g in zip(graph.edges, psi.forward):
+            assert psi.gain(u, v) == g and psi.gain(v, u) == Q8.invert(g)
+        for u, v in ((0, 2), (0, 0), (-1, 0), (0, graph.n)):
+            with pytest.raises(InputError) as refused:
+                psi.gain(u, v)
+            assert str(refused.value) == f"vertices {u} and {v} are not adjacent"
+
+
+def test_gain_faults_are_named():
+    Q8 = gl.quaternion8()
+    psi = q8_gain(PAW, PAW_GAINS)
+    cases = [
+        (lambda: gl.GainFunction(PAW, Q8, (0, 0, 0)),
+         ValidationError, "need exactly one gain per edge"),
+        (lambda: gl.GainFunction(PAW, Q8, (0, 0, 0, 8)),
+         ValidationError, "gain index 8 out of range"),
+        (lambda: gl.constant_gain(PAW, Q8, Q8.element("i")),
+         ValidationError, "constant gain requires s with s^2 = 1"),
+        (lambda: gl.switch(psi, (0, 0, 0)),
+         ValidationError, "switching function must assign a value per vertex"),
+        (lambda: gl.walk_gain(psi, []),
+         InputError, "walk must contain at least one vertex"),
+        (lambda: gl.switching_to(psi, gl.constant_gain(DIAMOND, Q8, 0)),
+         ValidationError, "gain functions live on different graphs"),
+        (lambda: gl.switching_to(psi, gl.constant_gain(PAW, gl.cyclic(8), 0)),
+         ValidationError, "gain functions take values in different groups"),
+    ]
+    for build, kind, message in cases:
+        with pytest.raises(kind) as refused:
+            build()
+        assert str(refused.value) == message
 
 
 def test_trees_are_balanced():

@@ -32,6 +32,21 @@ def test_k2_line_graph_is_single_vertex():
     assert data.line.edges == ()
 
 
+def test_one_vertex_graph_has_no_line_graph():
+    # K1 is a graph, but its line graph would have no vertex
+    K1 = gl.SimpleGraph(1, ())
+    Q8 = gl.quaternion8()
+    ctx = gl.PhaseContext(Q8, Q8.identity, Q8.identity)
+    H = gl.incidence_phase(K1, Q8)
+    psi = gl.GainFunction(K1, Q8, ())
+    for build in (lambda: gl.line_graph(K1), lambda: gl.psi_line(H, ctx),
+                  lambda: gl.gain_line(psi, gl.default_orientation(K1), ctx),
+                  lambda: gl.reff_line_phase(H)):
+        with pytest.raises(ValidationError) as refused:
+            build()
+        assert str(refused.value) == "graph needs at least one vertex"
+
+
 def test_shared_vertex_incident_to_both_endpoints():
     for g in (PAW, STAR3, TRIANGLE):
         data = gl.line_graph(g)
@@ -165,15 +180,27 @@ def test_first_fault_is_named_in_edge_order(n, edges, message):
     assert str(read.value) == message
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: gl.SimpleGraph(2, ()), "graph needs at least one edge"),
+    (lambda: gl.Orientation(PAW, ((1, 0), (2, 1), (3, 2), (1, 2))),
+     "oriented pair (1, 2) does not match edge (1, 3)"),
+])
+def test_graph_faults_are_named(build, message):
+    with pytest.raises(ValidationError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 def test_bfs_tree_is_run_once_and_cannot_be_changed():
     rng = random.Random(107)
     g = shuffled_graph(rng, random_connected_graph(rng, 40))
-    parent, order = bfs_tree(g)
+    parent, order, via = bfs_tree(g)
     assert bfs_tree(g) is bfs_tree(g)
     assert sorted(order) == list(range(g.n)) and order[0] == parent[0] == 0
-    assert all((min(v, parent[v]), max(v, parent[v])) in g.edge_index for v in order[1:])
+    assert all((min(v, parent[v]), max(v, parent[v])) in g.edges for v in order[1:])
+    assert all(set(g.edges[via[v]]) == {v, parent[v]} for v in order[1:])
     # what every caller reads is the cached tree itself, so it is immutable
-    assert type(parent) is tuple and type(order) is tuple
+    assert type(parent) is tuple and type(order) is tuple and type(via) is tuple
     with pytest.raises(TypeError):
         parent[1] = 0
 

@@ -230,6 +230,20 @@ def test_order_cap():
                        [[(a + b) % n for b in range(n)] for a in range(n)])
 
 
+def test_group_faults_are_named():
+    cases = [
+        (lambda: gl.FiniteGroup(["e", "e"], [[0, 1], [1, 0]]), ValidationError,
+         "element labels must be unique"),
+        (lambda: gl.quaternion8().invert(8), ValidationError,
+         "element index out of range: 8"),
+        (lambda: gl.dihedral(0), InputError, "dihedral group needs n >= 1"),
+    ]
+    for build, kind, message in cases:
+        with pytest.raises(kind) as refused:
+            build()
+        assert str(refused.value) == message
+
+
 def test_unknown_label_is_input_error():
     for label in ("q", 1, None, [1]):
         with pytest.raises(InputError):

@@ -56,6 +56,43 @@ def test_phase_support_pattern_enforced():
         gl.GPhase(PAW, Q8, tuple(tuple(r) for r in bad))
 
 
+def test_phase_faults_are_named():
+    Q8 = gl.quaternion8()
+    rows = ((0, None, None, None), (0, 0, None, 0), (None, 0, 0, None), (None, None, 0, 0))
+    H = gl.GPhase(PAW, Q8, rows)
+    K2_phase = gl.incidence_phase(K2, Q8)
+    other = gl.incidence_phase(PAW, gl.cyclic(4))
+    cases = [
+        (lambda: gl.GPhase(PAW, Q8, rows[:3]), ValidationError,
+         "phase must have one row per vertex"),
+        (lambda: gl.GPhase(PAW, Q8, rows[:3] + ((None, None, 0),)), ValidationError,
+         "phase must have one column per edge"),
+        (lambda: gl.GPhase(PAW, Q8, ((None,) * 4,) + rows[1:]), ValidationError,
+         "missing entry at incident pair (v1, e1)"),
+        (lambda: gl.GPhase(PAW, Q8, ((8, None, None, None),) + rows[1:]), ValidationError,
+         "element index 8 out of range"),
+        (lambda: gl.GPhase._from_ends(K2, Q8, ((0, 8),)), ValidationError,
+         "element index 8 out of range"),
+        (lambda: gl.phase_from_orientation(q8_gain(PAW, PAW_GAINS),
+                                           gl.default_orientation(K2), q8_ctx()),
+         ValidationError, "orientation belongs to a different graph"),
+        (lambda: gl.act(H, f=(0,) * 3), ValidationError,
+         "left action vector must have one entry per vertex"),
+        (lambda: gl.act(H, g=(0,) * 3), ValidationError,
+         "right action vector must have one entry per edge"),
+        (lambda: gl.same_orbit(H, K2_phase, "r", q8_ctx()), ValidationError,
+         "phases live on different graphs or groups"),
+        (lambda: gl.same_orbit(H, H, "x", q8_ctx()), InputError,
+         "unknown orbit relation 'x'; expected r, l, lr or l_and_r"),
+        (lambda: gl.psi_line(other, q8_ctx()), ValidationError,
+         "context involutions come from a different group"),
+    ]
+    for build, kind, message in cases:
+        with pytest.raises(kind) as refused:
+            build()
+        assert str(refused.value) == message
+
+
 def test_section_matrix_matches_displayed_example():
     ctx = q8_ctx()
     Q8 = ctx.group

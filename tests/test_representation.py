@@ -41,6 +41,13 @@ def test_validation_rejects_bad_tables():
             gl.UnitaryRepresentation(Z2, images)
 
 
+def test_fourier_refuses_a_matrix_over_another_group():
+    psi = gl.constant_gain(PAW, gl.cyclic(8), 0)
+    with pytest.raises(ValidationError) as refused:
+        gl.fourier(gl.gain_adjacency(psi), gl.q8_representation(gl.quaternion8()))
+    assert str(refused.value) == "representation defined on a different group"
+
+
 def test_builtin_dispatch():
     Q8 = gl.quaternion8()
     rep = gl.builtin_representation(Q8, "q8_2dim")
