@@ -23,9 +23,10 @@ from .phase import (GPhase, PhaseContext, act, gain_line, incidence_phase,
                     same_orbit)
 from .representation import (RepresentedMatrix, Spectrum,
                              UnitaryRepresentation, builtin_representation,
-                             fourier, hermitian_spectrum, q8_representation,
-                             regular_representation,
+                             fourier, hermitian_spectrum, invariant_blocks,
+                             q8_representation, regular_representation,
                              representation_from_dict, representation_to_dict,
+                             represented_spectrum,
                              root_of_unity_representation, sign_character,
                              trivial_representation)
 from .spectral import (ObstructionVerdict, classify_s2_image,

@@ -200,8 +200,7 @@ def cmd_check_obstruction(args) -> int:
 def cmd_spectrum(args) -> int:
     psi_fn = gain.gain_from_dict(_load_json(args.file))
     rep = representation.representation_from_dict(_load_json(args.rep), psi_fn.group)
-    spec = representation.hermitian_spectrum(
-        representation.fourier(gain.gain_adjacency(psi_fn), rep))
+    spec = representation.represented_spectrum(gain.gain_adjacency(psi_fn), rep)
     groups = spec.multiplicity_groups()
     sys.stdout.write("".join(
         ["index,eigenvalue,multiplicity_group\r\n"]

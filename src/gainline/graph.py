@@ -92,17 +92,16 @@ class SimpleGraph:
 
 def _raise_first_fault(n: int, edges: tuple) -> None:
     """Scan the edges in order and raise for the first one that is out of
-    range, a loop or a duplicate."""
+    range, a loop or a duplicate, naming its vertices 1-based as files do."""
     seen = set()
-    for e in edges:
-        u, v = e
+    for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"edge {e} out of vertex range")
+            raise ValidationError(f"edge {(u + 1, v + 1)} out of vertex range")
         if u == v:
-            raise ValidationError(f"loop at vertex {u}")
+            raise ValidationError(f"loop at vertex {u + 1}")
         key = (min(u, v), max(u, v))
         if key in seen:
-            raise ValidationError(f"duplicate edge {key}")
+            raise ValidationError(f"duplicate edge {(key[0] + 1, key[1] + 1)}")
         seen.add(key)
 
 
@@ -150,10 +149,11 @@ class Orientation:
     def __post_init__(self):
         if len(self.heads) != self.graph.m:
             raise ValidationError("orientation must cover every edge exactly once")
-        for k, (t, h) in enumerate(self.heads):
-            if (min(t, h), max(t, h)) != self.graph.edges[k]:
-                raise ValidationError(
-                    f"oriented pair {(t, h)} does not match edge {self.graph.edges[k]}")
+        for (t, h), (a, b) in zip(self.heads, self.graph.edges):
+            if (min(t, h), max(t, h)) != (a, b):
+                # named 1-based, as files name vertices
+                raise ValidationError(f"oriented pair {(t + 1, h + 1)} "
+                                      f"does not match edge {(a + 1, b + 1)}")
 
     def reversed(self) -> "Orientation":
         return Orientation(self.graph, tuple((h, t) for t, h in self.heads))

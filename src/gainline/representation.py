@@ -113,36 +113,120 @@ class UnitaryRepresentation:
 
 @dataclass(frozen=True)
 class RepresentedMatrix:
-    """A complex block matrix, one degree-sized block per CG entry."""
+    """A block matrix, one degree-sized block per CG entry; real when the
+    images and the coefficients are, complex otherwise."""
 
     data: np.ndarray
     degree: int
 
 
-def fourier(A: CGMatrix, rep: UnitaryRepresentation) -> RepresentedMatrix:
-    """Blockwise Fourier transform: entry f -> sum_x f_x pi(x).
-
-    Every term c*x of every stored entry is scattered into its block in one
-    pass.  The result is real when the images and the coefficients are.
-    Refused, before anything is allocated, when a side of the result would
-    exceed ``MAX_EIG_DIM``.
-    """
-    if A.group != rep.group:
-        raise ValidationError("representation defined on a different group")
-    k = rep.degree
+def _images(A: CGMatrix, rep: UnitaryRepresentation | np.ndarray) -> np.ndarray:
+    """The images ``rep`` gives A, after the refusals that come before any
+    work on them: another group, or a represented side above ``MAX_EIG_DIM``."""
+    if isinstance(rep, UnitaryRepresentation):
+        if A.group != rep.group:
+            raise ValidationError("representation defined on a different group")
+        images = rep.images
+    else:
+        images = np.asarray(rep)
+        if images.ndim != 3 or len(images) != A.group.order:
+            raise ValidationError("images must be an (order, k, k) array of matrices")
+    k = images.shape[1]
     if max(A.rows, A.cols) * k > MAX_EIG_DIM:
         raise InputError(f"represented matrix of size {A.rows * k} x {A.cols * k} "
                          f"exceeds cap {MAX_EIG_DIM}")
+    return images
+
+
+def fourier(A: CGMatrix, rep: UnitaryRepresentation | np.ndarray) -> RepresentedMatrix:
+    """Blockwise Fourier transform: entry f -> sum_x f_x pi(x).
+
+    ``rep`` is a representation of A's group or an (order, k, k) array of
+    images, such as a block from :func:`invariant_blocks`.  Every term c*x
+    of every stored entry is scattered into its block in one pass.  The
+    result is real when the images and the coefficients are.  Refused,
+    before anything is allocated, when a side of the result would exceed
+    ``MAX_EIG_DIM``.
+    """
+    images = _images(A, rep)
+    k = images.shape[1]
     where = np.array([(i, j, g) for (i, j), entry in A.support.items()
                       for g in entry.coeffs], dtype=np.intp).reshape(-1, 3)
     coeffs = np.array([c for entry in A.support.values()
                        for c in entry.coeffs.values()], dtype=np.complex128)
-    if not np.iscomplexobj(rep.images) and not coeffs.imag.any():
+    if not np.iscomplexobj(images) and not coeffs.imag.any():
         coeffs = coeffs.real
-    blocks = coeffs[:, None, None] * rep.images[where[:, 2]]
+    blocks = coeffs[:, None, None] * images[where[:, 2]]
     out = np.zeros((A.rows, k, A.cols, k), dtype=blocks.dtype)
     np.add.at(out, (where[:, 0], slice(None), where[:, 1]), blocks)
     return RepresentedMatrix(out.reshape(A.rows * k, A.cols * k), k)
+
+
+def invariant_blocks(rep: UnitaryRepresentation) -> tuple[np.ndarray, ...]:
+    """The images of ``rep`` on certified invariant subspaces U_i, one
+    (order, d_i, d_i) array B_i(g) = U_i* pi(g) U_i per block, sum d_i = k.
+    ``(rep.images,)``, with no change of basis, when rep is irreducible or no
+    split is certified.
+
+    Finding the blocks: for a fixed-seed x (complex when the images are),
+    C = sum_g pi(g) x (pi(g) x)* commutes with every pi(h), so each
+    eigenspace of C is invariant.  ``eigh(C)`` gives Q = [U_1 ... U_r], its
+    columns cut where consecutive eigenvalues differ by more than
+    k 2^-52 ||C|| / VALIDATION_TOL.  eigh's backward error is about
+    k 2^-52 ||C||, and it turns an eigenspace by about that over its gap, so
+    a cut gap leaks little; eigenspaces closer than that stay one block.
+
+    Certifying them: the split is kept when 2 l + 3 e + 5 k rho is at most
+    VALIDATION_TOL, where rho = (k + 2) 2^-52 as in the constructor, l is the
+    largest computed ||pi(g) Q - Q B(g)||_F over g, with B(g) the block
+    diagonal of the B_i(g), and e = ||Q* Q - I||_F.  Then for every CG matrix
+    A, with s the largest coefficient mass sum_v sum_x |A_uv(x)| of a row or
+    a column, the sorted union of the eigenvalues of the Hermitian parts of
+    the fourier(A, B_i) is within VALIDATION_TOL s, term by term, of the
+    sorted eigenvalues of the Hermitian part H of M = fourier(A, rep).
+
+    Proof.  Rounding moves each entry of the two residuals by at most rho,
+    so the exact ones have norms at most l' = l + k rho and e' = e + k rho.
+    Let W = I (x) Q, and N the block matrix of the sum_x A_uv(x) B(x), a
+    permutation of the direct sum of the fourier(A, B_i).  R = MW - WN has
+    blocks sum_x A_uv(x) (pi(x) Q - Q B(x)), so ||R|| <= l' s (a block
+    matrix's norm is at most the geometric mean of its largest block row
+    and column sums of norms).  Write Q = V P with V unitary and
+    P = (Q* Q)^(1/2), so ||P - I|| <= e'; with Z = I (x) V and P' = I (x) P,
+    Z* M Z - N = P' N P'^-1 - N + Z* R P'^-1, of norm at most
+    (2 e' ||N|| + l' s) / (1 - e').  The constructor's unitarity check gives
+    ||B(x)|| <= ||Q||^2 ||pi(x)|| < 1.01, so ||N|| < 1.01 s and the norm is
+    under (2 l' + 3 e') s <= VALIDATION_TOL s.  Hermitian parts do not raise
+    it, Z* H Z has the eigenvalues of H, and by Weyl's inequality no sorted
+    eigenvalue moves by more than that norm.  On both sides alike come the
+    rounding of ``fourier`` and ``eigvalsh``, and eigvalsh reading one
+    triangle, within the deviation :func:`hermitian_spectrum` checks.
+    """
+    images, k = rep.images, rep.degree
+    if rep.irreducible:
+        return (images,)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(k)
+    if np.iscomplexobj(images):
+        x = x + 1j * rng.standard_normal(k)
+    rows = images.reshape(-1, k)  # the rows of every pi(g), in one matrix
+    orbit = (rows @ x).reshape(-1, k)  # row g is pi(g) x
+    w, Q = np.linalg.eigh(orbit.T @ orbit.conj())
+    cuts = list(np.flatnonzero(np.diff(w) > k * 2.0 ** -52 * w[-1] / VALIDATION_TOL) + 1)
+    if not cuts:
+        return (images,)
+    moved = (rows @ Q).reshape(images.shape)  # pi(g) Q
+    blocks, leak = [], np.zeros(len(images))
+    for a, b in zip([0] + cuts, cuts + [k]):
+        U, moved_U = Q[:, a:b], moved[:, :, a:b]
+        block = U.conj().T @ moved_U
+        leak += (np.abs(moved_U - U @ block) ** 2).sum(axis=(1, 2))
+        blocks.append(block)
+    e = np.linalg.norm(Q.conj().T @ Q - np.eye(k))
+    rho = (k + 2) * 2.0 ** -52
+    if 2 * np.sqrt(leak.max()) + 3 * e + 5 * k * rho > VALIDATION_TOL:
+        return (images,)
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -180,6 +264,22 @@ def hermitian_spectrum(M: RepresentedMatrix | np.ndarray) -> Spectrum:
         raise ValidationError("matrix is not Hermitian within tolerance")
     values = np.linalg.eigvalsh(data)
     return Spectrum(tuple(float(v) for v in values))
+
+
+def represented_spectrum(A: CGMatrix, rep: UnitaryRepresentation) -> Spectrum:
+    """The spectrum of fourier(A, rep), solved block by block.
+
+    The refusals of :func:`fourier` come first, before any block is found.
+    Each block of :func:`invariant_blocks` is then transformed and solved on
+    its own, and the union is sorted once: sides rows * d_i instead of
+    rows * k, within VALIDATION_TOL times the coefficient mass of A of the
+    dense solve.  An irreducible rep, or one with no certified split, is the
+    one block rep.images, whose solve is the dense one.
+    """
+    _images(A, rep)
+    return Spectrum(tuple(sorted(
+        lam for block in invariant_blocks(rep)
+        for lam in hermitian_spectrum(fourier(A, block)).eigenvalues)))
 
 
 # -- builtin representations ------------------------------------------------

@@ -11,7 +11,7 @@ from .gain import GainFunction, gain_adjacency
 from .group import require_central_weak_involution
 from .phase import GPhase, PhaseContext, psi_line
 from .representation import (UnitaryRepresentation, fourier,
-                             hermitian_spectrum)
+                             represented_spectrum)
 
 #: Slack between the exact +-2 bounds and numerical eigenvalues.
 DEFAULT_TOL = 1e-8
@@ -89,7 +89,7 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
         raise ValidationError("representation defined on a different group")
     require_central_weak_involution(zeta.group, s2, "s2")
     s2_class = classify_s2_image(rep, s2, tol)
-    spec = hermitian_spectrum(fourier(gain_adjacency(zeta), rep))
+    spec = represented_spectrum(gain_adjacency(zeta), rep)
     lo, hi = spec.eigenvalues[0], spec.eigenvalues[-1]
 
     below = lo < -2 - tol

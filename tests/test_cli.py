@@ -9,6 +9,7 @@ import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -229,9 +230,14 @@ def test_spectrum_refuses_regular_representation_of_order_512(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
-def test_spectrum_refuses_represented_matrix_above_cap(tmp_path, capsys):
+def test_spectrum_refuses_represented_matrix_above_cap(tmp_path, capsys, monkeypatch):
     # a 1000-vertex path over Z128: the regular representation is allowed, but
-    # its 128000 x 128000 represented adjacency is refused before allocation
+    # its 128000 x 128000 represented adjacency is refused before allocation,
+    # and before any invariant block is looked for
+    def no_blocks(C):
+        raise AssertionError("invariant blocks looked for before the cap")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_blocks)
     n = 1000
     data = {"graph": {"n": n, "edges": [[v, v + 1] for v in range(1, n)]},
             "group": {"family": "cyclic", "n": 128},
@@ -245,6 +251,61 @@ def test_spectrum_refuses_represented_matrix_above_cap(tmp_path, capsys):
     start = time.process_time()
     assert run(capsys, ["spectrum", gain_path, rep_path]) == (code, out, err)
     assert time.process_time() - start < 1.0
+
+
+def csv_of(spec):
+    """What csv.writer makes of a spectrum: the rows `spectrum` must print."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["index", "eigenvalue", "multiplicity_group"])
+    for i, (lam, gid) in enumerate(zip(spec.eigenvalues, spec.multiplicity_groups())):
+        writer.writerow([i, repr(lam), gid])
+    return out.getvalue()
+
+
+def test_irreducible_spectra_are_the_dense_solve_byte_for_byte(tmp_path, capsys):
+    rng = random.Random(149)
+    groups = {"trivial": gl.dihedral(4), "root_of_unity": gl.cyclic(8),
+              "sign_character": gl.dihedral(4), "q8_2dim": gl.quaternion8()}
+    for which, G in groups.items():
+        rep_data = {"builtin": which} | ({"power": 3} if which == "root_of_unity" else {})
+        rep = gl.representation_from_dict(rep_data, G)
+        assert rep.irreducible
+        rep_path = write(tmp_path, "rep.json", rep_data)
+        for _ in range(3):
+            graph = random_connected_graph(rng, 12)
+            psi = gl.GainFunction(graph, G, tuple(rng.randrange(G.order) for _ in graph.edges))
+            gain_path = write(tmp_path, "gain.json", gl.gain_to_dict(psi))
+            dense = gl.hermitian_spectrum(gl.fourier(gl.gain_adjacency(psi), rep))
+            assert run(capsys, ["spectrum", gain_path, rep_path]) == (0, csv_of(dense), "")
+            code, out, err = run(capsys, ["check", "obstruction", gain_path, "--rep", rep_path])
+            assert (code, err) == (0, "") and json.loads(out)["spectrum"] == list(dense.eigenvalues)
+
+
+def test_regular_spectrum_solves_no_side_above_a_block(tmp_path, capsys, monkeypatch):
+    # regular D32 on 16 vertices: the dense side is 16 x 64 = 1024, and no
+    # invariant block of the regular representation has degree above 4
+    rng = random.Random(151)
+    n, edges = 16, {(rng.randrange(v), v) for v in range(1, 16)}
+    while len(edges) < 32:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    D32 = gl.dihedral(32)
+    psi = gl.GainFunction(gl.SimpleGraph(n, tuple(sorted(edges))), D32,
+                          tuple(rng.randrange(64) for _ in edges))
+    gain_path = write(tmp_path, "d32.json", gl.gain_to_dict(psi))
+    rep_path = write(tmp_path, "rep.json", {"builtin": "regular"})
+    eigvalsh, sides = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M: sides.append(len(M)) or eigvalsh(M))
+    code, out, err = run(capsys, ["spectrum", gain_path, rep_path])
+    assert (code, err) == (0, "")
+    assert sum(sides) == 16 * 64 and max(sides) <= 16 * 4
+    monkeypatch.undo()
+    dense = eigvalsh(gl.fourier(gl.gain_adjacency(psi), gl.regular_representation(D32)).data)
+    values = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    # the coefficient mass of a row of the gain adjacency is the vertex degree
+    mass = max(map(len, psi.graph.incidence))
+    assert np.abs(np.array(values) - dense).max() <= 1e-9 * mass
 
 
 def test_spectrum_reads_a_huge_power_modulo_the_order(tmp_path, capsys):
@@ -391,7 +452,7 @@ def test_named_faults_reach_the_cli_as_one_error_line(tmp_path, capsys):
     orientation = write(tmp_path, "orient.json", [[1, 2], [2, 3], [3, 4], [2, 3]])
     argv = ["gainline", paw_gain_file(tmp_path), "--orientation", orientation]
     assert run(capsys, argv) == (
-        1, "", "error: oriented pair (1, 2) does not match edge (1, 3)\n")
+        1, "", "error: oriented pair (2, 3) does not match edge (2, 4)\n")
 
 
 def test_s2_checks_agree_across_commands(tmp_path, capsys):
@@ -536,14 +597,9 @@ def test_spectrum_prints_the_rows_of_csv_writer(tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
         psi = gl.gain_from_dict(gain_data)
-        spec = gl.hermitian_spectrum(gl.fourier(
-            gl.gain_adjacency(psi), gl.representation_from_dict(rep_data, psi.group)))
-        expected = io.StringIO()
-        writer = csv.writer(expected)
-        writer.writerow(["index", "eigenvalue", "multiplicity_group"])
-        for i, (lam, gid) in enumerate(zip(spec.eigenvalues, spec.multiplicity_groups())):
-            writer.writerow([i, repr(lam), gid])
-        assert out == expected.getvalue(), rep_data
+        spec = gl.represented_spectrum(
+            gl.gain_adjacency(psi), gl.representation_from_dict(rep_data, psi.group))
+        assert out == csv_of(spec), rep_data
 
 
 class WriteRecorder:

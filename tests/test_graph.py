@@ -153,22 +153,30 @@ def test_rejects_loops_and_duplicates():
         gl.SimpleGraph(2, ((0, 1), (1, 0)))
 
 
-#: Edge lists with several faults each, and the message that names the
-#: first one in edge order (range, then loop, then duplicate, per edge).
+#: Edge lists with several faults each; the first fault in edge order
+#: (range, then loop, then duplicate, per edge) named in the table's own
+#: 0-based terms, which names the case, and its message, which names the
+#: vertices 1-based as in files.
 FIRST_FAULTS = [
-    (3, ((0, 1), (1, 1), (3, 0), (1, 0)), "loop at vertex 1"),
-    (3, ((0, 1), (2, 5), (1, 1), (0, 1)), "edge (2, 5) out of vertex range"),
-    (3, ((0, 1), (4, 4), (2, 2)), "edge (4, 4) out of vertex range"),
-    (4, ((0, 1), (1, 2), (2, 1), (3, 3), (0, 9)), "duplicate edge (1, 2)"),
-    (4, ((1, 0), (0, 1), (2, 2), (2, 7)), "duplicate edge (0, 1)"),
-    (4, ((2, 3), (0, 1), (3, 2), (1, 0)), "duplicate edge (2, 3)"),
-    (2, ((0, 1), (0, 1), (1, 1), (0, 2)), "duplicate edge (0, 1)"),
-    (5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 4)), "loop at vertex 4"),
-    (5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)), "edge (4, 5) out of vertex range"),
+    (3, ((0, 1), (1, 1), (3, 0), (1, 0)), "loop at vertex 1", "loop at vertex 2"),
+    (3, ((0, 1), (2, 5), (1, 1), (0, 1)), "edge (2, 5) out of vertex range",
+     "edge (3, 6) out of vertex range"),
+    (3, ((0, 1), (4, 4), (2, 2)), "edge (4, 4) out of vertex range",
+     "edge (5, 5) out of vertex range"),
+    (4, ((0, 1), (1, 2), (2, 1), (3, 3), (0, 9)), "duplicate edge (1, 2)",
+     "duplicate edge (2, 3)"),
+    (4, ((1, 0), (0, 1), (2, 2), (2, 7)), "duplicate edge (0, 1)", "duplicate edge (1, 2)"),
+    (4, ((2, 3), (0, 1), (3, 2), (1, 0)), "duplicate edge (2, 3)", "duplicate edge (3, 4)"),
+    (2, ((0, 1), (0, 1), (1, 1), (0, 2)), "duplicate edge (0, 1)", "duplicate edge (1, 2)"),
+    (5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 4)), "loop at vertex 4", "loop at vertex 5"),
+    (5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)), "edge (4, 5) out of vertex range",
+     "edge (5, 6) out of vertex range"),
 ]
 
 
-@pytest.mark.parametrize("n, edges, message", FIRST_FAULTS)
+@pytest.mark.parametrize("n, edges, message", [
+    pytest.param(n, edges, message, id=f"{n}-edges{i}-{fault}")
+    for i, (n, edges, fault, message) in enumerate(FIRST_FAULTS)])
 def test_first_fault_is_named_in_edge_order(n, edges, message):
     with pytest.raises(ValidationError) as checked:
         gl.SimpleGraph(n, edges)
@@ -182,8 +190,10 @@ def test_first_fault_is_named_in_edge_order(n, edges, message):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: gl.SimpleGraph(2, ()), "graph needs at least one edge"),
-    (lambda: gl.Orientation(PAW, ((1, 0), (2, 1), (3, 2), (1, 2))),
-     "oriented pair (1, 2) does not match edge (1, 3)"),
+    # named, like FIRST_FAULTS, by the fault in the table's 0-based terms
+    pytest.param(lambda: gl.Orientation(PAW, ((1, 0), (2, 1), (3, 2), (1, 2))),
+                 "oriented pair (2, 3) does not match edge (2, 4)",
+                 id="<lambda>-oriented pair (1, 2) does not match edge (1, 3)"),
 ])
 def test_graph_faults_are_named(build, message):
     with pytest.raises(ValidationError) as refused:

@@ -492,3 +492,100 @@ def test_irreducibility_is_decided_from_the_character():
 def test_regular_representation_refused_above_cap():
     with pytest.raises(InputError):
         gl.regular_representation(gl.dihedral(65))
+
+
+def coefficient_mass(A):
+    """The largest sum_v sum_x |A_uv(x)| over rows and columns: the s of the
+    block-split bound in invariant_blocks."""
+    rows, cols = np.zeros(A.rows), np.zeros(A.cols)
+    for (i, j), entry in A.support.items():
+        mass = sum(abs(c) for c in entry.coeffs.values())
+        rows[i] += mass
+        cols[j] += mass
+    return max(rows.max(), cols.max())
+
+
+def assert_blocks_solve_like_the_dense_matrix(A, rep):
+    dense = np.array(gl.hermitian_spectrum(gl.fourier(A, rep)).eigenvalues)
+    got = np.array(gl.represented_spectrum(A, rep).eigenvalues)
+    assert got.shape == dense.shape
+    assert np.abs(got - dense).max() <= 1e-9 * coefficient_mass(A)
+
+
+@pytest.mark.parametrize("make", [lambda: gl.dihedral(4), gl.quaternion8,
+                                  lambda: gl.dihedral(32),
+                                  lambda: gl.direct_product(gl.quaternion8(), gl.cyclic(8))])
+def test_regular_spectrum_is_the_union_of_its_blocks(make):
+    rng = random.Random(113)
+    for G in (make(), relabeled(rng, make())):
+        rep = gl.regular_representation(G)
+        blocks = gl.invariant_blocks(rep)
+        assert len(blocks) > 1 and sum(b.shape[1] for b in blocks) == G.order
+        for block in blocks:  # each block is itself a unitary representation
+            gl.UnitaryRepresentation(G, block)
+        for n in (3, 6):
+            graph = random_connected_graph(rng, n)
+            assert_blocks_solve_like_the_dense_matrix(
+                gl.gain_adjacency(random_gain(rng, graph, G)), rep)
+
+
+def test_complex_reducible_representation_splits_into_its_summands():
+    # q8_2dim + q8_2dim in a random unitary basis
+    Q8 = gl.quaternion8()
+    gen = np.random.default_rng(127)
+    U, _ = np.linalg.qr(gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4)))
+    two = gl.q8_representation(Q8).images
+    summed = np.zeros((8, 4, 4), dtype=complex)
+    summed[:, :2, :2] = summed[:, 2:, 2:] = two
+    rep = gl.UnitaryRepresentation(Q8, U @ summed @ U.conj().T)
+    assert not rep.irreducible
+    blocks = gl.invariant_blocks(rep)
+    assert [b.shape[1:] for b in blocks] == [(2, 2), (2, 2)]
+    assert all(np.iscomplexobj(b) for b in blocks)
+    rng = random.Random(131)
+    for _ in range(5):
+        psi = random_gain(rng, random_connected_graph(rng, 8), Q8)
+        assert_blocks_solve_like_the_dense_matrix(gl.gain_adjacency(psi), rep)
+
+
+def test_irreducible_representations_are_one_block_without_a_change_of_basis():
+    reps = [rep for G in small_groups() for rep in _representations(G) if rep.irreducible]
+    reps += [gl.root_of_unity_representation(G, 3) for G in (gl.t4(), gl.cyclic(8))]
+    assert len(reps) == 13
+    for rep in reps:
+        (block,) = gl.invariant_blocks(rep)
+        assert block is rep.images
+
+
+@pytest.mark.parametrize("angle", [1e-7, None])
+def test_a_split_that_fails_its_certificate_is_one_block(monkeypatch, angle):
+    G = gl.dihedral(4)
+    rep = gl.regular_representation(G)
+    psi = random_gain(random.Random(137), DIAMOND, G)
+    eigh = np.linalg.eigh
+
+    def bad_eigh(C):
+        w, Q = eigh(C)
+        if angle is None:  # a basis that knows nothing of the representation
+            Q, _ = np.linalg.qr(np.random.default_rng(139).standard_normal(Q.shape))
+            return np.arange(len(w), dtype=float), Q
+        # the first eigenvector turned slightly towards the last one
+        c, s = np.cos(angle), np.sin(angle)
+        Q[:, [0, -1]] = Q[:, [0, -1]] @ np.array([[c, -s], [s, c]])
+        return w, Q
+
+    monkeypatch.setattr(np.linalg, "eigh", bad_eigh)
+    (block,) = gl.invariant_blocks(rep)
+    assert block is rep.images
+    A = gl.gain_adjacency(psi)
+    assert gl.represented_spectrum(A, rep) == gl.hermitian_spectrum(gl.fourier(A, rep))
+
+
+def test_fourier_takes_an_image_array_of_the_group():
+    Q8 = gl.quaternion8()
+    rep = gl.q8_representation(Q8)
+    A = gl.gain_adjacency(q8_gain(DIAMOND, DIAMOND_GAINS))
+    assert np.array_equal(gl.fourier(A, rep.images).data, gl.fourier(A, rep).data)
+    for images in (rep.images[:4], rep.images[0]):
+        with pytest.raises(ValidationError, match="must be an .order, k, k. array"):
+            gl.fourier(A, images)
