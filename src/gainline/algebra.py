@@ -144,11 +144,6 @@ class CGMatrix:
     def zeros(cls, group: FiniteGroup, rows: int, cols: int) -> "CGMatrix":
         return cls(group, {}, (rows, cols))
 
-    @classmethod
-    def identity_diagonal(cls, group: FiniteGroup, n: int) -> "CGMatrix":
-        """diag(1_G, ..., 1_G)."""
-        return group_diagonal(group, [group.identity] * n)
-
     @property
     def entries(self) -> tuple[tuple[AlgebraElement, ...], ...]:
         """The dense grid of entries, zeros included; built on each access."""

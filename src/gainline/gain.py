@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import AlgebraElement, CGMatrix, group_diagonal
+from .algebra import AlgebraElement, CGMatrix
 from .errors import InputError, ValidationError, require_fields, require_type
 from .graph import SimpleGraph, bfs_tree, graph_from_dict, graph_to_dict
 from .group import (Element, FiniteGroup, build_group, group_to_dict,
@@ -116,20 +116,6 @@ def is_balanced(psi: GainFunction) -> bool:
     return balance_witness(psi) is not None
 
 
-def antibalance_witness(psi: GainFunction) -> SwitchingFunction | None:
-    """Witness that psi is switching-equivalent to the constant -1 gain.
-
-    Only defined when the group designates an element labeled "-1".
-    """
-    try:
-        minus_one = psi.group.element("-1")
-    except InputError:
-        raise InputError(
-            f"group {psi.group.name} has no element labeled '-1'; "
-            "antibalance is undefined")
-    return switching_to(psi, constant_gain(psi.graph, psi.group, minus_one))
-
-
 def switching_to(psi1: GainFunction, psi2: GainFunction) -> SwitchingFunction | None:
     """Some f with psi2 = psi1^f, or None if the gains are not equivalent.
 
@@ -165,11 +151,6 @@ def switching_to(psi1: GainFunction, psi2: GainFunction) -> SwitchingFunction | 
 
 def switching_equivalent(psi1: GainFunction, psi2: GainFunction) -> bool:
     return switching_to(psi1, psi2) is not None
-
-
-def switching_diagonal(f: SwitchingFunction) -> CGMatrix:
-    """The diagonal matrix underline(f) used to conjugate gain matrices."""
-    return group_diagonal(f.group, f.values)
 
 
 # -- serialization ----------------------------------------------------------

@@ -21,8 +21,8 @@ from .errors import InputError, ValidationError, require_fields, require_type
 class SimpleGraph:
     """A finite, connected, simple graph.
 
-    Input graphs always carry at least one edge; the single-vertex edgeless
-    graph is allowed only so that line_graph(K2) has an image.
+    The one-vertex graph is the only graph without an edge; it is line_graph(K2),
+    and it has no line graph of its own.
     """
 
     n: int
@@ -68,8 +68,8 @@ class SimpleGraph:
     @cached_property
     def _line(self) -> "LineGraphData":
         """The line graph, built once; read it through :func:`line_graph`."""
-        if not self.edges:  # the one-vertex graph: its line graph has no vertex
-            raise ValidationError("graph needs at least one vertex")
+        if not self.edges:  # the one-vertex graph
+            raise ValidationError("a graph with no edge has no line graph")
         pairs = []
         for v, ks in enumerate(self.incidence):
             for a, i in enumerate(ks):
@@ -82,9 +82,6 @@ class SimpleGraph:
         pairs.sort()
         return LineGraphData(_trusted(self.m, tuple((i, j) for i, j, _ in pairs)),
                              tuple(v for _, _, v in pairs))
-
-    def incident_edges(self, v: int) -> list[int]:
-        return list(self.incidence[v])
 
     def degree(self, v: int) -> int:
         return len(self.incidence[v])
@@ -155,9 +152,6 @@ class Orientation:
                 raise ValidationError(f"oriented pair {(t + 1, h + 1)} "
                                       f"does not match edge {(a + 1, b + 1)}")
 
-    def reversed(self) -> "Orientation":
-        return Orientation(self.graph, tuple((h, t) for t, h in self.heads))
-
 
 def default_orientation(graph: SimpleGraph) -> Orientation:
     """Each edge oriented from its lower to its higher vertex index."""
@@ -211,8 +205,6 @@ def graph_from_dict(data: dict) -> SimpleGraph:
     n, edges = require_fields(data, "graph description", "n", "edges")
     n = require_type(n, int, "graph field 'n'")
     edges = vertex_pairs(edges, "graph field 'edges'")
-    if not edges:
-        raise InputError("input graph needs at least one edge")
     try:
         return SimpleGraph(n, edges)
     except ValidationError as exc:

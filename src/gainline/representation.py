@@ -117,7 +117,6 @@ class RepresentedMatrix:
     images and the coefficients are, complex otherwise."""
 
     data: np.ndarray
-    degree: int
 
 
 def _images(A: CGMatrix, rep: UnitaryRepresentation | np.ndarray) -> np.ndarray:
@@ -159,7 +158,7 @@ def fourier(A: CGMatrix, rep: UnitaryRepresentation | np.ndarray) -> Represented
     blocks = coeffs[:, None, None] * images[where[:, 2]]
     out = np.zeros((A.rows, k, A.cols, k), dtype=blocks.dtype)
     np.add.at(out, (where[:, 0], slice(None), where[:, 1]), blocks)
-    return RepresentedMatrix(out.reshape(A.rows * k, A.cols * k), k)
+    return RepresentedMatrix(out.reshape(A.rows * k, A.cols * k))
 
 
 def invariant_blocks(rep: UnitaryRepresentation) -> tuple[np.ndarray, ...]:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import gainline as gl
-from gainline.algebra import AlgebraElement, CGMatrix
+from gainline.algebra import AlgebraElement
 
 from helpers import (DIAMOND, PAW, STAR3, all_phases, q8_gain,
                      random_connected_graph, random_gain, random_phase,
@@ -68,7 +68,7 @@ def test_criterion_03_exact_structural_identities():
         H = random_phase(rng, graph, G)
         M = H.to_cg_matrix()
         assert M @ M.star() == gl.s_laplacian(gl.psi(H, ctx), ctx.s1)
-        rhs = CGMatrix.identity_diagonal(G, graph.m).scale(2) + \
+        rhs = gl.group_diagonal(G, [G.identity] * graph.m).scale(2) + \
             gl.gain_adjacency(gl.psi_line(H, ctx)).scalar_mul(
                 AlgebraElement.unit(G, ctx.s2), "left")
         assert M.star() @ M == rhs

@@ -119,7 +119,7 @@ def test_matmul_identity_diagonal():
     rng = random.Random(3)
     Q8 = gl.quaternion8()
     A = random_pure_matrix(rng, Q8, 3, 4)
-    I = CGMatrix.identity_diagonal(Q8, 4)
+    I = group_diagonal(Q8, [Q8.identity] * 4)
     assert A @ I == A
 
 
@@ -202,7 +202,7 @@ def test_group_diagonal_is_unitary():
     for G in small_groups():
         f = random_vector(rng, G, 4)
         F = group_diagonal(G, f)
-        assert F @ F.star() == CGMatrix.identity_diagonal(G, 4)
+        assert F @ F.star() == group_diagonal(G, [G.identity] * 4)
 
 
 def test_star_transposes_diagonal_of_inverses():

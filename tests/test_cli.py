@@ -172,6 +172,43 @@ def test_check_gainline_command(tmp_path, capsys):
     assert code == 0 and json.loads(out)["gain_line"] is False
 
 
+@pytest.mark.parametrize("graph, group, gains, s2", [
+    (K2, {"family": "quaternion8"}, ["i"], "-1"),
+    (K2, {"family": "cyclic", "n": 4}, ["1"], "2"),
+    (PAW, {"family": "quaternion8"}, PAW_GAINS, "-1"),
+    (PAW, {"family": "cyclic", "n": 4}, ["1", "2", "3", "0"], "2"),
+], ids=["K2-Q8", "K2-Z4", "paw-Q8", "paw-Z4"])
+def test_gainline_output_reads_back_into_every_command(tmp_path, capsys, graph, group,
+                                                        gains, s2):
+    # L(K2) is the one-vertex graph; the commands read it as they read any other
+    root = write(tmp_path, "root.json", gl.graph_to_dict(graph))
+    psi = write(tmp_path, "psi.json", {"graph": gl.graph_to_dict(graph),
+                                       "group": group, "gains": gains})
+    code, out, err = run(capsys, ["gainline", psi, "--s2", s2])
+    assert (code, err) == (0, "")
+    zeta_data = json.loads(out)
+    assert zeta_data["graph"]["n"] == graph.m
+    zeta = write(tmp_path, "zeta.json", zeta_data)
+    code, out, err = run(capsys, ["check", "gainline", zeta, "--root", root, "--s2", s2])
+    assert (code, err) == (0, "") and json.loads(out)["gain_line"] is True
+    code, out, err = run(capsys, ["check", "balance", zeta])
+    balanced = gl.is_balanced(gl.gain_from_dict(zeta_data))
+    assert (code, err) == (0, "") and json.loads(out)["balanced"] is balanced
+    regular = write(tmp_path, "regular.json", {"builtin": "regular"})
+    code, out, err = run(capsys, ["spectrum", zeta, regular])
+    order = gl.build_group(group).order
+    assert (code, err) == (0, "") and out.count("\r\n") == 1 + graph.m * order
+
+
+def test_graphs_without_edges_are_named(tmp_path, capsys):
+    one_vertex = write(tmp_path, "k1.json", {"n": 1, "edges": []})
+    assert run(capsys, ["line", one_vertex]) == (
+        1, "", "error: a graph with no edge has no line graph\n")
+    two_vertices = write(tmp_path, "e2.json", {"n": 2, "edges": []})
+    assert run(capsys, ["line", two_vertices]) == (
+        1, "", "error: graph needs at least one edge\n")
+
+
 def test_check_obstruction_command(tmp_path, capsys):
     zpath = paw_gain_file(tmp_path, "zeta.json",
                           ["-k", "1", "1", "1", "-j"], DIAMOND)
@@ -683,9 +720,9 @@ def test_check_gainline_prints_the_witness_of_json_dumps(tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, ""), H.group
         assert out == json.dumps(verdict, indent=2, sort_keys=True) + "\n", H.group
-    # a K2 root (m = 1) has an edgeless line graph, which no input file may
-    # hold, and an edgeless graph has empty rows: their witness rows go
-    # through the same writer from the library
+    # a K2 root (m = 1) has the one-vertex line graph, and the one-vertex
+    # graph has empty rows: their witness rows go through the same writer
+    # from the library
     for graph in (K2, gl.SimpleGraph(1, ())):
         H = random_phase(rng, graph, gl.quaternion8())
         _emit({"gain_line": True, "witness_phase": _phase_wire(H)})

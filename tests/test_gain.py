@@ -6,7 +6,6 @@ import pytest
 import gainline as gl
 from gainline.algebra import AlgebraElement
 from gainline.errors import InputError, ValidationError
-from gainline.gain import switching_diagonal
 
 from helpers import (DIAMOND, K2, PAW, TRIANGLE, all_gains, brute_force_switching,
                      perturbed, q8_gain, random_connected_graph, random_gain,
@@ -114,7 +113,7 @@ def test_switch_matches_diagonal_conjugation():
         g = random_connected_graph(rng, 6)
         psi = random_gain(rng, g, G)
         f = gl.SwitchingFunction(G, random_vector(rng, G, g.n))
-        F = switching_diagonal(f)
+        F = gl.group_diagonal(f.group, f.values)
         left = F.star() @ gl.gain_adjacency(psi) @ F
         assert left == gl.gain_adjacency(gl.switch(psi, f))
         s = gl.central_weak_involutions(G)[-1]
@@ -298,12 +297,13 @@ def test_closed_walk_gains_conjugate_under_switching():
 
 
 def test_antibalance_needs_minus_one_label():
-    Z3 = gl.cyclic(3)
+    # antibalance is switching to the constant gain labelled "-1"
     with pytest.raises(InputError):
-        gl.gain.antibalance_witness(gl.constant_gain(TRIANGLE, Z3, 0))
+        gl.cyclic(3).element("-1")
     G = gl.sign_group()
-    psi = gl.constant_gain(TRIANGLE, G, G.element("-1"))
-    assert gl.gain.antibalance_witness(psi) is not None
+    minus_one = gl.constant_gain(TRIANGLE, G, G.element("-1"))
+    assert gl.switching_to(minus_one, minus_one) is not None
+    assert gl.switching_to(gl.constant_gain(TRIANGLE, G, G.identity), minus_one) is None
 
 
 def test_gain_file_roundtrip():

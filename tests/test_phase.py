@@ -4,7 +4,7 @@ import random
 import pytest
 
 import gainline as gl
-from gainline.algebra import AlgebraElement, CGMatrix
+from gainline.algebra import AlgebraElement
 from gainline.errors import InputError, ValidationError
 
 from helpers import (K2, PAW, STAR3, all_phases, complete_graph, perturbed,
@@ -214,7 +214,7 @@ def test_lemma_identity_left():
         ctx = rng.choice(contexts_for(G))
         H = random_phase(rng, graph, G)
         M = H.to_cg_matrix()
-        two = CGMatrix.identity_diagonal(G, graph.m).scale(2)
+        two = gl.group_diagonal(G, [G.identity] * graph.m).scale(2)
         rhs = two + gl.gain_adjacency(gl.psi_line(H, ctx)).scalar_mul(
             AlgebraElement.unit(G, ctx.s2), "left")
         assert M.star() @ M == rhs
