@@ -21,9 +21,9 @@ from .phase import (GPhase, PhaseContext, act, gain_line, incidence_phase,
                     phase_from_dict, phase_from_orientation, phase_to_dict,
                     psi, psi_line, recognize_gain_line, reff_line_phase,
                     same_orbit)
-from .representation import (RepresentedMatrix, Spectrum,
-                             UnitaryRepresentation, builtin_representation,
-                             fourier, hermitian_spectrum, invariant_blocks,
+from .representation import (Spectrum, UnitaryRepresentation,
+                             builtin_representation, fourier,
+                             hermitian_spectrum, invariant_blocks,
                              q8_representation, regular_representation,
                              representation_from_dict, representation_to_dict,
                              represented_spectrum,

@@ -42,9 +42,6 @@ class AlgebraElement:
             raise ValidationError(f"element index out of range: {g}")
         return cls(group, {g: 1})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.group != other.group:
             raise ValidationError("algebra elements belong to different groups")
@@ -139,10 +136,6 @@ class CGMatrix:
         self.rows = rows
         self.cols = cols
         self.support = support
-
-    @classmethod
-    def zeros(cls, group: FiniteGroup, rows: int, cols: int) -> "CGMatrix":
-        return cls(group, {}, (rows, cols))
 
     @property
     def entries(self) -> tuple[tuple[AlgebraElement, ...], ...]:

@@ -8,7 +8,7 @@ relations of the right/left/two-sided diagonal actions.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, CGMatrix
@@ -52,6 +52,39 @@ class _SparseRows:
         return grid
 
 
+def _read_grid(graph: SimpleGraph, grid: Sequence[Sequence], zero,
+               read: Callable[[object, int, int], Element]
+               ) -> tuple[tuple[Element, Element], ...]:
+    """The ends of the phase whose dense n x m grid is ``grid``: ``zero`` at
+    every pair off the incidence pattern and ``read(x, i, k)`` of the cell x
+    at each incident pair (i, k), which returns its element or raises.
+
+    One C-level ``count`` per row decides its off-support cells; only a row
+    that fails it is scanned in column order, to name its first fault, so
+    faults are named in row-major order.
+    """
+    m = graph.m
+    if len(grid) != graph.n:
+        raise ValidationError("phase must have one row per vertex")
+    if any(len(row) != m for row in grid):
+        raise ValidationError("phase must have one column per edge")
+    H = {}
+    for i, (row, incident) in enumerate(zip(grid, graph.incidence)):
+        # Incidence decides whether a cell equal to zero is off the support
+        # or an entry (cyclic groups label their identity "0").
+        if row.count(zero) - sum(row[k] == zero for k in incident) != m - len(incident):
+            on = set(incident)
+            for k, x in enumerate(row):
+                if k in on:
+                    read(x, i, k)
+                elif x != zero:
+                    raise ValidationError(
+                        f"expected structural zero at (v{i + 1}, e{k + 1})")
+        for k in incident:
+            H[i, k] = read(row[k], i, k)
+    return tuple((H[u, k], H[v, k]) for k, (u, v) in enumerate(graph.edges))
+
+
 @dataclass(frozen=True, init=False)
 class GPhase:
     """A group element per incident (vertex, edge) pair.
@@ -67,28 +100,17 @@ class GPhase:
 
     def __init__(self, graph: SimpleGraph, group: FiniteGroup,
                  rows: tuple[tuple[Element | None, ...], ...]):
-        if len(rows) != graph.n:
-            raise ValidationError("phase must have one row per vertex")
-        m = graph.m
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise ValidationError("phase must have one column per edge")
-            incident = graph.incidence[i]
-            for k in incident:
-                if row[k] is None:
-                    raise ValidationError(
-                        f"missing entry at incident pair (v{i + 1}, e{k + 1})")
-                if not 0 <= row[k] < group.order:
-                    raise ValidationError(f"element index {row[k]} out of range")
-            # The incident entries are set, so any further non-None is misplaced.
-            if row.count(None) != m - len(incident):
-                k = next(k for k, x in enumerate(row)
-                         if x is not None and k not in incident)
+        def element(g, i: int, k: int) -> Element:
+            if g is None:
                 raise ValidationError(
-                    f"nonzero entry at non-incident pair (v{i + 1}, e{k + 1})")
+                    f"missing entry at incident pair (v{i + 1}, e{k + 1})")
+            if not 0 <= g < group.order:
+                raise ValidationError(f"element index {g} out of range")
+            return g
+
         # Frozen: each field is set once here, past the dataclass's guard.
-        vars(self).update(graph=graph, group=group, ends=tuple(
-            (rows[u][k], rows[v][k]) for k, (u, v) in enumerate(graph.edges)))
+        vars(self).update(graph=graph, group=group,
+                          ends=_read_grid(graph, rows, None, element))
 
     @classmethod
     def _from_ends(cls, graph: SimpleGraph, group: FiniteGroup,
@@ -263,38 +285,19 @@ def _shared_group(obj, ctx: PhaseContext) -> FiniteGroup:
 def phase_from_dict(data: dict) -> GPhase:
     """Parse ``{"graph": ..., "group": ..., "entries": [["i", "0", ...]]}``.
 
-    ``"0"`` marks structural zeros; the support must match the graph's
-    incidence pattern.
+    Each incident entry is an element label and every other entry is the
+    string ``"0"``, so the support matches the graph's incidence pattern.
     """
     graph, group, entries = require_fields(data, "phase description",
                                            "graph", "group", "entries")
     graph, group = graph_from_dict(graph), build_group(group)
-    if len(require_type(entries, list, "phase field 'entries'")) != graph.n or any(
-            len(require_type(row, list, "phase row")) != graph.m for row in entries):
-        raise InputError("phase entries must form an n x m array")
-    H = {}
-    for i, (row, incident) in enumerate(zip(entries, graph.incidence)):
-        # Incidence decides whether "0" is a structural zero or a label
-        # (cyclic groups label their identity "0").
-        zeros_elsewhere = row.count("0") - sum(row[k] == "0" for k in incident)
-        if zeros_elsewhere != graph.m - len(incident):
-            _first_row_failure(group, i, row, set(incident))
-        for k in incident:
-            H[i, k] = group.element(str(row[k]))
-    return GPhase._from_ends(graph, group, tuple((H[u, k], H[v, k])
-                                                 for k, (u, v) in enumerate(graph.edges)))
-
-
-def _first_row_failure(group: FiniteGroup, i: int, row: list,
-                       incident: set[int]) -> None:
-    """Scan row i in order and raise its first bad entry: an unknown label
-    at an incident pair or a non-zero elsewhere.  Returns when every
-    non-incident entry still reads as "0" (an integer 0, say)."""
-    for k, label in enumerate(row):
-        if k in incident:
-            group.element(str(label))
-        elif str(label) != "0":
-            raise InputError(f"expected structural zero at (v{i + 1}, e{k + 1})")
+    for row in require_type(entries, list, "phase field 'entries'"):
+        require_type(row, list, "phase row")
+    try:
+        ends = _read_grid(graph, entries, "0", lambda label, i, k: group.element(label))
+    except ValidationError as exc:
+        raise InputError(str(exc))
+    return GPhase._from_ends(graph, group, ends)
 
 
 def _phase_wire(H: GPhase) -> dict:

@@ -69,10 +69,7 @@ class UnitaryRepresentation:
             images = images.real
         images = np.ascontiguousarray(
             images, dtype=np.complex128 if np.iscomplexobj(images) else np.float64)
-        if images.ndim != 3 or images.shape[0] != group.order \
-                or images.shape[1] != images.shape[2] or images.shape[1] == 0:
-            raise ValidationError(
-                "images must be an (order, k, k) array of matrices")
+        _image_stack(images, group)
         if not np.isfinite(images).all():
             raise ValidationError("images must have finite entries")
         n, k, tol = group.order, images.shape[1], VALIDATION_TOL
@@ -111,25 +108,24 @@ class UnitaryRepresentation:
                 f"{'irreducible' if self.irreducible else 'reducible'})")
 
 
-@dataclass(frozen=True)
-class RepresentedMatrix:
-    """A block matrix, one degree-sized block per CG entry; real when the
-    images and the coefficients are, complex otherwise."""
-
-    data: np.ndarray
+def _image_stack(images: np.ndarray, group: FiniteGroup) -> np.ndarray:
+    """``images`` if it is an (order, k, k) array with k >= 1."""
+    if images.ndim != 3 or images.shape[0] != group.order \
+            or images.shape[1] != images.shape[2] or images.shape[1] == 0:
+        raise ValidationError("images must be an (order, k, k) array of matrices")
+    return images
 
 
 def _images(A: CGMatrix, rep: UnitaryRepresentation | np.ndarray) -> np.ndarray:
     """The images ``rep`` gives A, after the refusals that come before any
-    work on them: another group, or a represented side above ``MAX_EIG_DIM``."""
+    work on them: another group, a malformed image array, or a represented
+    side above ``MAX_EIG_DIM``."""
     if isinstance(rep, UnitaryRepresentation):
         if A.group != rep.group:
             raise ValidationError("representation defined on a different group")
         images = rep.images
     else:
-        images = np.asarray(rep)
-        if images.ndim != 3 or len(images) != A.group.order:
-            raise ValidationError("images must be an (order, k, k) array of matrices")
+        images = _image_stack(np.asarray(rep), A.group)
     k = images.shape[1]
     if max(A.rows, A.cols) * k > MAX_EIG_DIM:
         raise InputError(f"represented matrix of size {A.rows * k} x {A.cols * k} "
@@ -137,15 +133,16 @@ def _images(A: CGMatrix, rep: UnitaryRepresentation | np.ndarray) -> np.ndarray:
     return images
 
 
-def fourier(A: CGMatrix, rep: UnitaryRepresentation | np.ndarray) -> RepresentedMatrix:
+def fourier(A: CGMatrix, rep: UnitaryRepresentation | np.ndarray) -> np.ndarray:
     """Blockwise Fourier transform: entry f -> sum_x f_x pi(x).
 
     ``rep`` is a representation of A's group or an (order, k, k) array of
-    images, such as a block from :func:`invariant_blocks`.  Every term c*x
-    of every stored entry is scattered into its block in one pass.  The
-    result is real when the images and the coefficients are.  Refused,
-    before anything is allocated, when a side of the result would exceed
-    ``MAX_EIG_DIM``.
+    images with k >= 1, such as a block from :func:`invariant_blocks`.  The
+    result is the (rows k) x (cols k) block matrix, one k x k block per
+    entry of A; every term c*x of every stored entry is scattered into its
+    block in one pass.  It is real when the images and the coefficients
+    are, complex otherwise.  Refused, before anything is allocated, when a
+    side of the result would exceed ``MAX_EIG_DIM``.
     """
     images = _images(A, rep)
     k = images.shape[1]
@@ -158,7 +155,7 @@ def fourier(A: CGMatrix, rep: UnitaryRepresentation | np.ndarray) -> Represented
     blocks = coeffs[:, None, None] * images[where[:, 2]]
     out = np.zeros((A.rows, k, A.cols, k), dtype=blocks.dtype)
     np.add.at(out, (where[:, 0], slice(None), where[:, 1]), blocks)
-    return RepresentedMatrix(out.reshape(A.rows * k, A.cols * k))
+    return out.reshape(A.rows * k, A.cols * k)
 
 
 def invariant_blocks(rep: UnitaryRepresentation) -> tuple[np.ndarray, ...]:
@@ -246,10 +243,10 @@ class Spectrum:
         return ids
 
 
-def hermitian_spectrum(M: RepresentedMatrix | np.ndarray) -> Spectrum:
-    """Real eigenvalues of a finite Hermitian matrix (within
-    ``VALIDATION_TOL``), ascending."""
-    data = M.data if isinstance(M, RepresentedMatrix) else np.asarray(M)
+def hermitian_spectrum(M: np.ndarray) -> Spectrum:
+    """Real eigenvalues of a finite square array that is Hermitian within
+    ``VALIDATION_TOL``, such as a :func:`fourier` block matrix, ascending."""
+    data = np.asarray(M)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValidationError("spectrum requires a square matrix")
     if data.size == 0:

@@ -50,8 +50,8 @@ def verify_line_identity(H: GPhase, rep: UnitaryRepresentation,
     Left side: the represented adjacency of the line-graph gain of H.
     Right side: (I tensor pi(s2)) (FH* FH - 2I), assembled independently.
     """
-    left = fourier(gain_adjacency(psi_line(H, ctx)), rep).data
-    fh = fourier(H.to_cg_matrix(), rep).data
+    left = fourier(gain_adjacency(psi_line(H, ctx)), rep)
+    fh = fourier(H.to_cg_matrix(), rep)
     k = rep.degree
     m = H.graph.m
     s2_block = np.kron(np.eye(m), rep.images[ctx.s2])

@@ -88,8 +88,8 @@ def reference_phase_rows(graph: gl.SimpleGraph, group: gl.FiniteGroup, entries):
         parsed = []
         for k, label in enumerate(row):
             if i in graph.edges[k]:
-                parsed.append(group.element(str(label)))
-            elif str(label) == "0":
+                parsed.append(group.element(label))
+            elif label == "0":
                 parsed.append(None)
             else:
                 raise gl.InputError(

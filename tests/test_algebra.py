@@ -27,7 +27,7 @@ def test_pure_elements_multiply_as_in_group():
 def test_zero_absorbs():
     Q8 = gl.quaternion8()
     x = unit(Q8, "i") + unit(Q8, "j")
-    assert (x * AlgebraElement.zero(Q8)).is_zero()
+    assert not (x * AlgebraElement.zero(Q8)).coeffs
 
 
 def test_group_ring_square_in_z2():
@@ -100,7 +100,7 @@ def test_negation_and_difference():
     i, j = unit(Q8, "i"), unit(Q8, "j")
     assert -i == i.scale(-1) == AlgebraElement(Q8, {Q8.element("i"): -1})
     assert i - j == AlgebraElement(Q8, {Q8.element("i"): 1, Q8.element("j"): -1})
-    assert (i - i).is_zero() and -AlgebraElement.zero(Q8) == AlgebraElement.zero(Q8)
+    assert not (i - i).coeffs and -AlgebraElement.zero(Q8) == AlgebraElement.zero(Q8)
     with pytest.raises(ValidationError):
         i - unit(gl.sign_group(), "1")
 
@@ -226,13 +226,13 @@ def test_dense_grid_and_support_build_the_same_matrix():
         A = random_cg_matrix(rng, G, 4, 5)
         grid = [[A[i, j] for j in range(5)] for i in range(4)]
         support = {(i, j): grid[i][j] for i in range(4) for j in range(5)
-                   if not grid[i][j].is_zero()}
+                   if grid[i][j].coeffs}
         B = CGMatrix(G, support, (4, 5))
         assert CGMatrix(G, grid) == B and hash(CGMatrix(G, grid)) == hash(B)
         assert B.entries == tuple(tuple(row) for row in grid)
-        assert all(not a.is_zero() for a in A.support.values())
+        assert all(a.coeffs for a in A.support.values())
     # equal (empty) supports, different shapes
-    assert CGMatrix.zeros(G, 4, 5) != CGMatrix.zeros(G, 5, 4)
+    assert CGMatrix(G, {}, (4, 5)) != CGMatrix(G, {}, (5, 4))
 
 
 def test_support_holds_only_nonzero_entries():
@@ -243,7 +243,7 @@ def test_support_holds_only_nonzero_entries():
     assert A[1, 0] == zero and A[0, 1] == unit(G, "i")
     # entries that cancel leave the support
     assert not (A + A.scale(-1)).support
-    assert A + A.scale(-1) == CGMatrix.zeros(G, 2, 2)
+    assert A + A.scale(-1) == CGMatrix(G, {}, (2, 2))
     with pytest.raises(ValidationError):
         CGMatrix(G, {(2, 0): unit(G, "i")}, (2, 2))
 

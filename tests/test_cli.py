@@ -338,7 +338,7 @@ def test_regular_spectrum_solves_no_side_above_a_block(tmp_path, capsys, monkeyp
     assert (code, err) == (0, "")
     assert sum(sides) == 16 * 64 and max(sides) <= 16 * 4
     monkeypatch.undo()
-    dense = eigvalsh(gl.fourier(gl.gain_adjacency(psi), gl.regular_representation(D32)).data)
+    dense = eigvalsh(gl.fourier(gl.gain_adjacency(psi), gl.regular_representation(D32)))
     values = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
     # the coefficient mass of a row of the gain adjacency is the vertex degree
     mass = max(map(len, psi.graph.incidence))

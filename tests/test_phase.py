@@ -554,6 +554,74 @@ def test_phase_file_parse_matches_per_pair_reference():
             assert gl.phase_from_dict(d).rows == want
 
 
+def test_phase_file_labels_are_strings():
+    d = gl.phase_to_dict(gl.incidence_phase(K2, gl.cyclic(4)))
+    with pytest.raises(InputError) as refused:
+        gl.phase_from_dict(dict(d, entries=[[1], ["2"]]))
+    assert str(refused.value) == "unknown element label 1 in group Z4"
+
+
+def test_phase_file_structural_zero_is_the_string_zero():
+    d = gl.phase_to_dict(gl.incidence_phase(PAW, gl.cyclic(4)))
+    for zero in (0, 0.0, False):  # v1 is not on e2
+        entries = [list(row) for row in d["entries"]]
+        entries[0][1] = zero
+        with pytest.raises(InputError) as refused:
+            gl.phase_from_dict(dict(d, entries=entries))
+        assert str(refused.value) == "expected structural zero at (v1, e2)"
+
+
+def test_rows_and_files_name_the_same_first_fault():
+    # v3 is off e1 and on e2: a misplaced entry comes before a missing one
+    Q8 = gl.quaternion8()
+    H = gl.incidence_phase(PAW, Q8)
+    rows = [list(row) for row in H.rows]
+    rows[2][:2] = [0, None]
+    d = gl.phase_to_dict(H)
+    d["entries"][2][:2] = ["1", None]
+    for build, kind in ((lambda: gl.GPhase(PAW, Q8, tuple(map(tuple, rows))),
+                         ValidationError),
+                        (lambda: gl.phase_from_dict(d), InputError)):
+        with pytest.raises(kind) as refused:
+            build()
+        assert str(refused.value) == "expected structural zero at (v3, e1)"
+
+
+def test_rows_and_files_refuse_alike_in_row_major_order():
+    # element rows and label rows of one grid over Q8, whose labels have no
+    # "0": None is "0", a misplaced element its label, index 8 the label "x"
+    rng = random.Random(18)
+    Q8 = gl.quaternion8()
+    labels = dict(enumerate(Q8.labels)) | {None: "0", 8: "x"}
+    refused = 0
+    for _ in range(80):
+        graph = random_connected_graph(rng, 7)
+        rows = [list(row) for row in random_phase(rng, graph, Q8).rows]
+        for _ in range(rng.randint(0, 2)):
+            rows[rng.randrange(graph.n)][rng.randrange(graph.m)] = rng.choice([None, 3, 8])
+        d = {"graph": gl.graph_to_dict(graph), "group": gl.group_to_dict(Q8),
+             "entries": [[labels[g] for g in row] for row in rows]}
+        try:
+            want = reference_phase_rows(graph, Q8, d["entries"])
+        except InputError as exc:
+            refused += 1
+            with pytest.raises(InputError) as from_file:
+                gl.phase_from_dict(d)
+            with pytest.raises(ValidationError) as from_rows:
+                gl.GPhase(graph, Q8, tuple(map(tuple, rows)))
+            assert str(from_file.value) == str(exc)
+            if str(exc) == "unknown element label '0' in group Q8":
+                assert str(from_rows.value).startswith("missing entry at incident pair")
+            elif str(exc) == "unknown element label 'x' in group Q8":
+                assert str(from_rows.value) == "element index 8 out of range"
+            else:
+                assert str(from_rows.value) == str(exc)
+        else:
+            assert gl.phase_from_dict(d).rows == want
+            assert gl.GPhase(graph, Q8, tuple(map(tuple, rows))).rows == want
+    assert 0 < refused < 80
+
+
 def test_phase_file_rejects_non_object():
     for data in (5, [], "phase"):
         with pytest.raises(InputError, match="must be a JSON object"):
