@@ -7,10 +7,10 @@ spectral necessary conditions for being a gain-line graph.
 
 from .algebra import AlgebraElement, CGMatrix, group_diagonal
 from .errors import GainlineError, InputError, ValidationError
-from .gain import (GainFunction, SwitchingFunction, balance_witness,
-                   constant_gain, gain_adjacency, gain_from_dict, gain_to_dict,
-                   is_balanced, s_laplacian, switch, switching_equivalent,
-                   switching_to, walk_gain)
+from .gain import (GainFunction, balance_witness, constant_gain,
+                   gain_adjacency, gain_from_dict, gain_to_dict, is_balanced,
+                   s_laplacian, switch, switching_equivalent, switching_to,
+                   walk_gain)
 from .graph import (LineGraphData, Orientation, SimpleGraph,
                     classical_matrices, default_orientation, graph_from_dict,
                     graph_to_dict, incidence_matrix, line_graph)
@@ -21,12 +21,11 @@ from .phase import (GPhase, PhaseContext, act, gain_line, incidence_phase,
                     phase_from_dict, phase_from_orientation, phase_to_dict,
                     psi, psi_line, recognize_gain_line, reff_line_phase,
                     same_orbit)
-from .representation import (Spectrum, UnitaryRepresentation,
-                             builtin_representation, fourier,
-                             hermitian_spectrum, invariant_blocks,
-                             q8_representation, regular_representation,
-                             representation_from_dict, representation_to_dict,
-                             represented_spectrum,
+from .representation import (UnitaryRepresentation, builtin_representation,
+                             fourier, hermitian_spectrum, invariant_blocks,
+                             multiplicity_groups, q8_representation,
+                             regular_representation, representation_from_dict,
+                             representation_to_dict, represented_spectrum,
                              root_of_unity_representation, sign_character,
                              trivial_representation)
 from .spectral import (ObstructionVerdict, classify_s2_image,

@@ -160,7 +160,7 @@ def cmd_check_balance(args) -> int:
     witness = gain.balance_witness(psi_fn)
     verdict = {"balanced": witness is not None}
     if witness is not None:
-        verdict["witness"] = [psi_fn.group.label(v) for v in witness.values]
+        verdict["witness"] = [psi_fn.group.label(v) for v in witness]
     _emit(verdict)
     return 0
 
@@ -171,7 +171,7 @@ def cmd_check_switch_equiv(args) -> int:
     witness = gain.switching_to(psi1, psi2)
     verdict = {"equivalent": witness is not None}
     if witness is not None:
-        verdict["witness"] = [psi1.group.label(v) for v in witness.values]
+        verdict["witness"] = [psi1.group.label(v) for v in witness]
     _emit(verdict)
     return 0
 
@@ -201,11 +201,11 @@ def cmd_spectrum(args) -> int:
     psi_fn = gain.gain_from_dict(_load_json(args.file))
     rep = representation.representation_from_dict(_load_json(args.rep), psi_fn.group)
     spec = representation.represented_spectrum(gain.gain_adjacency(psi_fn), rep)
-    groups = spec.multiplicity_groups()
+    groups = representation.multiplicity_groups(spec)
     sys.stdout.write("".join(
         ["index,eigenvalue,multiplicity_group\r\n"]
         + [f"{i},{lam!r},{gid}\r\n"
-           for i, (lam, gid) in enumerate(zip(spec.eigenvalues, groups))]))
+           for i, (lam, gid) in enumerate(zip(spec, groups))]))
     return 0
 
 
@@ -247,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="exact recognition against a root graph")
     p.add_argument("file", help="gain file on the line graph")
     p.add_argument("--root", required=True, help="graph file for the root graph")
-    p.add_argument("--s1", default=None, metavar="LABEL")
+    p.add_argument("--s1", default=None, metavar="LABEL",
+                   help="checked to be a central weak involution; the verdict "
+                        "depends on --s2 only")
     p.add_argument("--s2", default=None, metavar="LABEL")
     p.set_defaults(func=cmd_check_gainline)
 

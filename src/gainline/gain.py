@@ -43,14 +43,6 @@ class GainFunction:
         raise InputError(f"vertices {u} and {v} are not adjacent")
 
 
-@dataclass(frozen=True)
-class SwitchingFunction:
-    """A group element per vertex."""
-
-    group: FiniteGroup
-    values: tuple[Element, ...]
-
-
 def constant_gain(graph: SimpleGraph, group: FiniteGroup, s: Element) -> GainFunction:
     """The constant gain s; s must be a weak involution so that it is a
     well-defined gain on unordered edges."""
@@ -83,15 +75,15 @@ def s_laplacian(psi: GainFunction, s: Element) -> CGMatrix:
     return degrees + adj
 
 
-def switch(psi: GainFunction, f: SwitchingFunction | Sequence[Element]) -> GainFunction:
-    """psi^f with psi^f(u, v) = f(u)^-1 psi(u, v) f(v)."""
-    values = f.values if isinstance(f, SwitchingFunction) else tuple(f)
-    if len(values) != psi.graph.n:
+def switch(psi: GainFunction, f: Sequence[Element]) -> GainFunction:
+    """psi^f with psi^f(u, v) = f(u)^-1 psi(u, v) f(v), for f a group
+    element per vertex."""
+    if len(f) != psi.graph.n:
         raise ValidationError("switching function must assign a value per vertex")
     G = psi.group
     out = []
     for k, (u, v) in enumerate(psi.graph.edges):
-        g = G.mul(G.invert(values[u]), G.mul(psi.forward[k], values[v]))
+        g = G.mul(G.invert(f[u]), G.mul(psi.forward[k], f[v]))
         out.append(g)
     return GainFunction(psi.graph, G, tuple(out))
 
@@ -107,8 +99,9 @@ def walk_gain(psi: GainFunction, walk: Sequence[int]) -> Element:
     return g
 
 
-def balance_witness(psi: GainFunction) -> SwitchingFunction | None:
-    """A switching function f with psi^f = 1 constant, or None."""
+def balance_witness(psi: GainFunction) -> tuple[Element, ...] | None:
+    """A switching function f, one element per vertex, with psi^f = 1
+    constant, or None."""
     return switching_to(psi, constant_gain(psi.graph, psi.group, psi.group.identity))
 
 
@@ -116,8 +109,9 @@ def is_balanced(psi: GainFunction) -> bool:
     return balance_witness(psi) is not None
 
 
-def switching_to(psi1: GainFunction, psi2: GainFunction) -> SwitchingFunction | None:
-    """Some f with psi2 = psi1^f, or None if the gains are not equivalent.
+def switching_to(psi1: GainFunction, psi2: GainFunction) -> tuple[Element, ...] | None:
+    """Some f, one element per vertex, with psi2 = psi1^f, or None if the
+    gains are not equivalent.
 
     The potentials p(v) and q(v) are the psi1 and psi2 gains along the BFS
     tree path from vertex 0, and edge (u, v) closes a cycle with gains
@@ -144,8 +138,7 @@ def switching_to(psi1: GainFunction, psi2: GainFunction) -> SwitchingFunction | 
               for (u, v), g1, g2 in zip(psi1.graph.edges, psi1.forward, psi2.forward)}
     for s in G.elements():
         if all(mul[mul[inv[s]][c1]][s] == c2 for c1, c2 in cycles):
-            return SwitchingFunction(G, tuple(mul[mul[inv[pv]][s]][qv]
-                                              for pv, qv in zip(p, q)))
+            return tuple(mul[mul[inv[pv]][s]][qv] for pv, qv in zip(p, q))
     return None
 
 

@@ -268,7 +268,10 @@ def build_group(spec: dict) -> FiniteGroup:
         return quaternion8()
     if family == "direct_product":
         left, right = require_fields(spec, "direct_product group", "left", "right")
-        return direct_product(build_group(left), build_group(right))
+        try:
+            return direct_product(build_group(left), build_group(right))
+        except RecursionError:  # deeper than the stack; the innermost level reports it
+            raise InputError("group description is nested too deeply")
     if family == "custom":
         labels, table = require_fields(spec, "custom group", "labels", "table")
         name = require_type(spec.get("name", "custom"), str, "group field 'name'")

@@ -115,10 +115,9 @@ class GPhase:
     @classmethod
     def _from_ends(cls, graph: SimpleGraph, group: FiniteGroup,
                    ends: tuple[tuple[Element, Element], ...]) -> "GPhase":
-        """The phase with the given pairs, one per edge in edge order."""
-        bad = [g for pair in ends for g in pair if not 0 <= g < group.order]
-        if bad:
-            raise ValidationError(f"element index {bad[0]} out of range")
+        """The phase with the given pairs, one per edge in edge order; every
+        caller's ends come out of the group's table or a checked reader, so
+        they are not checked again."""
         H = cls.__new__(cls)
         vars(H).update(graph=graph, group=group, ends=ends)
         return H

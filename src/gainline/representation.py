@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import CGMatrix
@@ -225,32 +223,27 @@ def invariant_blocks(rep: UnitaryRepresentation) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending real eigenvalues, with multiplicity."""
-
-    eigenvalues: tuple[float, ...]
-
-    def multiplicity_groups(self) -> list[int]:
-        """Group id per eigenvalue; consecutive values within
-        ``MULTIPLICITY_TOL`` share one."""
-        ids = []
-        current = 0
-        for i, lam in enumerate(self.eigenvalues):
-            if i > 0 and lam - self.eigenvalues[i - 1] > MULTIPLICITY_TOL:
-                current += 1
-            ids.append(current)
-        return ids
+def multiplicity_groups(eigenvalues: tuple[float, ...]) -> list[int]:
+    """Group id per ascending eigenvalue; consecutive values within
+    ``MULTIPLICITY_TOL`` share one."""
+    ids = []
+    current = 0
+    for i, lam in enumerate(eigenvalues):
+        if i > 0 and lam - eigenvalues[i - 1] > MULTIPLICITY_TOL:
+            current += 1
+        ids.append(current)
+    return ids
 
 
-def hermitian_spectrum(M: np.ndarray) -> Spectrum:
+def hermitian_spectrum(M: np.ndarray) -> tuple[float, ...]:
     """Real eigenvalues of a finite square array that is Hermitian within
-    ``VALIDATION_TOL``, such as a :func:`fourier` block matrix, ascending."""
+    ``VALIDATION_TOL``, such as a :func:`fourier` block matrix, ascending,
+    with multiplicity."""
     data = np.asarray(M)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ValidationError("spectrum requires a square matrix")
     if data.size == 0:
-        return Spectrum(())
+        return ()
     if not np.isfinite(data).all():
         raise ValidationError("matrix must have finite entries")
     # A difference of finite entries past the float range is inf, and refused.
@@ -258,12 +251,11 @@ def hermitian_spectrum(M: np.ndarray) -> Spectrum:
         deviation = np.abs(data - data.conj().T).max()
     if deviation > VALIDATION_TOL:
         raise ValidationError("matrix is not Hermitian within tolerance")
-    values = np.linalg.eigvalsh(data)
-    return Spectrum(tuple(float(v) for v in values))
+    return tuple(np.linalg.eigvalsh(data).tolist())
 
 
-def represented_spectrum(A: CGMatrix, rep: UnitaryRepresentation) -> Spectrum:
-    """The spectrum of fourier(A, rep), solved block by block.
+def represented_spectrum(A: CGMatrix, rep: UnitaryRepresentation) -> tuple[float, ...]:
+    """The ascending eigenvalues of fourier(A, rep), solved block by block.
 
     The refusals of :func:`fourier` come first, before any block is found.
     Each block of :func:`invariant_blocks` is then transformed and solved on
@@ -273,9 +265,8 @@ def represented_spectrum(A: CGMatrix, rep: UnitaryRepresentation) -> Spectrum:
     one block rep.images, whose solve is the dense one.
     """
     _images(A, rep)
-    return Spectrum(tuple(sorted(
-        lam for block in invariant_blocks(rep)
-        for lam in hermitian_spectrum(fourier(A, block)).eigenvalues)))
+    return tuple(sorted(lam for block in invariant_blocks(rep)
+                        for lam in hermitian_spectrum(fourier(A, block))))
 
 
 # -- builtin representations ------------------------------------------------

@@ -33,14 +33,8 @@ class ObstructionVerdict:
     spectrum: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "s2_class": self.s2_class,
-            "min_eig": self.min_eig,
-            "max_eig": self.max_eig,
-            "violated": self.violated,
-            "margin": self.margin,
-            "spectrum": list(self.spectrum),
-        }
+        # The fields, shared: dataclasses.asdict would deep-copy every eigenvalue.
+        return dict(vars(self))
 
 
 def verify_line_identity(H: GPhase, rep: UnitaryRepresentation,
@@ -90,7 +84,7 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
     require_central_weak_involution(zeta.group, s2, "s2")
     s2_class = classify_s2_image(rep, s2, tol)
     spec = represented_spectrum(gain_adjacency(zeta), rep)
-    lo, hi = spec.eigenvalues[0], spec.eigenvalues[-1]
+    lo, hi = spec[0], spec[-1]
 
     below = lo < -2 - tol
     above = hi > 2 + tol
@@ -106,4 +100,4 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
         violated = "cor2"
         margin = hi - 2
     return ObstructionVerdict(s2_class, float(lo), float(hi), violated,
-                              float(margin), spec.eigenvalues)
+                              float(margin), spec)

@@ -426,7 +426,7 @@ def reference_switching_to(psi1: gl.GainFunction, psi2: gl.GainFunction):
             u = parent[v]
             f[v] = G.mul(G.invert(psi1.gain(u, v)), G.mul(f[u], psi2.gain(u, v)))
         if gl.switch(psi1, f) == psi2:
-            return gl.SwitchingFunction(G, tuple(f))
+            return tuple(f)
     return None
 
 

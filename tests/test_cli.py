@@ -52,6 +52,34 @@ def test_group_command(tmp_path, capsys):
     assert gl.build_group(data["group"]) == gl.quaternion8()
 
 
+def nested_group_text(depth):
+    """A group file with direct_product nested ``depth`` levels deep, written
+    without recursion."""
+    leaf = '{"family": "cyclic", "n": 1}'
+    return ('{"family": "direct_product", "left": ' * depth + leaf
+            + (', "right": ' + leaf + "}") * depth)
+
+
+def test_deeply_nested_group_ends_in_a_verdict_or_one_error_line(tmp_path, capsys):
+    # the deepest file json.loads accepts from here, up to the recursion
+    # limit; the CLI adds frames of its own, so the depths just below it
+    # run out of stack in json.load, in build_group or not at all
+    lo, hi = 0, sys.getrecursionlimit()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            json.loads(nested_group_text(mid))
+            lo = mid
+        except RecursionError:
+            hi = mid
+    path = tmp_path / "group.json"
+    for depth in range(lo - 14, lo + 1):
+        path.write_text(nested_group_text(depth))
+        code, out, err = run(capsys, ["group", str(path)])
+        assert (code, err) == (0, "") or (
+            (code, out) == (1, "") and err.startswith("error:") and err.count("\n") == 1), depth
+
+
 def test_line_command(tmp_path, capsys):
     path = write(tmp_path, "paw.json", gl.graph_to_dict(PAW))
     code, out, _ = run(capsys, ["line", path])
@@ -170,6 +198,20 @@ def test_check_gainline_command(tmp_path, capsys):
     # wrong context: s2 defaults to the identity, so recognition fails
     code, out, _ = run(capsys, ["check", "gainline", zpath, "--root", root])
     assert code == 0 and json.loads(out)["gain_line"] is False
+
+
+def test_check_gainline_s1_is_checked_but_never_read(tmp_path, capsys):
+    # psi_L depends on s2 alone: both central weak involutions of Q8 give
+    # the same bytes, and a non-central s1 is still refused
+    ctx = gl.PhaseContext(gl.quaternion8(), 4, 4)
+    zeta = gl.gain_line(q8_gain(PAW, PAW_GAINS), gl.default_orientation(PAW), ctx)
+    argv = ["check", "gainline", write(tmp_path, "zeta.json", gl.gain_to_dict(zeta)),
+            "--root", write(tmp_path, "root.json", gl.graph_to_dict(PAW)), "--s2", "-1"]
+    plus = run(capsys, argv + ["--s1", "1"])
+    assert plus[0] == 0 and json.loads(plus[1])["gain_line"] is True and plus[2] == ""
+    assert run(capsys, argv + ["--s1", "-1"]) == plus
+    assert run(capsys, argv + ["--s1", "i"]) == (
+        1, "", "error: s1=i is not a central weak involution of Q8\n")
 
 
 @pytest.mark.parametrize("graph, group, gains, s2", [
@@ -295,7 +337,7 @@ def csv_of(spec):
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["index", "eigenvalue", "multiplicity_group"])
-    for i, (lam, gid) in enumerate(zip(spec.eigenvalues, spec.multiplicity_groups())):
+    for i, (lam, gid) in enumerate(zip(spec, gl.multiplicity_groups(spec))):
         writer.writerow([i, repr(lam), gid])
     return out.getvalue()
 
@@ -316,7 +358,7 @@ def test_irreducible_spectra_are_the_dense_solve_byte_for_byte(tmp_path, capsys)
             dense = gl.hermitian_spectrum(gl.fourier(gl.gain_adjacency(psi), rep))
             assert run(capsys, ["spectrum", gain_path, rep_path]) == (0, csv_of(dense), "")
             code, out, err = run(capsys, ["check", "obstruction", gain_path, "--rep", rep_path])
-            assert (code, err) == (0, "") and json.loads(out)["spectrum"] == list(dense.eigenvalues)
+            assert (code, err) == (0, "") and json.loads(out)["spectrum"] == list(dense)
 
 
 def test_regular_spectrum_solves_no_side_above_a_block(tmp_path, capsys, monkeypatch):

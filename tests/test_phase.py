@@ -71,8 +71,6 @@ def test_phase_faults_are_named():
          "missing entry at incident pair (v1, e1)"),
         (lambda: gl.GPhase(PAW, Q8, ((8, None, None, None),) + rows[1:]), ValidationError,
          "element index 8 out of range"),
-        (lambda: gl.GPhase._from_ends(K2, Q8, ((0, 8),)), ValidationError,
-         "element index 8 out of range"),
         (lambda: gl.phase_from_orientation(q8_gain(PAW, PAW_GAINS),
                                            gl.default_orientation(K2), q8_ctx()),
          ValidationError, "orientation belongs to a different graph"),

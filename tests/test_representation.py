@@ -197,8 +197,8 @@ def test_diamond_pi_spectrum_closed_form():
     big = 0.5 * math.sqrt(10 + 2 * math.sqrt(17))
     small = 0.5 * math.sqrt(10 - 2 * math.sqrt(17))
     expected = sorted([-big, -big, -small, -small, small, small, big, big])
-    assert np.allclose(spec.eigenvalues, expected, atol=1e-8)
-    assert spec.multiplicity_groups() == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert np.allclose(spec, expected, atol=1e-8)
+    assert gl.multiplicity_groups(spec) == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 def test_hermitian_spectrum_rejects_non_hermitian():
@@ -231,7 +231,7 @@ def test_hermitian_spectrum_refuses_a_huge_non_hermitian_matrix_without_warning(
 
 
 def test_hermitian_spectrum_of_the_empty_matrix_is_empty():
-    assert gl.hermitian_spectrum(np.zeros((0, 0))) == gl.Spectrum(())
+    assert gl.hermitian_spectrum(np.zeros((0, 0))) == ()
 
 
 def test_eigenvalues_match_residual_certified_pairs():
@@ -250,7 +250,7 @@ def test_eigenvalues_match_residual_certified_pairs():
         for idx in range(len(w)):
             residual = np.linalg.norm(M @ V[:, idx] - w[idx] * V[:, idx])
             assert residual <= 1e-9 * norm
-        assert np.allclose(spec.eigenvalues, np.sort(w), atol=1e-12)
+        assert np.allclose(spec, np.sort(w), atol=1e-12)
 
 
 def test_pi_spectrum_is_switching_invariant():
@@ -264,7 +264,7 @@ def test_pi_spectrum_is_switching_invariant():
         s1 = gl.hermitian_spectrum(gl.fourier(gl.gain_adjacency(psi), rep))
         s2 = gl.hermitian_spectrum(
             gl.fourier(gl.gain_adjacency(gl.switch(psi, f)), rep))
-        assert np.allclose(s1.eigenvalues, s2.eigenvalues, atol=1e-10)
+        assert np.allclose(s1, s2, atol=1e-10)
 
 
 def test_regular_rep_of_trivial_gain_blows_up_classical_spectrum():
@@ -275,7 +275,7 @@ def test_regular_rep_of_trivial_gain_blows_up_classical_spectrum():
         classical = np.sort(np.linalg.eigvalsh(
             gl.classical_matrices(PAW)["adjacency"].astype(float)))
         expected = np.sort(np.repeat(classical, G.order))
-        assert np.allclose(spec.eigenvalues, expected, atol=1e-10)
+        assert np.allclose(spec, expected, atol=1e-10)
 
 
 def test_validation_reports_first_failure_like_the_pairwise_loop():
@@ -350,12 +350,11 @@ def test_represented_gain_matrices_laplacian_psd_when_s_is_identity():
     rep = gl.q8_representation(G)
     psi = random_gain(rng, PAW, G)
     spec = gl.hermitian_spectrum(gl.fourier(gl.s_laplacian(psi, G.identity), rep))
-    assert spec.eigenvalues[0] >= -1e-10
+    assert spec[0] >= -1e-10
 
 
 def test_multiplicity_groups_tolerance():
-    spec = gl.Spectrum((0.0, 1e-10, 1.0, 1.0 + 1e-10, 2.0))
-    assert spec.multiplicity_groups() == [0, 0, 1, 1, 2]
+    assert gl.multiplicity_groups((0.0, 1e-10, 1.0, 1.0 + 1e-10, 2.0)) == [0, 0, 1, 1, 2]
 
 
 def test_classify_s2_image():
@@ -461,7 +460,7 @@ def test_real_driver_eigenvalues_match_complex_driver():
         psi = random_gain(rng, random_connected_graph(rng, 8), G)
         M = gl.fourier(gl.gain_adjacency(psi), rep)
         assert M.dtype == np.float64
-        got = np.array(gl.hermitian_spectrum(M).eigenvalues)
+        got = np.array(gl.hermitian_spectrum(M))
         want = np.linalg.eigvalsh(M.astype(np.complex128))
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.linalg.norm(M, 2))
 
@@ -506,8 +505,8 @@ def coefficient_mass(A):
 
 
 def assert_blocks_solve_like_the_dense_matrix(A, rep):
-    dense = np.array(gl.hermitian_spectrum(gl.fourier(A, rep)).eigenvalues)
-    got = np.array(gl.represented_spectrum(A, rep).eigenvalues)
+    dense = np.array(gl.hermitian_spectrum(gl.fourier(A, rep)))
+    got = np.array(gl.represented_spectrum(A, rep))
     assert got.shape == dense.shape
     assert np.abs(got - dense).max() <= 1e-9 * coefficient_mass(A)
 
