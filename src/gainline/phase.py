@@ -8,7 +8,7 @@ relations of the right/left/two-sided diagonal actions.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, CGMatrix
@@ -52,75 +52,61 @@ class _SparseRows:
         return grid
 
 
-def _read_grid(graph: SimpleGraph, grid: Sequence[Sequence], zero,
-               read: Callable[[object, int, int], Element]
+def _read_grid(graph: SimpleGraph, group: FiniteGroup, grid: Sequence[Sequence]
                ) -> tuple[tuple[Element, Element], ...]:
-    """The ends of the phase whose dense n x m grid is ``grid``: ``zero`` at
-    every pair off the incidence pattern and ``read(x, i, k)`` of the cell x
-    at each incident pair (i, k), which returns its element or raises.
+    """The ends of the phase-file grid ``grid``: the string "0" at every pair
+    off the incidence pattern and an element label at each incident pair.
 
     One C-level ``count`` per row decides its off-support cells; only a row
     that fails it is scanned in column order, to name its first fault, so
     faults are named in row-major order.
     """
-    m = graph.m
+    m, element = graph.m, group.element
     if len(grid) != graph.n:
-        raise ValidationError("phase must have one row per vertex")
+        raise InputError("phase must have one row per vertex")
     if any(len(row) != m for row in grid):
-        raise ValidationError("phase must have one column per edge")
+        raise InputError("phase must have one column per edge")
     H = {}
     for i, (row, incident) in enumerate(zip(grid, graph.incidence)):
-        # Incidence decides whether a cell equal to zero is off the support
-        # or an entry (cyclic groups label their identity "0").
-        if row.count(zero) - sum(row[k] == zero for k in incident) != m - len(incident):
+        # Incidence decides whether a "0" cell is off the support or an entry
+        # (cyclic groups label their identity "0").
+        if row.count("0") - sum(row[k] == "0" for k in incident) != m - len(incident):
             on = set(incident)
             for k, x in enumerate(row):
                 if k in on:
-                    read(x, i, k)
-                elif x != zero:
-                    raise ValidationError(
+                    element(x)
+                elif x != "0":
+                    raise InputError(
                         f"expected structural zero at (v{i + 1}, e{k + 1})")
         for k in incident:
-            H[i, k] = read(row[k], i, k)
+            H[i, k] = element(row[k])
     return tuple((H[u, k], H[v, k]) for k, (u, v) in enumerate(graph.edges))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class GPhase:
     """A group element per incident (vertex, edge) pair.
 
     Stored as ``ends``, per edge k = (u, v) with u < v the pair (H[u,k],
-    H[v,k]), so H[i,k] is ``ends[k][i == v]``.  Built from, and viewed as,
-    dense ``rows``: None where vertex i is not an endpoint of edge k.
+    H[v,k]), so H[i,k] is ``ends[k][i == v]``.  ``rows`` is the dense view:
+    None where vertex i is not an endpoint of edge k.
     """
 
     graph: SimpleGraph
     group: FiniteGroup
     ends: tuple[tuple[Element, Element], ...]
 
-    def __init__(self, graph: SimpleGraph, group: FiniteGroup,
-                 rows: tuple[tuple[Element | None, ...], ...]):
-        def element(g, i: int, k: int) -> Element:
-            if g is None:
-                raise ValidationError(
-                    f"missing entry at incident pair (v{i + 1}, e{k + 1})")
-            if not 0 <= g < group.order:
-                raise ValidationError(f"element index {g} out of range")
-            return g
-
-        # Frozen: each field is set once here, past the dataclass's guard.
-        vars(self).update(graph=graph, group=group,
-                          ends=_read_grid(graph, rows, None, element))
-
-    @classmethod
-    def _from_ends(cls, graph: SimpleGraph, group: FiniteGroup,
-                   ends: tuple[tuple[Element, Element], ...]) -> "GPhase":
-        """The phase with the given pairs, one per edge in edge order; every
-        caller's ends come out of the group's table or a checked reader, so
-        they are not checked again."""
-        H = cls.__new__(cls)
-        vars(H).update(graph=graph, group=group, ends=ends)
-        return H
+    def __post_init__(self):
+        if len(self.ends) != self.graph.m:
+            raise ValidationError("need exactly one pair of entries per edge")
+        n = self.group.order
+        try:  # one pass; only a pair with a fault is looked at twice
+            bad = [g for x, y in self.ends if not (0 <= x < n and 0 <= y < n)
+                   for g in (x, y) if not 0 <= g < n]
+        except (TypeError, ValueError):  # unpacking or comparing a non-pair
+            raise ValidationError("each edge needs a pair of element indices")
+        if bad:
+            raise ValidationError(f"element index {bad[0]} out of range")
 
     @property
     def rows(self) -> tuple[tuple[Element | None, ...], ...]:
@@ -154,7 +140,7 @@ class GPhase:
 
 def incidence_phase(graph: SimpleGraph, group: FiniteGroup) -> GPhase:
     """The all-identity phase, the CG analogue of the incidence matrix."""
-    return GPhase._from_ends(graph, group, ((group.identity,) * 2,) * graph.m)
+    return GPhase(graph, group, ((group.identity,) * 2,) * graph.m)
 
 
 def psi(H: GPhase, ctx: PhaseContext) -> GainFunction:
@@ -183,7 +169,7 @@ def phase_from_orientation(psi_fn: GainFunction, orientation: Orientation,
     G = _shared_group(psi_fn, ctx)
     inv, s1 = G.inv, ctx.s1
     # forward[k] is read from the lower end, so a higher tail gets its inverse.
-    return GPhase._from_ends(psi_fn.graph, G, tuple(
+    return GPhase(psi_fn.graph, G, tuple(
         (g, s1) if tail < head else (s1, inv[g])
         for (tail, head), g in zip(orientation.heads, psi_fn.forward)))
 
@@ -202,7 +188,7 @@ def act(H: GPhase, f: tuple[Element, ...] | None = None,
                      for (u, v), (a, b) in zip(H.graph.edges, ends))
     if g is not None:
         ends = tuple((G.mul(a, x), G.mul(b, x)) for (a, b), x in zip(ends, g))
-    return GPhase._from_ends(H.graph, G, ends)
+    return GPhase(H.graph, G, ends)
 
 
 def same_orbit(H1: GPhase, H2: GPhase, which: str, ctx: PhaseContext) -> bool:
@@ -243,7 +229,7 @@ def reff_line_phase(H: GPhase) -> GPhase:
     data = line_graph(H.graph)
     inv, edges, ends = G.inv, H.graph.edges, H.ends
     # Line edge (i, j) has i < j, so H[v,i]^-1 sits at its lower end.
-    return GPhase._from_ends(data.line, G, tuple(
+    return GPhase(data.line, G, tuple(
         (inv[ends[i][edges[i][1] == v]], inv[ends[j][edges[j][1] == v]])
         for (i, j), v in zip(data.line.edges, data.shared_vertex)))
 
@@ -269,7 +255,7 @@ def recognize_gain_line(zeta: GainFunction, root: SimpleGraph,
             H[v, b] = s2[g]
         elif s2[mul[inv[H[v, a]]][H[v, b]]] != g:
             return None
-    return GPhase._from_ends(root, G, tuple((H[u, k], H[v, k])
+    return GPhase(root, G, tuple((H[u, k], H[v, k])
                                             for k, (u, v) in enumerate(root.edges)))
 
 
@@ -292,11 +278,7 @@ def phase_from_dict(data: dict) -> GPhase:
     graph, group = graph_from_dict(graph), build_group(group)
     for row in require_type(entries, list, "phase field 'entries'"):
         require_type(row, list, "phase row")
-    try:
-        ends = _read_grid(graph, entries, "0", lambda label, i, k: group.element(label))
-    except ValidationError as exc:
-        raise InputError(str(exc))
-    return GPhase._from_ends(graph, group, ends)
+    return GPhase(graph, group, _read_grid(graph, group, entries))
 
 
 def _phase_wire(H: GPhase) -> dict:

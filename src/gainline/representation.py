@@ -297,15 +297,15 @@ def root_of_unity_representation(group: FiniteGroup,
 
     Requires the group to be cyclic with the table of Z_n (which covers the
     cyclic and t4 builders).  Only power mod n matters, so it is reduced
-    first: any integer power is exact.
+    first: any integer power is exact.  So is each exponent a * power, so
+    every image is one rounding of exp, with no drift from repeated powers.
     """
     n = group.order
     a = np.arange(n)
     if not (group.table == (a[:, None] + a) % n).all():
         raise InputError(
             f"group {group.name} does not carry the standard cyclic table")
-    omega = np.exp(2j * np.pi * (power % n) / n)
-    images = np.array([[[omega ** a]] for a in range(n)])
+    images = np.exp(2j * np.pi * ((power % n) * a % n) / n)[:, None, None]
     return UnitaryRepresentation(group, images)
 
 

@@ -39,7 +39,13 @@ def random_phase(rng: random.Random, graph: gl.SimpleGraph,
         for k in range(graph.m):
             row.append(rng.randrange(group.order) if i in graph.edges[k] else None)
         rows.append(tuple(row))
-    return gl.GPhase(graph, group, tuple(rows))
+    return phase_of_rows(graph, group, rows)
+
+
+def phase_of_rows(graph: gl.SimpleGraph, group: gl.FiniteGroup, rows) -> gl.GPhase:
+    """The phase whose dense vertex-by-edge view is ``rows``."""
+    return gl.GPhase(graph, group, tuple((rows[u][k], rows[v][k])
+                                         for k, (u, v) in enumerate(graph.edges)))
 
 
 def random_pure_matrix(rng: random.Random, group: gl.FiniteGroup,
@@ -107,7 +113,7 @@ def reference_phase_from_orientation(psi: gl.GainFunction,
     for k, (tail, head) in enumerate(orientation.heads):
         rows[tail][k] = psi.gain(tail, head)
         rows[head][k] = ctx.s1
-    return gl.GPhase(graph, psi.group, tuple(tuple(row) for row in rows))
+    return phase_of_rows(graph, psi.group, rows)
 
 
 def reference_psi(H: gl.GPhase, ctx: gl.PhaseContext) -> gl.GainFunction:
@@ -138,7 +144,7 @@ def reference_act(H: gl.GPhase, f=None, g=None) -> gl.GPhase:
                 rows[i][k] = G.mul(G.invert(f[i]), rows[i][k])
             if g is not None:
                 rows[i][k] = G.mul(rows[i][k], g[k])
-    return gl.GPhase(H.graph, G, tuple(tuple(row) for row in rows))
+    return phase_of_rows(H.graph, G, rows)
 
 
 def reference_reff_line_phase(H: gl.GPhase) -> gl.GPhase:
@@ -149,7 +155,7 @@ def reference_reff_line_phase(H: gl.GPhase) -> gl.GPhase:
     for pos, ((i, j), v) in enumerate(zip(data.line.edges, data.shared_vertex)):
         out[i][pos] = G.invert(rows[v][i])
         out[j][pos] = G.invert(rows[v][j])
-    return gl.GPhase(data.line, G, tuple(tuple(row) for row in out))
+    return phase_of_rows(data.line, G, out)
 
 
 def reference_to_cg_matrix(H: gl.GPhase) -> gl.CGMatrix:
@@ -173,12 +179,8 @@ def random_vector(rng: random.Random, group: gl.FiniteGroup,
 
 def all_phases(graph: gl.SimpleGraph, group: gl.FiniteGroup):
     """Every G-phase of the graph; |G|^(2m) of them, small inputs only."""
-    slots = [(i, k) for k in range(graph.m) for i in graph.edges[k]]
-    for combo in itertools.product(range(group.order), repeat=len(slots)):
-        rows: list[list[int | None]] = [[None] * graph.m for _ in range(graph.n)]
-        for (i, k), g in zip(slots, combo):
-            rows[i][k] = g
-        yield gl.GPhase(graph, group, tuple(tuple(r) for r in rows))
+    for combo in itertools.product(range(group.order), repeat=2 * graph.m):
+        yield gl.GPhase(graph, group, tuple(zip(combo[::2], combo[1::2])))
 
 
 def all_gains(graph: gl.SimpleGraph, group: gl.FiniteGroup):
@@ -447,7 +449,7 @@ def reference_recognize_gain_line(zeta: gl.GainFunction, root: gl.SimpleGraph,
             lhs = G.mul(ctx.s2, G.mul(G.invert(rows[v][a]), rows[v][b]))
             if lhs != zeta.gain(a, b):
                 return None
-    return gl.GPhase(root, G, tuple(tuple(row) for row in rows))
+    return phase_of_rows(root, G, rows)
 
 
 def perturbed(rng: random.Random, psi: gl.GainFunction) -> gl.GainFunction:

@@ -783,7 +783,7 @@ def test_check_gainline_streams_its_witness_rows(tmp_path, monkeypatch):
         edges.add((u, v))
     root = gl.SimpleGraph(n, tuple(sorted(edges)))
     Q8 = gl.quaternion8()
-    H = gl.GPhase._from_ends(root, Q8, tuple(
+    H = gl.GPhase(root, Q8, tuple(
         (rng.randrange(8), rng.randrange(8)) for _ in range(m)))
     argv, verdict = recognized(tmp_path, H, Q8.element("-1"))
 

@@ -8,7 +8,7 @@ from gainline.algebra import AlgebraElement
 from gainline.errors import InputError, ValidationError
 
 from helpers import (K2, PAW, STAR3, all_phases, complete_graph, perturbed,
-                     q8_gain, random_connected_graph, random_gain,
+                     phase_of_rows, q8_gain, random_connected_graph, random_gain,
                      random_orientation, random_phase, random_vector,
                      reference_act, reference_gain_line,
                      reference_phase_from_orientation, reference_phase_rows,
@@ -44,32 +44,20 @@ def test_context_rejects_non_involution():
 
 
 def test_phase_support_pattern_enforced():
-    Q8 = gl.quaternion8()
-    rows = [[0, None, None, None],
-            [0, 0, None, 0],
-            [None, 0, 0, None],
-            [None, None, 0, 0]]
-    gl.GPhase(PAW, Q8, tuple(tuple(r) for r in rows))  # valid
-    bad = [list(r) for r in rows]
-    bad[0][2] = 0  # v1 is not on e3
-    with pytest.raises(ValidationError):
-        gl.GPhase(PAW, Q8, tuple(tuple(r) for r in bad))
+    d = gl.phase_to_dict(gl.incidence_phase(PAW, gl.quaternion8()))
+    gl.phase_from_dict(d)  # valid
+    d["entries"][0][2] = "1"  # v1 is not on e3
+    with pytest.raises(InputError, match=r"^expected structural zero at \(v1, e3\)$"):
+        gl.phase_from_dict(d)
 
 
 def test_phase_faults_are_named():
     Q8 = gl.quaternion8()
-    rows = ((0, None, None, None), (0, 0, None, 0), (None, 0, 0, None), (None, None, 0, 0))
-    H = gl.GPhase(PAW, Q8, rows)
+    H = gl.incidence_phase(PAW, Q8)
     K2_phase = gl.incidence_phase(K2, Q8)
     other = gl.incidence_phase(PAW, gl.cyclic(4))
     cases = [
-        (lambda: gl.GPhase(PAW, Q8, rows[:3]), ValidationError,
-         "phase must have one row per vertex"),
-        (lambda: gl.GPhase(PAW, Q8, rows[:3] + ((None, None, 0),)), ValidationError,
-         "phase must have one column per edge"),
-        (lambda: gl.GPhase(PAW, Q8, ((None,) * 4,) + rows[1:]), ValidationError,
-         "missing entry at incident pair (v1, e1)"),
-        (lambda: gl.GPhase(PAW, Q8, ((8, None, None, None),) + rows[1:]), ValidationError,
+        (lambda: gl.GPhase(PAW, Q8, ((8, 0),) + H.ends[1:]), ValidationError,
          "element index 8 out of range"),
         (lambda: gl.phase_from_orientation(q8_gain(PAW, PAW_GAINS),
                                            gl.default_orientation(K2), q8_ctx()),
@@ -89,6 +77,38 @@ def test_phase_faults_are_named():
         with pytest.raises(kind) as refused:
             build()
         assert str(refused.value) == message
+
+
+def test_phase_constructor_refuses_bad_ends():
+    Q8 = gl.quaternion8()
+    ends = gl.incidence_phase(PAW, Q8).ends
+    cases = [
+        (ends[:3], "need exactly one pair of entries per edge"),
+        (ends + ((0, 0),), "need exactly one pair of entries per edge"),
+        (((0, 0, 0),) + ends[1:], "each edge needs a pair of element indices"),
+        (ends[:3] + ((0,),), "each edge needs a pair of element indices"),
+        (ends[:3] + ((0, None),), "each edge needs a pair of element indices"),
+        (ends[:2] + ((0, -1), (0, 0)), "element index -1 out of range"),
+        (ends[:3] + ((8, 0),), "element index 8 out of range"),
+        # the first bad index in edge order, lower end first
+        (((0, 9), (8, 0)) + ends[2:], "element index 9 out of range"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValidationError) as refused:
+            gl.GPhase(PAW, Q8, bad)
+        assert str(refused.value) == message
+
+
+def test_ends_file_and_rows_routes_give_one_phase():
+    rng = random.Random(20)
+    for _ in range(150):
+        G = rng.choice(small_groups() + [gl.cyclic(5)])
+        graph = shuffled_graph(rng, random_connected_graph(rng, 9))
+        H = gl.GPhase(graph, G, tuple((rng.randrange(G.order), rng.randrange(G.order))
+                                      for _ in range(graph.m)))
+        for other in (gl.phase_from_dict(gl.phase_to_dict(H)),
+                      phase_of_rows(graph, G, H.rows)):
+            assert other == H and hash(other) == hash(H) and other.ends == H.ends
 
 
 def test_section_matrix_matches_displayed_example():
@@ -143,8 +163,8 @@ def test_pair_storage_matches_dense_row_references():
                 want = reference_phase_from_orientation(psi_fn, o, ctx)
                 assert section == want and section.rows == want.rows
                 for H in (section, random_phase(rng, graph, G)):
-                    # the dense constructor and the pair path give one value
-                    dense = gl.GPhase(graph, G, H.rows)
+                    # the dense view and the pair path give one value
+                    dense = phase_of_rows(graph, G, H.rows)
                     assert dense == H and hash(dense) == hash(H)
                     assert dense.rows == H.rows and dense.ends == H.ends
                     cells = [[H.entry(i, k) if i in graph.edges[k] else None
@@ -179,7 +199,7 @@ def test_single_edge_psi_formula():
     Q8 = gl.quaternion8()
     ctx = q8_ctx("-1", "1")
     g, h = Q8.element("i"), Q8.element("j")
-    H = gl.GPhase(K2, Q8, ((g,), (h,)))
+    H = gl.GPhase(K2, Q8, ((g, h),))
     expected = Q8.mul(ctx.s1, Q8.mul(g, Q8.invert(h)))
     assert gl.psi(H, ctx).forward == (expected,)
 
@@ -295,6 +315,33 @@ def test_orbit_deciders_match_exhaustive_enumeration():
         for j, H2 in enumerate(phases):
             assert gl.same_orbit(H1, H2, "r", ctx) == ((i, j) in r_pairs)
             assert gl.same_orbit(H1, H2, "l", ctx) == ((i, j) in l_pairs)
+
+
+def test_line_switching_class_is_well_posed_exhaustive_d3():
+    # Every D3 phase on K3 and on K1,3: the switching class of psi_line(H)
+    # is a function of that of psi(H).  K3, the line graph of both, is
+    # connected with one cycle, so a switching class on it is named by the
+    # conjugacy class of the gain around 0, 1, 2, 0.  D3 has trivial center,
+    # so s1 = s2 = 1, and it does not commute, so a swapped product in psi
+    # or psi_line changes the classes.
+    D3 = gl.dihedral(3)
+    ctx = default_ctx(D3)
+    conj = [min(D3.mul(D3.mul(x, g), D3.invert(x)) for x in D3.elements())
+            for g in D3.elements()]
+
+    def cycle_class(gain):
+        return conj[gl.walk_gain(gain, [0, 1, 2, 0])]
+
+    def line_classes(graph, psi_class):
+        line_class_of = {}
+        for H in all_phases(graph, D3):
+            line = cycle_class(gl.psi_line(H, ctx))
+            assert line_class_of.setdefault(psi_class(gl.psi(H, ctx)), line) == line
+        return line_class_of
+
+    assert len(line_classes(complete_graph(3), cycle_class)) == 3  # D3's class count
+    # a tree has one switching class; its line class is the balanced one
+    assert line_classes(star_graph(3), lambda gain: None) == {None: conj[0]}
 
 
 def test_star_triangle_walk_gain_is_s2():
@@ -571,23 +618,16 @@ def test_phase_file_structural_zero_is_the_string_zero():
 
 def test_rows_and_files_name_the_same_first_fault():
     # v3 is off e1 and on e2: a misplaced entry comes before a missing one
-    Q8 = gl.quaternion8()
-    H = gl.incidence_phase(PAW, Q8)
-    rows = [list(row) for row in H.rows]
-    rows[2][:2] = [0, None]
-    d = gl.phase_to_dict(H)
+    d = gl.phase_to_dict(gl.incidence_phase(PAW, gl.quaternion8()))
     d["entries"][2][:2] = ["1", None]
-    for build, kind in ((lambda: gl.GPhase(PAW, Q8, tuple(map(tuple, rows))),
-                         ValidationError),
-                        (lambda: gl.phase_from_dict(d), InputError)):
-        with pytest.raises(kind) as refused:
-            build()
-        assert str(refused.value) == "expected structural zero at (v3, e1)"
+    with pytest.raises(InputError) as refused:
+        gl.phase_from_dict(d)
+    assert str(refused.value) == "expected structural zero at (v3, e1)"
 
 
 def test_rows_and_files_refuse_alike_in_row_major_order():
-    # element rows and label rows of one grid over Q8, whose labels have no
-    # "0": None is "0", a misplaced element its label, index 8 the label "x"
+    # label rows of an element grid over Q8, whose labels have no "0": None
+    # is "0", a misplaced element its label, index 8 the label "x"
     rng = random.Random(18)
     Q8 = gl.quaternion8()
     labels = dict(enumerate(Q8.labels)) | {None: "0", 8: "x"}
@@ -605,18 +645,10 @@ def test_rows_and_files_refuse_alike_in_row_major_order():
             refused += 1
             with pytest.raises(InputError) as from_file:
                 gl.phase_from_dict(d)
-            with pytest.raises(ValidationError) as from_rows:
-                gl.GPhase(graph, Q8, tuple(map(tuple, rows)))
             assert str(from_file.value) == str(exc)
-            if str(exc) == "unknown element label '0' in group Q8":
-                assert str(from_rows.value).startswith("missing entry at incident pair")
-            elif str(exc) == "unknown element label 'x' in group Q8":
-                assert str(from_rows.value) == "element index 8 out of range"
-            else:
-                assert str(from_rows.value) == str(exc)
         else:
             assert gl.phase_from_dict(d).rows == want
-            assert gl.GPhase(graph, Q8, tuple(map(tuple, rows))).rows == want
+            assert phase_of_rows(graph, Q8, rows).rows == want
     assert 0 < refused < 80
 
 
