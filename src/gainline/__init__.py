@@ -8,9 +8,8 @@ spectral necessary conditions for being a gain-line graph.
 from .algebra import AlgebraElement, CGMatrix, group_diagonal
 from .errors import GainlineError, InputError, ValidationError
 from .gain import (GainFunction, balance_witness, constant_gain,
-                   gain_adjacency, gain_from_dict, gain_to_dict, is_balanced,
-                   s_laplacian, switch, switching_equivalent, switching_to,
-                   walk_gain)
+                   gain_adjacency, gain_from_dict, gain_to_dict, s_laplacian,
+                   switch, switching_to, walk_gain)
 from .graph import (LineGraphData, Orientation, SimpleGraph,
                     classical_matrices, default_orientation, graph_from_dict,
                     graph_to_dict, incidence_matrix, line_graph)

@@ -12,7 +12,7 @@ and the star involution walk the support and never the full grid.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import ValidationError
 from .group import Element, FiniteGroup
@@ -30,10 +30,6 @@ class AlgebraElement:
     def __init__(self, group: FiniteGroup, coeffs: dict[Element, complex]):
         self.group = group
         self.coeffs = {g: complex(c) for g, c in coeffs.items() if c != 0}
-
-    @classmethod
-    def zero(cls, group: FiniteGroup) -> "AlgebraElement":
-        return cls(group, {})
 
     @classmethod
     def unit(cls, group: FiniteGroup, g: Element) -> "AlgebraElement":
@@ -69,9 +65,6 @@ class AlgebraElement:
                 coeffs[g] = coeffs.get(g, 0) + fx * hy
         return AlgebraElement(self.group, coeffs)
 
-    def scale(self, scalar: complex) -> "AlgebraElement":
-        return AlgebraElement(self.group, {g: scalar * c for g, c in self.coeffs.items()})
-
     def star(self) -> "AlgebraElement":
         """Conjugate the coefficients and invert the support."""
         inv = self.group.inv
@@ -101,23 +94,15 @@ class CGMatrix:
     """A rectangular matrix with entries in the group algebra CG.
 
     Only the nonzero entries are stored: ``support`` maps (i, j) to a nonzero
-    :class:`AlgebraElement`.  The constructor takes a dense grid (a sequence
-    of equally long rows) or, with ``shape=(rows, cols)``, a mapping from
-    (i, j) to entry; zero entries are dropped from either.
+    :class:`AlgebraElement`.  The constructor takes such a mapping, in which
+    zero entries are dropped, and ``shape=(rows, cols)``.
     """
 
     __slots__ = ("group", "rows", "cols", "support")
 
     def __init__(self, group: FiniteGroup,
-                 entries: Sequence[Sequence[AlgebraElement]]
-                 | Mapping[tuple[int, int], AlgebraElement],
-                 shape: tuple[int, int] | None = None):
-        if shape is None:
-            shape = (len(entries), len(entries[0]) if entries else 0)
-            if any(len(row) != shape[1] for row in entries):
-                raise ValidationError("matrix rows have inconsistent lengths")
-            entries = {(i, j): a for i, row in enumerate(entries)
-                       for j, a in enumerate(row)}
+                 entries: Mapping[tuple[int, int], AlgebraElement],
+                 shape: tuple[int, int]):
         rows, cols = shape
         if rows < 1 or cols < 0:
             raise ValidationError("matrix must have at least one row")
@@ -140,7 +125,7 @@ class CGMatrix:
     @property
     def entries(self) -> tuple[tuple[AlgebraElement, ...], ...]:
         """The dense grid of entries, zeros included; built on each access."""
-        zero = AlgebraElement.zero(self.group)
+        zero = AlgebraElement(self.group, {})
         get = self.support.get
         return tuple(tuple(get((i, j), zero) for j in range(self.cols))
                      for i in range(self.rows))
@@ -149,7 +134,7 @@ class CGMatrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
-        return self.support.get((i, j)) or AlgebraElement.zero(self.group)
+        return self.support.get((i, j)) or AlgebraElement(self.group, {})
 
     def __matmul__(self, other: "CGMatrix") -> "CGMatrix":
         if self.group != other.group:
@@ -194,11 +179,6 @@ class CGMatrix:
         else:
             raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
         return CGMatrix(self.group, out, (self.rows, self.cols))
-
-    def scale(self, scalar: complex) -> "CGMatrix":
-        return CGMatrix(self.group, {key: x.scale(scalar)
-                                     for key, x in self.support.items()},
-                        (self.rows, self.cols))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CGMatrix) and self.group == other.group

@@ -39,11 +39,16 @@ def _layout(level: int):
     nesting ``level``, and an encoder whose item separator is that one.
 
     The encoder is the C encoder that ``json.dumps(separators=(comma, ": "))``
-    builds on every call, built here once per level.  It keeps no markers
-    for circular references: every document the CLI writes is a tree.
+    builds on every call, built here once per level; on a Python without
+    the ``_json`` accelerator it is that call's pure-Python encoder.  It
+    keeps no markers for circular references: every document the CLI
+    writes is a tree.
     """
     inner = "\n" + "  " * (level + 1)
     comma = "," + inner
+    if c_make_encoder is None:
+        return inner, comma, inner[:-2], json.JSONEncoder(
+            separators=(comma, ": "), check_circular=False).encode
     chunks = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
                             None, ": ", comma, False, False, True)
     return inner, comma, inner[:-2], lambda value: "".join(chunks(value, 0))

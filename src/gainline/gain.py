@@ -105,10 +105,6 @@ def balance_witness(psi: GainFunction) -> tuple[Element, ...] | None:
     return switching_to(psi, constant_gain(psi.graph, psi.group, psi.group.identity))
 
 
-def is_balanced(psi: GainFunction) -> bool:
-    return balance_witness(psi) is not None
-
-
 def switching_to(psi1: GainFunction, psi2: GainFunction) -> tuple[Element, ...] | None:
     """Some f, one element per vertex, with psi2 = psi1^f, or None if the
     gains are not equivalent.
@@ -140,10 +136,6 @@ def switching_to(psi1: GainFunction, psi2: GainFunction) -> tuple[Element, ...] 
         if all(mul[mul[inv[s]][c1]][s] == c2 for c1, c2 in cycles):
             return tuple(mul[mul[inv[pv]][s]][qv] for pv, qv in zip(p, q))
     return None
-
-
-def switching_equivalent(psi1: GainFunction, psi2: GainFunction) -> bool:
-    return switching_to(psi1, psi2) is not None
 
 
 # -- serialization ----------------------------------------------------------

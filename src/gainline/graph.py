@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import InputError, ValidationError, require_fields, require_type
 
+#: Largest line graph built, in edges: about 250 bytes each while building.
+MAX_LINE_EDGES = 1_000_000
+
 
 @dataclass(frozen=True)
 class SimpleGraph:
@@ -70,6 +73,11 @@ class SimpleGraph:
         """The line graph, built once; read it through :func:`line_graph`."""
         if not self.edges:  # the one-vertex graph
             raise ValidationError("a graph with no edge has no line graph")
+        # Each vertex of degree d joins C(d, 2) line edges; counted in O(n).
+        size = sum(d * (d - 1) // 2 for d in map(len, self.incidence))
+        if size > MAX_LINE_EDGES:
+            raise ValidationError(
+                f"line graph of {size} edges exceeds cap {MAX_LINE_EDGES}")
         pairs = []
         for v, ks in enumerate(self.incidence):
             for a, i in enumerate(ks):

@@ -19,6 +19,10 @@ from .graph import (Orientation, SimpleGraph, graph_from_dict, graph_to_dict,
 from .group import (Element, FiniteGroup, build_group, group_to_dict,
                     require_central_weak_involution)
 
+#: Largest phase written out, in n x m entries: a witness of ``check gainline``
+#: takes about 13 bytes an entry on stdout.
+MAX_PHASE_CELLS = 4_000_000
+
 
 @dataclass(frozen=True)
 class PhaseContext:
@@ -121,14 +125,6 @@ class GPhase:
         return _SparseRows(self.graph.m, zero, [
             [(k, labels[ends[k][edges[k][1] == i]]) for k in incident]
             for i, incident in enumerate(self.graph.incidence)])
-
-    def entry(self, i: int, k: int) -> Element:
-        if not 0 <= k < self.graph.m:
-            raise ValidationError(f"edge index {k} out of range for {self.graph.m} edges")
-        u, v = self.graph.edges[k]
-        if i != u and i != v:
-            raise ValidationError(f"vertex {i} is not incident to edge {k}")
-        return self.ends[k][i == v]
 
     def to_cg_matrix(self) -> CGMatrix:
         G = self.group
@@ -283,7 +279,11 @@ def phase_from_dict(data: dict) -> GPhase:
 
 def _phase_wire(H: GPhase) -> dict:
     """The wire form of H with its ``entries`` left sparse ("0" off the
-    support): :func:`phase_to_dict` densifies them, the CLI writes them."""
+    support): :func:`phase_to_dict` densifies them, the CLI writes them.
+    Refused above ``MAX_PHASE_CELLS`` entries, before any is written."""
+    if H.graph.n * H.graph.m > MAX_PHASE_CELLS:
+        raise ValidationError(
+            f"phase of {H.graph.n}x{H.graph.m} entries exceeds cap {MAX_PHASE_CELLS}")
     return {"graph": graph_to_dict(H.graph), "group": group_to_dict(H.group),
             "entries": H._sparse_rows("0", H.group.labels)}
 

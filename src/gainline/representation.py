@@ -98,9 +98,6 @@ class UnitaryRepresentation:
         chi = np.trace(images, axis1=1, axis2=2)
         self.irreducible = round(np.vdot(chi, chi).real / n) == 1
 
-    def __call__(self, g: Element) -> np.ndarray:
-        return self.images[g]
-
     def __repr__(self) -> str:
         return (f"UnitaryRepresentation({self.group.name}, degree={self.degree}, "
                 f"{'irreducible' if self.irreducible else 'reducible'})")

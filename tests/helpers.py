@@ -48,9 +48,16 @@ def phase_of_rows(graph: gl.SimpleGraph, group: gl.FiniteGroup, rows) -> gl.GPha
                                          for k, (u, v) in enumerate(graph.edges)))
 
 
+def matrix_of_rows(group: gl.FiniteGroup, rows) -> gl.CGMatrix:
+    """The matrix whose dense grid of entries is ``rows``, zeros included."""
+    return gl.CGMatrix(group, {(i, j): a for i, row in enumerate(rows)
+                               for j, a in enumerate(row)},
+                       (len(rows), len(rows[0])))
+
+
 def random_pure_matrix(rng: random.Random, group: gl.FiniteGroup,
                        rows: int, cols: int) -> gl.CGMatrix:
-    return gl.CGMatrix(group, [
+    return matrix_of_rows(group, [
         [gl.AlgebraElement.unit(group, rng.randrange(group.order))
          for _ in range(cols)]
         for _ in range(rows)])
@@ -71,7 +78,7 @@ def random_cg_matrix(rng: random.Random, group: gl.FiniteGroup,
                         rng.randint(-2, 2), rng.choice((0, 0, rng.randint(-2, 2))))
             row.append(gl.AlgebraElement(group, coeffs))
         grid.append(row)
-    return gl.CGMatrix(group, grid)
+    return matrix_of_rows(group, grid)
 
 
 def reference_fourier(A: gl.CGMatrix, rep: gl.UnitaryRepresentation) -> np.ndarray:
@@ -160,8 +167,8 @@ def reference_reff_line_phase(H: gl.GPhase) -> gl.GPhase:
 
 def reference_to_cg_matrix(H: gl.GPhase) -> gl.CGMatrix:
     """The dense grid of units and zeros; oracle only."""
-    zero = gl.AlgebraElement.zero(H.group)
-    return gl.CGMatrix(H.group, [
+    zero = gl.AlgebraElement(H.group, {})
+    return matrix_of_rows(H.group, [
         [zero if g is None else gl.AlgebraElement.unit(H.group, g) for g in row]
         for row in H.rows])
 

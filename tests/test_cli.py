@@ -234,7 +234,7 @@ def test_gainline_output_reads_back_into_every_command(tmp_path, capsys, graph, 
     code, out, err = run(capsys, ["check", "gainline", zeta, "--root", root, "--s2", s2])
     assert (code, err) == (0, "") and json.loads(out)["gain_line"] is True
     code, out, err = run(capsys, ["check", "balance", zeta])
-    balanced = gl.is_balanced(gl.gain_from_dict(zeta_data))
+    balanced = gl.balance_witness(gl.gain_from_dict(zeta_data)) is not None
     assert (code, err) == (0, "") and json.loads(out)["balanced"] is balanced
     regular = write(tmp_path, "regular.json", {"builtin": "regular"})
     code, out, err = run(capsys, ["spectrum", zeta, regular])
@@ -805,3 +805,70 @@ def test_check_gainline_streams_its_witness_rows(tmp_path, monkeypatch):
               for r in verdict["witness_phase"]["entries"])
     assert max(map(len, recorder.writes)) <= row + len(
         ',\n  "witness_phase": {\n    "entries": [\n      ')
+
+
+def test_line_graphs_past_the_cap_are_one_error_line(tmp_path, capsys):
+    # K1,1415, the smallest star past the cap, through both commands that
+    # build a line graph
+    star = {"n": 1416, "edges": [[1, v] for v in range(2, 1417)]}
+    gains = {"graph": star, "group": {"family": "quaternion8"}, "gains": ["i"] * 1415}
+    for argv in (["line", write(tmp_path, "star.json", star)],
+                 ["gainline", write(tmp_path, "star_q8.json", gains), "--s2", "-1"]):
+        assert run(capsys, argv) == (
+            1, "", "error: line graph of 1000405 edges exceeds cap 1000000\n")
+
+
+def test_check_gainline_refuses_a_witness_past_the_cap(tmp_path, capsys, monkeypatch):
+    # a root of 1000 vertices and 4001 edges has a 4 001 000-entry witness,
+    # just past the cap: refused before any byte goes out, while a negative
+    # verdict on the same root, which writes no witness, is still printed
+    rng = random.Random(151)
+    n, m = 1000, 4001
+    assert (n - 1) * m <= gl.phase.MAX_PHASE_CELLS < n * m
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    root = gl.SimpleGraph(n, tuple(sorted(edges)))
+    Q8 = gl.quaternion8()
+    ctx = gl.PhaseContext(Q8, Q8.identity, Q8.element("-1"))
+    zeta = gl.gain_line(gl.GainFunction(root, Q8, tuple(rng.randrange(8) for _ in range(m))),
+                        gl.default_orientation(root), ctx)
+    changed = gl.GainFunction(zeta.graph, Q8, ((zeta.forward[0] + 1) % 8,) + zeta.forward[1:])
+    assert gl.recognize_gain_line(changed, root, ctx) is None
+    root_path = write(tmp_path, "root.json", gl.graph_to_dict(root))
+    argv = ["check", "gainline", write(tmp_path, "zeta.json", gl.gain_to_dict(zeta)),
+            "--root", root_path, "--s2", "-1"]
+    assert run(capsys, argv) == (
+        1, "", "error: phase of 1000x4001 entries exceeds cap 4000000\n")
+    argv[2] = write(tmp_path, "changed.json", gl.gain_to_dict(changed))
+    assert run(capsys, argv) == (0, '{\n  "gain_line": false\n}\n', "")
+    # the cap admits a witness of exactly MAX_PHASE_CELLS entries: the paw's 16
+    argv, verdict = recognized(tmp_path, random_phase(rng, PAW, Q8), Q8.element("-1"))
+    monkeypatch.setattr(gl.phase, "MAX_PHASE_CELLS", 16)
+    assert run(capsys, argv) == (0, json.dumps(verdict, indent=2, sort_keys=True) + "\n", "")
+    monkeypatch.setattr(gl.phase, "MAX_PHASE_CELLS", 15)
+    assert run(capsys, argv) == (1, "", "error: phase of 4x4 entries exceeds cap 15\n")
+
+
+def test_emit_falls_back_to_the_python_encoder(capsys, monkeypatch):
+    # a Python built without the _json accelerator has no C encoder
+    z3 = gl.build_group({"family": "custom", "labels": ["e", "\u00e9", "\u03bb"],
+                         "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
+    data = gl.line_graph(PAW)
+    H = random_phase(random.Random(157), DIAMOND, z3)
+    cases = [({"group": gl.group_to_dict(z3), "order": 3, "abelian": True}, None),
+             ({"line": gl.graph_to_dict(data.line),
+               "shared_vertex": [v + 1 for v in data.shared_vertex]}, None),
+             ({"gain_line": True, "witness_phase": _phase_wire(H)},
+              {"gain_line": True, "witness_phase": gl.phase_to_dict(H)})]
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    cli._layout.cache_clear()
+    try:
+        for value, plain in cases:
+            _emit(value)
+            assert capsys.readouterr().out == json.dumps(
+                plain or value, indent=2, sort_keys=True) + "\n"
+        assert isinstance(cli._layout(0)[3].__self__, json.JSONEncoder)
+    finally:
+        monkeypatch.undo()
+        cli._layout.cache_clear()

@@ -26,7 +26,7 @@ def test_paw_adjacency_matches_displayed_matrix():
     ]
     for i in range(4):
         for j in range(4):
-            want = AlgebraElement.zero(Q8) if expected[i][j] == "0" \
+            want = AlgebraElement(Q8, {}) if expected[i][j] == "0" \
                 else AlgebraElement.unit(Q8, Q8.element(expected[i][j]))
             assert A[i, j] == want
 
@@ -178,15 +178,15 @@ def test_trees_are_balanced():
     tree = gl.SimpleGraph(5, ((0, 1), (0, 2), (2, 3), (2, 4)))
     for G in small_groups():
         psi = random_gain(rng, tree, G)
-        assert gl.is_balanced(psi)
+        assert gl.balance_witness(psi) is not None
 
 
 def test_sign_triangle_with_minus_one_unbalanced():
     G = gl.sign_group()
     psi = gl.constant_gain(TRIANGLE, G, G.element("-1"))
-    assert not gl.is_balanced(psi)
+    assert gl.balance_witness(psi) is None
     # but the all-identity triangle is balanced
-    assert gl.is_balanced(gl.constant_gain(TRIANGLE, G, 0))
+    assert gl.balance_witness(gl.constant_gain(TRIANGLE, G, 0)) is not None
 
 
 def test_switching_class_of_identity_is_balanced():
@@ -251,7 +251,6 @@ def test_switching_equivalence_agrees_with_brute_force():
             fast = gl.switching_to(psi1, psi2)
             brute = brute_force_switching(psi1, psi2)
             assert (fast is None) == (brute is None)
-            assert gl.switching_equivalent(psi1, psi2) == (brute is not None)
             if fast is not None:
                 assert gl.switch(psi1, fast) == psi2
             verdicts.add((psi1.group.order, fast is None))

@@ -1,10 +1,13 @@
 import itertools
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gainline as gl
+import gainline.graph as graph_module
 from gainline.errors import InputError, ValidationError
 from gainline.graph import bfs_tree
 
@@ -243,3 +246,24 @@ def test_exhaustive_identities_up_to_five_vertices():
                 N = gl.incidence_matrix(g)
                 mats = gl.classical_matrices(g)
                 assert (N @ N.T == mats["signless_laplacian"]).all()
+
+
+def test_line_graph_past_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # K1,1415 has C(1415, 2) = 1 000 405 line edges, the smallest star past the
+    # cap; building them would allocate about 250 MB
+    star = star_graph(1415)
+    assert math.comb(1414, 2) <= graph_module.MAX_LINE_EDGES < math.comb(1415, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as refused:
+            gl.line_graph(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "line graph of 1000405 edges exceeds cap 1000000"
+    assert peak < 100_000
+    # the cap admits a line graph of exactly MAX_LINE_EDGES edges
+    monkeypatch.setattr(graph_module, "MAX_LINE_EDGES", 5)
+    assert gl.line_graph(PAW).line.m == 5
+    with pytest.raises(ValidationError, match="^line graph of 6 edges exceeds cap 5$"):
+        gl.line_graph(star_graph(4))

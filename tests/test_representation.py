@@ -22,10 +22,10 @@ def test_q8_two_dim_images():
     Q8 = gl.quaternion8()
     rep = gl.q8_representation(Q8)
     assert rep.degree == 2 and rep.irreducible
-    assert np.array_equal(rep(Q8.element("i")), [[0, -1], [1, 0]])
-    assert np.array_equal(rep(Q8.element("j")), [[0, 1j], [1j, 0]])
-    assert np.array_equal(rep(Q8.element("k")), [[-1j, 0], [0, 1j]])
-    assert np.array_equal(rep(Q8.element("-1")), [[-1, 0], [0, -1]])
+    assert np.array_equal(rep.images[Q8.element("i")], [[0, -1], [1, 0]])
+    assert np.array_equal(rep.images[Q8.element("j")], [[0, 1j], [1j, 0]])
+    assert np.array_equal(rep.images[Q8.element("k")], [[-1j, 0], [0, 1j]])
+    assert np.array_equal(rep.images[Q8.element("-1")], [[-1, 0], [0, -1]])
 
 
 def test_validation_rejects_bad_tables():
@@ -63,10 +63,10 @@ def test_builtin_dispatch():
 def test_root_of_unity_values():
     Z4 = gl.cyclic(4)
     rep = gl.root_of_unity_representation(Z4, power=1)
-    assert abs(rep(1)[0, 0] - 1j) < 1e-12
-    assert abs(rep(2)[0, 0] + 1) < 1e-12
+    assert abs(rep.images[1][0, 0] - 1j) < 1e-12
+    assert abs(rep.images[2][0, 0] + 1) < 1e-12
     squared = gl.root_of_unity_representation(Z4, power=2)
-    assert abs(squared(1)[0, 0] + 1) < 1e-12
+    assert abs(squared.images[1][0, 0] + 1) < 1e-12
     # only power mod n matters; a huge or negative power is reduced exactly
     for n, power in ((4, 10**400 + 1), (12, -5), (512, 3 * 10**400 + 7)):
         assert np.array_equal(gl.root_of_unity_representation(gl.cyclic(n), power).images,
@@ -74,10 +74,10 @@ def test_root_of_unity_values():
 
 
 def test_sign_character_families():
-    assert gl.sign_character(gl.sign_group())(1)[0, 0] == -1
-    assert gl.sign_character(gl.cyclic(6))(3)[0, 0] == -1
+    assert gl.sign_character(gl.sign_group()).images[1][0, 0] == -1
+    assert gl.sign_character(gl.cyclic(6)).images[3][0, 0] == -1
     D4 = gl.dihedral(4)
-    assert gl.sign_character(D4)(D4.element("s0"))[0, 0] == -1
+    assert gl.sign_character(D4).images[D4.element("s0")][0, 0] == -1
     with pytest.raises(InputError):
         gl.sign_character(gl.cyclic(5))
     # read off the table, never the name
@@ -132,10 +132,10 @@ def test_regular_representation_is_faithful_permutation():
     for G in small_groups():
         rep = gl.regular_representation(G)
         for g in G.elements():
-            mat = rep(g)
+            mat = rep.images[g]
             assert np.array_equal(mat @ mat.conj().T, np.eye(G.order))
             assert set(np.unique(mat.real)) <= {0.0, 1.0}
-        seen = {rep(g).tobytes() for g in G.elements()}
+        seen = {rep.images[g].tobytes() for g in G.elements()}
         assert len(seen) == G.order
 
 
@@ -590,3 +590,20 @@ def test_fourier_takes_an_image_array_of_the_group():
                    np.zeros((8, 0, 0))):
         with pytest.raises(ValidationError, match="must be an .order, k, k. array"):
             gl.fourier(A, images)
+
+
+def test_quaternionic_type_spectra_pair_up():
+    # q8_2dim is of quaternionic type: fourier(A, pi) commutes with an
+    # antiunitary J with J^2 = -1 when A has real coefficients, so every
+    # eigenvalue has even multiplicity (Kramers)
+    rng = random.Random(173)
+    Q8 = gl.quaternion8()
+    rep = gl.q8_representation(Q8)
+    for _ in range(200):
+        psi = random_gain(rng, random_connected_graph(rng, 12), Q8)
+        for A in (gl.gain_adjacency(psi), gl.s_laplacian(psi, Q8.identity),
+                  gl.s_laplacian(psi, Q8.element("-1"))):
+            spec = gl.represented_spectrum(A, rep)
+            groups = gl.multiplicity_groups(spec)
+            assert all(groups.count(gid) % 2 == 0 for gid in set(groups))
+            assert max(abs(b - a) for a, b in zip(spec[::2], spec[1::2])) <= 1e-12

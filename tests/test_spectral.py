@@ -205,3 +205,23 @@ def test_verdict_serialization():
     assert d["violated"] == "cor2"
     assert d["s2_class"] == "minus_identity"
     assert len(d["spectrum"]) == 4
+
+
+def test_central_involutions_act_as_plus_or_minus_one_on_irreducibles():
+    # Schur's lemma: a central s2 commutes with every pi(g), so pi(s2) is a
+    # scalar on an irreducible pi, and s2^2 = 1 makes it +-I
+    builtins = [("trivial", {}), ("sign_character", {}), ("q8_2dim", {})]
+    checked = 0
+    for G in (gl.quaternion8(), gl.dihedral(4), gl.dihedral(32), gl.cyclic(8), gl.t4()):
+        for which, kwargs in builtins + [("root_of_unity", {"power": power})
+                                         for power in range(G.order)]:
+            try:
+                rep = gl.builtin_representation(G, which, **kwargs)
+            except InputError:  # the builtin does not apply to G
+                continue
+            assert rep.irreducible
+            for s in gl.central_weak_involutions(G):
+                assert gl.classify_s2_image(rep, s) != "other", (G.name, which, kwargs, s)
+            checked += 1
+    # trivial and sign on all five, q8_2dim on Q8, and 8 + 4 characters of Z8 and T4
+    assert checked == 10 + 1 + 12
