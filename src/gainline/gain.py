@@ -68,11 +68,12 @@ def s_laplacian(psi: GainFunction, s: Element) -> CGMatrix:
     """deg(Gamma, G) + s * adjacency, for a central weak involution s."""
     G = psi.group
     require_central_weak_involution(G, s, "s")
-    adj = gain_adjacency(psi).scalar_mul(AlgebraElement.unit(G, s), side="left")
-    n = psi.graph.n
-    degrees = CGMatrix(G, {(i, i): AlgebraElement(G, {G.identity: psi.graph.degree(i)})
-                           for i in range(n)}, (n, n))
-    return degrees + adj
+    # s is central and s^2 = 1, so s psi is a gain: s g^-1 = (s g)^-1.
+    s_row = G.mult[s]
+    adj = gain_adjacency(GainFunction(psi.graph, G, tuple(s_row[g] for g in psi.forward)))
+    degrees = {(i, i): AlgebraElement(G, {G.identity: len(ks)})
+               for i, ks in enumerate(psi.graph.incidence)}
+    return CGMatrix(G, adj.support | degrees, (adj.rows, adj.cols))
 
 
 def switch(psi: GainFunction, f: Sequence[Element]) -> GainFunction:

@@ -9,6 +9,7 @@ graph are deterministic.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -182,6 +183,93 @@ def line_graph(graph: SimpleGraph) -> LineGraphData:
     from its incidence lists, in O(sum of squared degrees).
     """
     return graph._line
+
+
+def line_root(line: SimpleGraph) -> SimpleGraph | None:
+    """A root R with ``line_graph(R).line == line``, or None if there is none:
+    the first of :func:`line_roots`."""
+    return next(line_roots(line), None)
+
+
+def line_roots(line: SimpleGraph) -> Iterator[SimpleGraph]:
+    """Every root R with ``line_graph(R).line == line``, one per labelled root
+    up to renaming R's vertices.
+
+    Edge k of R is vertex k of ``line``, so ``line``'s edges must come in
+    sorted order.  Line vertices are placed in BFS order, each as the one
+    root edge whose endpoints meet exactly its placed neighbours (Degiorgi
+    and Simon, WG 1995).  By Whitney (Amer. J. Math. 54, 1932) a placed
+    connected part with more than six vertices leaves at most one choice,
+    and a line graph with more than six vertices has one labelled root.
+    K3 (root K3 or K1,3), L(K4), L(K4 - e) and L(K1,3 + e) have more, so
+    every choice for the first six vertices is tried.  O(n + m) per start;
+    a root is yielded only when its line graph, built within the line-graph
+    cap, equals ``line``.
+    """
+    edges = line.edges
+    if any(map(operator.ge, edges, edges[1:])):
+        return
+    order, incidence = line._tree[1], line.incidence
+    starts = [([None] * line.n, [])]  # (root ends per line vertex, line vertices per root vertex)
+    for e in order[:6]:
+        starts = [_placed(ends[:], [set(s) for s in star], choice, e)
+                  for ends, star in starts
+                  for choice in _choices(ends, star, edges, incidence[e], e)]
+    seen = set()
+    for ends, star in starts:
+        for e in order[6:]:
+            choice = next(_choices(ends, star, edges, incidence[e], e), None)
+            if choice is None:
+                break
+            _placed(ends, star, choice, e)
+        else:
+            stars = frozenset(map(frozenset, star))
+            if stars in seen:
+                continue
+            seen.add(stars)
+            size = sum(len(s) * (len(s) - 1) // 2 for s in star)
+            if size != line.m or size > MAX_LINE_EDGES:
+                return
+            root = SimpleGraph(len(star), tuple(ends))
+            if line_graph(root).line != line:
+                return
+            yield root
+            if line.n > 6:
+                return
+
+
+def _choices(ends: list, star: list, edges: tuple, incident: tuple, e: int):
+    """The root vertex pairs (p, q) that edge e can take, q None for a new
+    vertex: every placed edge at p or q, and no other, meets e in ``line``."""
+    placed = {w for a, b in map(edges.__getitem__, incident)
+              for w in (a + b - e,) if ends[w] is not None}
+    if not placed:  # the first vertex
+        yield None, None
+        return
+    for p in ends[next(iter(placed))]:
+        if star[p] <= placed:
+            rest = placed - star[p]
+            if not rest:
+                yield p, None
+            else:
+                for q in ends[next(iter(rest))]:
+                    if star[q] == rest:
+                        yield p, q
+
+
+def _placed(ends: list, star: list, choice: tuple, e: int) -> tuple[list, list]:
+    """Place line vertex e as root edge ``choice``, new vertices appended."""
+    p, q = choice
+    if p is None:
+        p = len(star)
+        star.append(set())
+    if q is None:
+        q = len(star)
+        star.append(set())
+    ends[e] = (p, q)
+    star[p].add(e)
+    star[q].add(e)
+    return ends, star
 
 
 def incidence_matrix(graph: SimpleGraph) -> np.ndarray:

@@ -241,9 +241,11 @@ def recognize_gain_line(zeta: GainFunction, root: SimpleGraph,
     is a central involution and reverse gains are inverses.
     """
     G = _shared_group(zeta, ctx)
-    data = line_graph(root)
-    if zeta.graph != data.line:
+    # Sizes first, the line edges counted in O(n): a mismatch builds nothing.
+    sizes = (root.m, sum(d * (d - 1) // 2 for d in map(len, root.incidence)))
+    if (zeta.graph.n, zeta.graph.m) != sizes or zeta.graph != line_graph(root).line:
         raise ValidationError("gain function does not live on the root's line graph")
+    data = line_graph(root)
     mul, inv, s2 = G.mult, G.inv, G.mult[ctx.s2]
     H = {(v, incident[0]): G.identity for v, incident in enumerate(root.incidence)}
     for (a, b), v, g in zip(data.line.edges, data.shared_vertex, zeta.forward):

@@ -121,11 +121,16 @@ def _images(A: CGMatrix, rep: UnitaryRepresentation | np.ndarray) -> np.ndarray:
         images = rep.images
     else:
         images = _image_stack(np.asarray(rep), A.group)
-    k = images.shape[1]
-    if max(A.rows, A.cols) * k > MAX_EIG_DIM:
-        raise InputError(f"represented matrix of size {A.rows * k} x {A.cols * k} "
-                         f"exceeds cap {MAX_EIG_DIM}")
+    _require_side(A.rows, A.cols, images.shape[1])
     return images
+
+
+def _require_side(rows: int, cols: int, k: int) -> None:
+    """Refuse a represented (rows k) x (cols k) matrix with a side above
+    ``MAX_EIG_DIM``."""
+    if max(rows, cols) * k > MAX_EIG_DIM:
+        raise InputError(f"represented matrix of size {rows * k} x {cols * k} "
+                         f"exceeds cap {MAX_EIG_DIM}")
 
 
 def fourier(A: CGMatrix, rep: UnitaryRepresentation | np.ndarray) -> np.ndarray:
@@ -294,16 +299,21 @@ def root_of_unity_representation(group: FiniteGroup,
 
     Requires the group to be cyclic with the table of Z_n (which covers the
     cyclic and t4 builders).  Only power mod n matters, so it is reduced
-    first: any integer power is exact.  So is each exponent a * power, so
-    every image is one rounding of exp, with no drift from repeated powers.
+    first: any integer power is exact.  So is each exponent e = a * power
+    mod n, so every image is one rounding of exp, with no drift from
+    repeated powers; at quarter turns, 4 e = 0 mod n, it is 1, i, -1 or -i
+    exactly.
     """
     n = group.order
     a = np.arange(n)
     if not (group.table == (a[:, None] + a) % n).all():
         raise InputError(
             f"group {group.name} does not carry the standard cyclic table")
-    images = np.exp(2j * np.pi * ((power % n) * a % n) / n)[:, None, None]
-    return UnitaryRepresentation(group, images)
+    e = (power % n) * a % n
+    images = np.exp(2j * np.pi * e / n)
+    quarter = 4 * e % n == 0
+    images[quarter] = np.array([1, 1j, -1, -1j])[4 * e[quarter] // n]
+    return UnitaryRepresentation(group, images[:, None, None])
 
 
 def sign_character(group: FiniteGroup) -> UnitaryRepresentation:

@@ -7,10 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ValidationError
-from .gain import GainFunction, gain_adjacency
+from .gain import GainFunction, gain_adjacency, s_laplacian
+from .graph import line_roots
 from .group import require_central_weak_involution
-from .phase import GPhase, PhaseContext, psi_line
-from .representation import (UnitaryRepresentation, fourier,
+from .phase import GPhase, PhaseContext, psi, psi_line, recognize_gain_line
+from .representation import (UnitaryRepresentation, _require_side, fourier,
                              represented_spectrum)
 
 #: Slack between the exact +-2 bounds and numerical eigenvalues.
@@ -78,12 +79,30 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
     irreducibility is decided from <chi, chi> when the representation is built.
     A clean verdict is only a necessary condition; recognition gives the
     exact decision.
+
+    The spectrum of A = fourier(gain_adjacency(zeta), rep) is solved on the
+    root side when pi(s2) is exactly eps I with eps = +-1, zeta's graph is
+    the line graph of a root R with m_R > n_R (each labelled root that
+    :func:`~gainline.graph.line_roots` finds is tried), and
+    ``recognize_gain_line`` finds a phase H of R with psi_line(H) = zeta for
+    (s1, s2) = (1, s2).  Then FH* FH = 2I + s2 A(zeta) and FH FH* = K =
+    deg + A(psi(H)), the root's CG Laplacian, so A has the eigenvalues
+    eps (lambda - 2) over the n_R k eigenvalues lambda of fourier(K, rep),
+    within rounding of the dense solve, and (m_R - n_R) k eigenvalues
+    -2 eps, written exactly.  Every other input takes the dense solve of A:
+    pi(s2) only close to +-I or not +-I, a graph that is no line graph or
+    whose edges are not sorted, m_R <= n_R, or no phase H.  The refusals
+    come first either way, ``MAX_EIG_DIM`` counted on A's side.
     """
     if zeta.group != rep.group:
         raise ValidationError("representation defined on a different group")
     require_central_weak_involution(zeta.group, s2, "s2")
     s2_class = classify_s2_image(rep, s2, tol)
-    spec = represented_spectrum(gain_adjacency(zeta), rep)
+    n = zeta.graph.n
+    _require_side(n, n, rep.degree)
+    spec = _root_side_spectrum(zeta, rep, s2)
+    if spec is None:
+        spec = represented_spectrum(gain_adjacency(zeta), rep)
     lo, hi = spec[0], spec[-1]
 
     below = lo < -2 - tol
@@ -101,3 +120,26 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
         margin = hi - 2
     return ObstructionVerdict(s2_class, float(lo), float(hi), violated,
                               float(margin), spec)
+
+
+def _root_side_spectrum(zeta: GainFunction, rep: UnitaryRepresentation,
+                        s2: int) -> tuple[float, ...] | None:
+    """The spectrum of fourier(A(zeta), rep) through the root Laplacian, as
+    :func:`gainline_obstruction` states it, or None where that does not apply."""
+    eye = np.eye(rep.degree)
+    image = rep.images[s2]
+    eps = 1 if np.array_equal(image, eye) else -1 if np.array_equal(image, -eye) else 0
+    if not eps:
+        return None
+    G = zeta.group
+    ctx = PhaseContext(G, G.identity, s2)
+    for root in line_roots(zeta.graph):
+        H = recognize_gain_line(zeta, root, ctx) if root.m > root.n else None
+        if H is not None:
+            break
+    else:
+        return None
+    K = s_laplacian(psi(H, ctx), G.identity)
+    # eps lambda - 2 eps rather than eps (lambda - 2): no -0.0 at lambda = 2
+    return tuple(sorted([eps * lam - 2 * eps for lam in represented_spectrum(K, rep)]
+                        + [-2.0 * eps] * ((root.m - root.n) * rep.degree)))

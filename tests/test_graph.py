@@ -9,7 +9,7 @@ import pytest
 import gainline as gl
 import gainline.graph as graph_module
 from gainline.errors import InputError, ValidationError
-from gainline.graph import bfs_tree
+from gainline.graph import bfs_tree, line_root, line_roots
 
 from helpers import (K2, PAW, STAR3, TRIANGLE, complete_graph,
                      random_connected_graph, reference_line_graph,
@@ -267,3 +267,69 @@ def test_line_graph_past_the_cap_is_refused_before_it_is_built(monkeypatch):
     assert gl.line_graph(PAW).line.m == 5
     with pytest.raises(ValidationError, match="^line graph of 6 edges exceeds cap 5$"):
         gl.line_graph(star_graph(4))
+
+
+def _atlas_graph(g) -> gl.SimpleGraph:
+    return gl.SimpleGraph(g.number_of_nodes(),
+                          tuple(sorted(tuple(sorted(e)) for e in g.edges())))
+
+
+def test_line_root_matches_networkx_on_every_atlas_graph():
+    nx = pytest.importorskip("networkx")
+    connected = line_graphs = 0
+    several = []
+    for g in nx.graph_atlas_g():
+        if g.number_of_edges() == 0 or not nx.is_connected(g):
+            continue
+        connected += 1
+        try:
+            nx.inverse_line_graph(g)
+            is_line = True
+        except nx.NetworkXError:
+            is_line = False
+        line_graphs += is_line
+        G = _atlas_graph(g)
+        roots = list(line_roots(G))
+        assert bool(roots) == is_line == (line_root(G) is not None), sorted(g.edges())
+        assert all(gl.line_graph(root).line == G for root in roots)
+        if len(roots) > 1:
+            several.append((G.n, G.m, len(roots)))
+    assert (connected, line_graphs) == (995, 129)
+    # Whitney: two labelled roots for K3 (K3 and K1,3), L(K1,3 + e), L(K4 - e)
+    # and L(K4), and one for every other connected line graph
+    assert sorted(several) == [(3, 3, 2), (4, 5, 2), (5, 8, 2), (6, 12, 2)]
+
+
+def _shuffled_random_graph(rng: random.Random, n: int, m: int) -> gl.SimpleGraph:
+    """A random recursive tree plus chords, edges in random order."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    return gl.SimpleGraph(n, tuple(edges))
+
+
+def test_line_root_recovers_random_roots():
+    rng = random.Random(22)
+    for n in (50, 200, 1000):
+        root = _shuffled_random_graph(rng, n, 2 * n)
+        line = gl.line_graph(root).line
+        found = line_root(line)
+        assert gl.line_graph(found).line == line
+        # Whitney: the root is unique up to relabelling its vertices
+        assert (found.n, sorted(map(len, found.incidence))) == \
+            (n, sorted(map(len, root.incidence)))
+    # the one-vertex graph is the line graph of K2
+    assert line_root(gl.line_graph(K2).line) == K2
+
+
+def test_line_root_refuses_unsorted_edges_and_stays_under_the_cap(monkeypatch):
+    line = gl.line_graph(PAW).line
+    assert line_root(line) is not None
+    unsorted = gl.SimpleGraph(line.n, line.edges[1:] + line.edges[:1])
+    assert line_root(unsorted) is None
+    # L(K1,5) = K5 has C(5, 2) = 10 line edges: past a cap of 5, its root is
+    # not certified, and nothing is built
+    monkeypatch.setattr(graph_module, "MAX_LINE_EDGES", 5)
+    assert line_root(complete_graph(5)) is None

@@ -545,6 +545,19 @@ def test_recognize_requires_matching_line_graph():
         gl.recognize_gain_line(zeta, STAR3, ctx)
 
 
+def test_recognize_compares_sizes_before_building_the_roots_line_graph():
+    # K1,1415's line graph has 1 000 405 edges, past the cap; a K3 gain
+    # function is refused for its size, not for the cap, and nothing is built
+    G = gl.sign_group()
+    zeta = gl.constant_gain(gl.line_graph(STAR3).line, G, 0)
+    for leaves in (1414, 1415):
+        root = star_graph(leaves)
+        with pytest.raises(ValidationError, match="^gain function does not live "
+                                                  "on the root's line graph$"):
+            gl.recognize_gain_line(zeta, root, default_ctx(G))
+        assert "_line" not in vars(root)
+
+
 def test_phase_file_roundtrip():
     ctx = q8_ctx()
     psi = q8_gain(PAW, PAW_GAINS)

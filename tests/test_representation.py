@@ -73,6 +73,18 @@ def test_root_of_unity_values():
                               gl.root_of_unity_representation(gl.cyclic(n), power % n).images)
 
 
+def test_root_of_unity_is_exact_at_quarter_turns():
+    quarter = np.array([1, 1j, -1, -1j])
+    assert (gl.root_of_unity_representation(gl.t4()).images[:, 0, 0] == quarter).all()
+    for n, power in ((8, 1), (8, 3), (512, 1), (512, 7)):
+        images = gl.root_of_unity_representation(gl.cyclic(n), power).images[:, 0, 0]
+        # a is a quarter point iff a * power is a multiple of n / 4
+        a = np.arange(0, n, n // 4)
+        assert (images[a] == quarter[power * np.arange(4) % 4]).all()
+        others = np.setdiff1d(np.arange(n), a)
+        assert not np.isin(images[others], quarter).any()
+
+
 def test_sign_character_families():
     assert gl.sign_character(gl.sign_group()).images[1][0, 0] == -1
     assert gl.sign_character(gl.cyclic(6)).images[3][0, 0] == -1
@@ -442,9 +454,11 @@ def test_real_representations_hold_float64_images():
             assert rep.images.dtype == np.float64
     Q8 = gl.quaternion8()
     assert gl.q8_representation(Q8).images.dtype == np.complex128
-    for n in (2, 4, 12):
+    for n in (4, 12):
         rep = gl.root_of_unity_representation(gl.cyclic(n))
         assert rep.images.dtype == np.complex128
+    # Z2's character is exactly +-1, so it is real, as the sign character is
+    assert gl.root_of_unity_representation(gl.cyclic(2)).images.dtype == np.float64
     # explicit images whose imaginary parts are all exactly zero are real
     images = {"1": [[[1, 0]]], "-1": [[[-1, 0]]]}
     rep = gl.representation_from_dict({"degree": 1, "images": images},

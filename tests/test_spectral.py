@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import gainline as gl
+import gainline.representation as representation_module
+import gainline.spectral as spectral_module
 from gainline.errors import InputError, ValidationError
 
-from helpers import (DIAMOND, K2, PAW, q8_gain, random_connected_graph,
+from helpers import (DIAMOND, K2, PAW, STAR3, q8_gain, random_connected_graph,
                      random_phase, small_groups)
 
 DIAMOND_GAINS = ["-k", "1", "1", "1", "-j"]
@@ -225,3 +227,117 @@ def test_central_involutions_act_as_plus_or_minus_one_on_irreducibles():
             checked += 1
     # trivial and sign on all five, q8_2dim on Q8, and 8 + 4 characters of Z8 and T4
     assert checked == 10 + 1 + 12
+
+
+def _random_root(rng: random.Random, n: int, m: int) -> gl.SimpleGraph:
+    """A random recursive tree on n vertices plus chords up to m edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return gl.SimpleGraph(n, tuple(sorted(edges)))
+
+
+def _solved_sides(monkeypatch, zeta, rep, s2):
+    """The verdict, and the side of every matrix whose eigenvalues it solved."""
+    sides = []
+    solve = representation_module.hermitian_spectrum
+
+    def recorded(M):
+        sides.append(len(M))
+        return solve(M)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(representation_module, "hermitian_spectrum", recorded)
+        return gl.gainline_obstruction(zeta, rep, s2), sides
+
+
+def test_root_laplacian_oracle_matches_the_dense_solve(monkeypatch):
+    # zeta = psi_line(H) with pi(s2) = eps I: FH* FH = 2I + eps A_pi(zeta), and
+    # FH FH* is the n_R k root Laplacian, so A_pi(zeta) is solved on the root
+    rng = random.Random(22)
+    Q8 = gl.quaternion8()
+    cases = [(Q8, gl.q8_representation(Q8), gl.central_weak_involutions(Q8)),
+             (gl.t4(), gl.root_of_unity_representation(gl.t4()), (0, 2)),
+             (Q8, gl.regular_representation(Q8), (Q8.identity,))]
+    cases += [(G, gl.sign_character(G), gl.central_weak_involutions(G))
+              for G in (gl.dihedral(4), gl.dihedral(32))]
+    verdicts = set()
+    for G, rep, involutions in cases:
+        k = rep.degree
+        for s2 in involutions:
+            eps = 1 if gl.classify_s2_image(rep, s2) == "plus_identity" else -1
+            assert np.array_equal(rep.images[s2], eps * np.eye(k))
+            # K4 and the diamond K4 - e have two labelled roots each, and
+            # five or more root vertices make it unique (Whitney)
+            roots = [K4, DIAMOND] + [_random_root(rng, n, rng.randint(n + 1, 2 * n))
+                                     for n in (rng.randint(5, 12) for _ in range(8))]
+            for root in roots:
+                ctx = gl.PhaseContext(G, rng.choice(gl.central_weak_involutions(G)), s2)
+                zeta = gl.psi_line(random_phase(rng, root, G), ctx)
+                verdict, sides = _solved_sides(monkeypatch, zeta, rep, s2)
+                with monkeypatch.context() as patch:
+                    patch.setattr(spectral_module, "_root_side_spectrum", lambda *a: None)
+                    dense, dense_sides = _solved_sides(monkeypatch, zeta, rep, s2)
+                assert sum(sides) == root.n * k and sum(dense_sides) == root.m * k
+                assert (verdict.violated, verdict.s2_class) == (dense.violated,
+                                                                dense.s2_class)
+                mass = max(map(len, zeta.graph.incidence))
+                assert len(verdict.spectrum) == len(dense.spectrum) == root.m * k
+                assert np.abs(np.subtract(verdict.spectrum, dense.spectrum)).max() \
+                    <= 1e-9 * mass
+                assert verdict.spectrum.count(-2.0 * eps) == (root.m - root.n) * k
+                verdicts.add(verdict.violated)
+    assert verdicts == {None}
+
+
+def test_root_side_fallbacks_are_the_dense_solve(monkeypatch):
+    rng = random.Random(23)
+    Q8 = gl.quaternion8()
+    q8, regular = gl.q8_representation(Q8), gl.regular_representation(Q8)
+    minus = Q8.element("-1")
+    ctx = gl.PhaseContext(Q8, minus, minus)
+    root = _random_root(rng, 8, 14)
+    data = gl.line_graph(root)
+    zeta = gl.psi_line(random_phase(rng, root, Q8), ctx)
+    # a line edge in a triangle of the root's line graph: moving its gain
+    # leaves no phase
+    p = next(p for p, v in enumerate(data.shared_vertex) if root.degree(v) >= 3)
+    moved = list(zeta.forward)
+    moved[p] = Q8.mul(moved[p], Q8.element("i"))
+    order = list(range(zeta.graph.m))
+    order[0], order[1] = 1, 0
+    unsorted = gl.GainFunction(
+        gl.SimpleGraph(zeta.graph.n, tuple(zeta.graph.edges[i] for i in order)), Q8,
+        tuple(zeta.forward[i] for i in order))
+    c4 = gl.SimpleGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    cases = [
+        (gl.GainFunction(zeta.graph, Q8, tuple(moved)), q8),  # not a gain-line graph
+        (q8_gain(STAR3, ["i", "j", "k"]), q8),  # the claw is no line graph
+        (q8_gain(DIAMOND, DIAMOND_GAINS), q8),  # its root, the paw, has m = n
+        (unsorted, q8),  # line edges out of order
+        (zeta, regular),  # the regular pi(-1) is not +-I
+        (gl.psi_line(random_phase(rng, c4, Q8), ctx), q8),  # m = n on C4
+    ]
+    for case, rep in cases:
+        verdict, sides = _solved_sides(monkeypatch, case, rep, minus)
+        # for q8_2dim this is hermitian_spectrum(fourier(A, rep))
+        assert verdict.spectrum == gl.represented_spectrum(gl.gain_adjacency(case), rep)
+        assert sum(sides) == case.graph.n * rep.degree
+
+
+def test_represented_side_is_capped_on_zetas_side(monkeypatch):
+    # 2049 line vertices under a degree-2 representation: 4098 > 4096, refused
+    # before the root, whose side would be 2 * 1000, is looked for
+    rng = random.Random(24)
+    Q8 = gl.quaternion8()
+    minus = Q8.element("-1")
+    root = _random_root(rng, 1000, 2049)
+    zeta = gl.psi_line(gl.incidence_phase(root, Q8), gl.PhaseContext(Q8, minus, minus))
+
+    def unreachable(line):
+        raise AssertionError("root looked for past the cap")
+
+    monkeypatch.setattr(spectral_module, "line_roots", unreachable)
+    with pytest.raises(InputError, match="^represented matrix of size 4098 x 4098 "
+                                         "exceeds cap 4096$"):
+        gl.gainline_obstruction(zeta, gl.q8_representation(Q8), minus)
