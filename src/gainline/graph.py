@@ -9,7 +9,7 @@ graph are deterministic.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,8 +74,7 @@ class SimpleGraph:
         """The line graph, built once; read it through :func:`line_graph`."""
         if not self.edges:  # the one-vertex graph
             raise ValidationError("a graph with no edge has no line graph")
-        # Each vertex of degree d joins C(d, 2) line edges; counted in O(n).
-        size = sum(d * (d - 1) // 2 for d in map(len, self.incidence))
+        size = _line_size(map(len, self.incidence))
         if size > MAX_LINE_EDGES:
             raise ValidationError(
                 f"line graph of {size} edges exceeds cap {MAX_LINE_EDGES}")
@@ -92,8 +91,10 @@ class SimpleGraph:
         return LineGraphData(_trusted(self.m, tuple((i, j) for i, j, _ in pairs)),
                              tuple(v for _, _, v in pairs))
 
-    def degree(self, v: int) -> int:
-        return len(self.incidence[v])
+
+def _line_size(degrees: Iterable[int]) -> int:
+    """The number of line edges: a vertex of degree d joins C(d, 2) of them."""
+    return sum(d * (d - 1) // 2 for d in degrees)
 
 
 def _raise_first_fault(n: int, edges: tuple) -> None:
@@ -185,12 +186,6 @@ def line_graph(graph: SimpleGraph) -> LineGraphData:
     return graph._line
 
 
-def line_root(line: SimpleGraph) -> SimpleGraph | None:
-    """A root R with ``line_graph(R).line == line``, or None if there is none:
-    the first of :func:`line_roots`."""
-    return next(line_roots(line), None)
-
-
 def line_roots(line: SimpleGraph) -> Iterator[SimpleGraph]:
     """Every root R with ``line_graph(R).line == line``, one per labelled root
     up to renaming R's vertices.
@@ -227,7 +222,7 @@ def line_roots(line: SimpleGraph) -> Iterator[SimpleGraph]:
             if stars in seen:
                 continue
             seen.add(stars)
-            size = sum(len(s) * (len(s) - 1) // 2 for s in star)
+            size = _line_size(map(len, star))
             if size != line.m or size > MAX_LINE_EDGES:
                 return
             root = SimpleGraph(len(star), tuple(ends))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .algebra import AlgebraElement, CGMatrix
 from .errors import InputError, ValidationError, require_fields, require_type
 from .gain import GainFunction, switching_to
-from .graph import (Orientation, SimpleGraph, graph_from_dict, graph_to_dict,
-                    line_graph)
+from .graph import (Orientation, SimpleGraph, _line_size, graph_from_dict,
+                    graph_to_dict, line_graph)
 from .group import (Element, FiniteGroup, build_group, group_to_dict,
                     require_central_weak_involution)
 
@@ -147,14 +147,11 @@ def psi(H: GPhase, ctx: PhaseContext) -> GainFunction:
 
 
 def psi_line(H: GPhase, ctx: PhaseContext) -> GainFunction:
-    """The induced gain on the line graph: s2 * H[k,i]^-1 * H[k,j]."""
+    """The induced gain on the line graph: s2 * H[v,i]^-1 * H[v,j] per line
+    edge (i, j) at shared vertex v, which is psi of Reff's line phase with
+    s2 in the place of s1."""
     G = _shared_group(H, ctx)
-    data = line_graph(H.graph)
-    mul, inv, s2 = G.mult, G.inv, G.mult[ctx.s2]
-    edges, ends = H.graph.edges, H.ends
-    return GainFunction(data.line, G, tuple(
-        s2[mul[inv[ends[i][edges[i][1] == v]]][ends[j][edges[j][1] == v]]]
-        for (i, j), v in zip(data.line.edges, data.shared_vertex)))
+    return psi(reff_line_phase(H), PhaseContext(G, ctx.s2, ctx.s2))
 
 
 def phase_from_orientation(psi_fn: GainFunction, orientation: Orientation,
@@ -242,7 +239,7 @@ def recognize_gain_line(zeta: GainFunction, root: SimpleGraph,
     """
     G = _shared_group(zeta, ctx)
     # Sizes first, the line edges counted in O(n): a mismatch builds nothing.
-    sizes = (root.m, sum(d * (d - 1) // 2 for d in map(len, root.incidence)))
+    sizes = (root.m, _line_size(map(len, root.incidence)))
     if (zeta.graph.n, zeta.graph.m) != sizes or zeta.graph != line_graph(root).line:
         raise ValidationError("gain function does not live on the root's line graph")
     data = line_graph(root)

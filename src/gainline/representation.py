@@ -362,20 +362,13 @@ def q8_representation(group: FiniteGroup) -> UnitaryRepresentation:
     return UnitaryRepresentation(group, images)
 
 
-def builtin_representation(group: FiniteGroup, which: str,
-                           **kwargs) -> UnitaryRepresentation:
-    builders = {
-        "trivial": trivial_representation,
-        "regular": regular_representation,
-        "root_of_unity": root_of_unity_representation,
-        "sign_character": sign_character,
-        "q8_2dim": q8_representation,
-    }
-    try:
-        builder = builders[which]
-    except (KeyError, TypeError):
-        raise InputError(f"unknown builtin representation {which!r}")
-    return builder(group, **kwargs)
+_BUILTINS = {
+    "trivial": trivial_representation,
+    "regular": regular_representation,
+    "root_of_unity": root_of_unity_representation,
+    "sign_character": sign_character,
+    "q8_2dim": q8_representation,
+}
 
 
 # -- serialization ----------------------------------------------------------
@@ -412,7 +405,9 @@ def representation_from_dict(data: dict, group: FiniteGroup) -> UnitaryRepresent
                 raise InputError("only root_of_unity takes a 'power'")
             kwargs["power"] = require_type(data["power"], int,
                                            "representation field 'power'")
-        rep = builtin_representation(group, which, **kwargs)
+        if which not in _BUILTINS:
+            raise InputError(f"unknown builtin representation {which!r}")
+        rep = _BUILTINS[which](group, **kwargs)
     else:
         degree, image_map = require_fields(data, what, "degree", "images")
         degree = require_type(degree, int, "representation field 'degree'")

@@ -81,7 +81,8 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
     exact decision.
 
     The spectrum of A = fourier(gain_adjacency(zeta), rep) is solved on the
-    root side when pi(s2) is exactly eps I with eps = +-1, zeta's graph is
+    root side when pi(s2) is exactly eps I with eps = +-1, which is
+    :func:`classify_s2_image` at tol 0 whatever ``tol`` is, zeta's graph is
     the line graph of a root R with m_R > n_R (each labelled root that
     :func:`~gainline.graph.line_roots` finds is tried), and
     ``recognize_gain_line`` finds a phase H of R with psi_line(H) = zeta for
@@ -126,10 +127,8 @@ def _root_side_spectrum(zeta: GainFunction, rep: UnitaryRepresentation,
                         s2: int) -> tuple[float, ...] | None:
     """The spectrum of fourier(A(zeta), rep) through the root Laplacian, as
     :func:`gainline_obstruction` states it, or None where that does not apply."""
-    eye = np.eye(rep.degree)
-    image = rep.images[s2]
-    eps = 1 if np.array_equal(image, eye) else -1 if np.array_equal(image, -eye) else 0
-    if not eps:
+    eps = {"plus_identity": 1, "minus_identity": -1}.get(classify_s2_image(rep, s2, 0.0))
+    if eps is None:
         return None
     G = zeta.group
     ctx = PhaseContext(G, G.identity, s2)

@@ -9,7 +9,7 @@ import pytest
 import gainline as gl
 import gainline.graph as graph_module
 from gainline.errors import InputError, ValidationError
-from gainline.graph import bfs_tree, line_root, line_roots
+from gainline.graph import bfs_tree, line_roots
 
 from helpers import (K2, PAW, STAR3, TRIANGLE, complete_graph,
                      random_connected_graph, reference_line_graph,
@@ -93,7 +93,6 @@ def test_incidence_lists_and_degrees():
         for v in range(g.n):
             expected = [k for k, e in enumerate(g.edges) if v in e]
             assert list(g.incidence[v]) == expected
-            assert g.degree(v) == len(expected)
 
 
 def test_incidence_matrix_k2():
@@ -108,7 +107,7 @@ def test_incidence_matrix_paw_column_supports():
 
 def test_incidence_row_sums_are_degrees():
     N = gl.incidence_matrix(PAW)
-    assert N.sum(axis=1).tolist() == [PAW.degree(v) for v in range(4)]
+    assert N.sum(axis=1).tolist() == [len(PAW.incidence[v]) for v in range(4)]
 
 
 def test_default_orientation_low_to_high():
@@ -290,7 +289,7 @@ def test_line_root_matches_networkx_on_every_atlas_graph():
         line_graphs += is_line
         G = _atlas_graph(g)
         roots = list(line_roots(G))
-        assert bool(roots) == is_line == (line_root(G) is not None), sorted(g.edges())
+        assert bool(roots) == is_line, sorted(g.edges())
         assert all(gl.line_graph(root).line == G for root in roots)
         if len(roots) > 1:
             several.append((G.n, G.m, len(roots)))
@@ -315,21 +314,21 @@ def test_line_root_recovers_random_roots():
     for n in (50, 200, 1000):
         root = _shuffled_random_graph(rng, n, 2 * n)
         line = gl.line_graph(root).line
-        found = line_root(line)
+        found = next(line_roots(line), None)
         assert gl.line_graph(found).line == line
         # Whitney: the root is unique up to relabelling its vertices
         assert (found.n, sorted(map(len, found.incidence))) == \
             (n, sorted(map(len, root.incidence)))
     # the one-vertex graph is the line graph of K2
-    assert line_root(gl.line_graph(K2).line) == K2
+    assert next(line_roots(gl.line_graph(K2).line), None) == K2
 
 
 def test_line_root_refuses_unsorted_edges_and_stays_under_the_cap(monkeypatch):
     line = gl.line_graph(PAW).line
-    assert line_root(line) is not None
+    assert next(line_roots(line), None) is not None
     unsorted = gl.SimpleGraph(line.n, line.edges[1:] + line.edges[:1])
-    assert line_root(unsorted) is None
+    assert next(line_roots(unsorted), None) is None
     # L(K1,5) = K5 has C(5, 2) = 10 line edges: past a cap of 5, its root is
     # not certified, and nothing is built
     monkeypatch.setattr(graph_module, "MAX_LINE_EDGES", 5)
-    assert line_root(complete_graph(5)) is None
+    assert next(line_roots(complete_graph(5)), None) is None

@@ -326,13 +326,30 @@ def test_line_switching_class_is_well_posed_exhaustive_d3():
     def line_classes(graph, psi_class):
         line_class_of = {}
         for H in all_phases(graph, D3):
-            line = cycle_class(gl.psi_line(H, ctx))
+            zeta = gl.psi_line(H, ctx)
+            assert zeta == reference_psi_line(H, ctx)
+            line = cycle_class(zeta)
             assert line_class_of.setdefault(psi_class(gl.psi(H, ctx)), line) == line
         return line_class_of
 
     assert len(line_classes(complete_graph(3), cycle_class)) == 3  # D3's class count
     # a tree has one switching class; its line class is the balanced one
     assert line_classes(star_graph(3), lambda gain: None) == {None: conj[0]}
+
+
+def test_psi_line_matches_its_dense_row_oracle_on_every_p3_phase():
+    # D3's centre is trivial, so its exhaustive check above has s1 = s2; here
+    # each central s2 of D4 and Q8 comes with an s1 != s2: psi_line reads s2
+    P3 = gl.SimpleGraph(3, ((0, 1), (1, 2)))
+    for G in (gl.dihedral(4), gl.quaternion8()):
+        invs = gl.central_weak_involutions(G)
+        assert len(invs) == 2
+        phases = list(all_phases(P3, G))
+        assert len(phases) == 8 ** 4
+        for s2 in invs:
+            ctx = gl.PhaseContext(G, next(s for s in invs if s != s2), s2)
+            for H in phases:
+                assert gl.psi_line(H, ctx) == reference_psi_line(H, ctx)
 
 
 def test_star_triangle_walk_gain_is_s2():

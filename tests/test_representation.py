@@ -50,12 +50,12 @@ def test_fourier_refuses_a_matrix_over_another_group():
 
 def test_builtin_dispatch():
     Q8 = gl.quaternion8()
-    rep = gl.builtin_representation(Q8, "q8_2dim")
+    rep = gl.representation_from_dict({"builtin": "q8_2dim"}, Q8)
     assert rep.degree == 2
     with pytest.raises(InputError):
-        gl.builtin_representation(Q8, "mystery")
+        gl.representation_from_dict({"builtin": "mystery"}, Q8)
     with pytest.raises(InputError):
-        gl.builtin_representation(Q8, "root_of_unity")
+        gl.representation_from_dict({"builtin": "root_of_unity"}, Q8)
     with pytest.raises(InputError):  # Q8's labels over the table of Z8
         gl.q8_representation(gl.FiniteGroup(Q8.labels, gl.cyclic(8).table))
 
@@ -489,7 +489,7 @@ def test_irreducibility_is_decided_from_the_character():
     for G in groups:
         for which in ("trivial", "regular", "root_of_unity", "sign_character", "q8_2dim"):
             try:
-                rep = gl.builtin_representation(G, which)
+                rep = gl.representation_from_dict({"builtin": which}, G)
             except InputError:
                 continue
             assert rep.irreducible is (which != "regular" or G.order == 1), (G.name, which)

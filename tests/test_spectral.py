@@ -218,7 +218,7 @@ def test_central_involutions_act_as_plus_or_minus_one_on_irreducibles():
         for which, kwargs in builtins + [("root_of_unity", {"power": power})
                                          for power in range(G.order)]:
             try:
-                rep = gl.builtin_representation(G, which, **kwargs)
+                rep = gl.representation_from_dict({"builtin": which, **kwargs}, G)
             except InputError:  # the builtin does not apply to G
                 continue
             assert rep.irreducible
@@ -301,7 +301,7 @@ def test_root_side_fallbacks_are_the_dense_solve(monkeypatch):
     zeta = gl.psi_line(random_phase(rng, root, Q8), ctx)
     # a line edge in a triangle of the root's line graph: moving its gain
     # leaves no phase
-    p = next(p for p, v in enumerate(data.shared_vertex) if root.degree(v) >= 3)
+    p = next(p for p, v in enumerate(data.shared_vertex) if len(root.incidence[v]) >= 3)
     moved = list(zeta.forward)
     moved[p] = Q8.mul(moved[p], Q8.element("i"))
     order = list(range(zeta.graph.m))
@@ -323,6 +323,18 @@ def test_root_side_fallbacks_are_the_dense_solve(monkeypatch):
         # for q8_2dim this is hermitian_spectrum(fourier(A, rep))
         assert verdict.spectrum == gl.represented_spectrum(gl.gain_adjacency(case), rep)
         assert sum(sides) == case.graph.n * rep.degree
+    # the root side needs pi(s2) exactly -I: the exact image, -0.0 off the
+    # diagonal, takes it, and an image 1e-13 off -I, which validates and is
+    # classified minus_identity at the default tol, does not
+    assert np.signbit(q8.images[minus].real).all()
+    verdict, sides = _solved_sides(monkeypatch, zeta, q8, minus)
+    assert verdict.s2_class == "minus_identity" and sum(sides) == root.n * q8.degree
+    nudged = q8.images.copy()
+    nudged[minus, 0, 0] += 1e-13
+    near = gl.UnitaryRepresentation(Q8, nudged)
+    verdict, sides = _solved_sides(monkeypatch, zeta, near, minus)
+    assert verdict.s2_class == "minus_identity" and sum(sides) == zeta.graph.n * near.degree
+    assert verdict.spectrum == gl.represented_spectrum(gl.gain_adjacency(zeta), near)
 
 
 def test_represented_side_is_capped_on_zetas_side(monkeypatch):
