@@ -15,6 +15,8 @@ import os
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
+import numpy as np
+
 from . import gain, graph, group, phase, representation, spectral
 from .errors import GainlineError, InputError
 
@@ -65,6 +67,9 @@ def _encode(value, level: int, write, head: str = "") -> None:
     of the level's C encoder, whose item separator carries the indentation.
     A non-empty list of such lists (a table, an edge list) and a phase's
     ``_SparseRows`` (which has a row per vertex) are written in one loop.
+    A 2-D integer ``np.ndarray`` with entries in ``range(size)`` (a group's
+    ``table``) is written from one string per value, gathered into rows,
+    with one join per row; any other array is written as its ``tolist()``.
     Each ``write`` gets at most one row or piece with the separator, key or
     bracket before it, so the text held at once is never the 26 MB of a
     large witness.  Dict keys must be ``str``, as in every gainline wire
@@ -72,7 +77,19 @@ def _encode(value, level: int, write, head: str = "") -> None:
     """
     inner, comma, pad, encode = _layout(level)
     sparse = isinstance(value, phase._SparseRows)
-    if isinstance(value, dict) and value:
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2 and value.dtype.kind in "iu" and value.size \
+                and value.min() >= 0 and value.max() < value.size:
+            row_inner, row_comma, row_pad, _ = _layout(level + 1)
+            strs = np.array([str(v) for v in range(value.max() + 1)], dtype=object)
+            sep = head + "[" + inner
+            for row in strs[value].tolist():
+                write(sep + "[" + row_inner + row_comma.join(row) + row_pad + "]")
+                sep = comma
+            write(pad + "]")
+        else:
+            _encode(value.tolist(), level, write, head)
+    elif isinstance(value, dict) and value:
         sep = head + "{" + inner
         for key, item in sorted(value.items()):
             _encode(item, level + 1, write, sep + encode(key) + ": ")
@@ -132,13 +149,14 @@ def _orientation(g: graph.SimpleGraph, spec: str) -> graph.Orientation:
 
 def cmd_group(args) -> int:
     G = group.build_group(_load_json(args.file))
+    center = group.center(G)
+    square = G.table.diagonal()
     _emit({
-        "group": group.group_to_dict(G),
+        "group": group._group_wire(G),
         "order": G.order,
-        "abelian": G.is_abelian(),
-        "center": [G.label(g) for g in group.center(G)],
-        "central_weak_involutions": [
-            G.label(g) for g in group.central_weak_involutions(G)],
+        "abelian": len(center) == G.order,
+        "center": [G.label(g) for g in center],
+        "central_weak_involutions": [G.label(g) for g in center if square[g] == 0],
     })
     return 0
 

@@ -58,13 +58,14 @@ class FiniteGroup:
             raise ValidationError("multiplication table entries must be integers")
         T = T.astype(np.intp)
         T.flags.writeable = False
-        full = np.arange(order)
-        bad_rows = (np.sort(T, axis=1) != full).any(axis=1)
-        bad_cols = (np.sort(T, axis=0) != full[:, None]).any(axis=0)
+        # Latin square: two boolean scatters of the range-masked entries, one
+        # by row and one by column, must each hit every index.
+        bad_rows, bad_cols = _not_permutations(T)
         bad = np.flatnonzero(bad_rows | bad_cols)
         if bad.size:
             kind = "row" if bad_rows[bad[0]] else "column"
             raise ValidationError(f"{kind} {bad[0]} of the table is not a permutation")
+        full = np.arange(order)
         if (T[0] != full).any() or (T[:, 0] != full).any():
             raise ValidationError("element 0 is not a two-sided identity")
         # Rows are permutations, so g h = 1 has exactly one solution h.
@@ -139,6 +140,25 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
+
+
+def _not_permutations(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the rows and of the columns of the square T that are not
+    permutations of its indices, by boolean scatters: a row or column is one
+    when its order entries are all in range and hit every index.  Entries out
+    of range fail their row and column and are masked to 0 before the
+    scatters, where a negative index would wrap round.  A function of its
+    own, so that its (order, order) temporaries are freed before Light's test."""
+    order = len(T)
+    full = np.arange(order)
+    valid = (T >= 0) & (T < order)
+    hits = np.where(valid, T, 0)
+    row_hit = np.zeros((order, order), dtype=bool)
+    col_hit = np.zeros((order, order), dtype=bool)
+    row_hit[full[:, None], hits] = True
+    col_hit[hits, full] = True
+    return (~(valid.all(axis=1) & row_hit.all(axis=1)),
+            ~(valid.all(axis=0) & col_hit.all(axis=0)))
 
 
 def _generators(T: np.ndarray) -> tuple[Element, ...]:
@@ -279,11 +299,15 @@ def build_group(spec: dict) -> FiniteGroup:
     raise InputError(f"unknown group family {family!r}")
 
 
+def _group_wire(group: FiniteGroup) -> dict:
+    """The wire form of a group with its ``table`` left as the read-only
+    array: :func:`group_to_dict` turns it into lists, the CLI writes it."""
+    return {"family": "custom", "name": group.name, "labels": list(group.labels),
+            "table": group.table}
+
+
 def group_to_dict(group: FiniteGroup) -> dict:
     """Serialize a group; always emits the explicit custom form."""
-    return {
-        "family": "custom",
-        "name": group.name,
-        "labels": list(group.labels),
-        "table": group.table.tolist(),
-    }
+    data = _group_wire(group)
+    data["table"] = data["table"].tolist()
+    return data

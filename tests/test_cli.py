@@ -18,7 +18,8 @@ from gainline import cli
 from gainline.cli import _emit, main
 from gainline.phase import _SparseRows, _phase_wire
 
-from helpers import DIAMOND, K2, PAW, q8_gain, random_connected_graph, random_phase
+from helpers import (DIAMOND, K2, PAW, q8_gain, random_connected_graph, random_phase,
+                     relabeled)
 
 PAW_GAINS = ["-i", "-j", "-k", "-i"]
 
@@ -709,6 +710,88 @@ def test_emit_streams_a_large_document(tmp_path, monkeypatch):
     # separator, key and bracket that may share its write
     row = max(len(json.dumps(r, indent=2).replace("\n", "\n" + "  " * 3)) for r in table)
     assert max(map(len, recorder.writes)) <= row + len(',\n    "table": [\n      ')
+
+
+def group_document(G):
+    """What `gainline group` prints for G, from the library's plain forms."""
+    return {"group": gl.group_to_dict(G), "order": G.order, "abelian": G.is_abelian(),
+            "center": [G.label(g) for g in gl.center(G)],
+            "central_weak_involutions": [G.label(g) for g in gl.central_weak_involutions(G)]}
+
+
+def test_group_echo_is_the_bytes_of_json_dumps(tmp_path, capsys):
+    rng = random.Random(163)
+    builtins = [{"family": "cyclic", "n": 512}, {"family": "dihedral", "n": 256},
+                {"family": "direct_product", "left": {"family": "quaternion8"},
+                 "right": {"family": "cyclic", "n": 64}}]
+    specs = builtins + [gl.group_to_dict(relabeled(rng, gl.build_group(spec)))
+                        for spec in builtins]
+    specs += [{"family": "cyclic", "n": 1},
+              {"family": "custom", "name": "two", "labels": ["e", "a"],
+               "table": [[0, 1], [1, 0]]}]
+    for spec in specs:
+        code, out, err = run(capsys, ["group", write(tmp_path, "group.json", spec)])
+        expected = json.dumps(group_document(gl.build_group(spec)), indent=2,
+                              sort_keys=True) + "\n"
+        same = out == expected  # not in the assert: pytest would diff 3.4 MB
+        assert (code, err, same) == (0, "", True), spec.get("n", spec.get("name"))
+
+
+def test_group_echo_builds_no_list_copy_of_the_table(tmp_path, capsys, monkeypatch):
+    def refuse(G):
+        raise AssertionError("the table was copied into lists")
+
+    monkeypatch.setattr(cli.group, "group_to_dict", refuse)
+    code, out, err = run(capsys, ["group", write(tmp_path, "z512.json",
+                                                 {"family": "cyclic", "n": 512})])
+    monkeypatch.undo()
+    expected = json.dumps(group_document(gl.cyclic(512)), indent=2, sort_keys=True) + "\n"
+    same = out == expected
+    assert (code, err, same) == (0, "", True)
+
+
+def plain(value):
+    """``value`` with every array replaced by its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+def array_documents():
+    rng = np.random.default_rng(167)
+    arrays = [rng.integers(0, rows * cols, (rows, cols)).astype(dtype)
+              for dtype in (np.int8, np.int32, np.intp, np.uint16)
+              for rows, cols in ((1, 1), (1, 9), (9, 1), (6, 6), (11, 7))]
+    table = gl.dihedral(6).table
+    assert not table.flags.writeable
+    arrays += [table, table.T]
+    # written as their tolist(): a negative entry, an entry past the size,
+    # no entries, one or three axes, floats and bools
+    arrays += [np.array([[0, -1]], dtype=np.int8), np.array([[0, 2]]),
+               np.zeros((2, 0), dtype=np.int32), np.zeros((0, 3), dtype=int),
+               np.arange(3), np.arange(8).reshape(2, 2, 2), np.array([[1.5, -0.0]]),
+               np.array([[True, False]])]
+    return [{"table": array, "nested": [array, {"rows": array}], "n": 1} for array in arrays]
+
+
+def test_emit_writes_integer_arrays_as_json_dumps_of_their_lists(capsys, monkeypatch):
+    documents = array_documents()
+    try:
+        for encoder in ("C", "Python"):
+            for document in documents:
+                _emit(document)
+                assert capsys.readouterr().out == json.dumps(
+                    plain(document), indent=2, sort_keys=True) + "\n", (encoder, document)
+            # a Python built without the _json accelerator has no C encoder
+            monkeypatch.setattr(cli, "c_make_encoder", None)
+            cli._layout.cache_clear()
+    finally:
+        monkeypatch.undo()
+        cli._layout.cache_clear()
 
 
 def test_rows_of_a_list_are_written_without_a_call_each(tmp_path, capsys, monkeypatch):

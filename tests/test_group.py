@@ -167,7 +167,7 @@ def test_builders_check_order_cap_first():
 def test_table_checks_agree_with_exhaustive_loops():
     rng = random.Random(109)
     groups = small_groups() + [gl.cyclic(6), gl.dihedral(3), gl.cyclic(1)]
-    verdicts = set()
+    verdicts, out_of_range = set(), 0
     for _ in range(300):
         G = rng.choice(groups)
         table = [list(row) for row in G.mult]
@@ -184,6 +184,10 @@ def test_table_checks_agree_with_exhaustive_loops():
                 if 0 not in (a, b, c, d) and a != c and table[a][d] == table[c][b]:
                     table[a][b], table[a][d] = table[a][d], table[a][b]
                     table[c][b], table[c][d] = table[c][d], table[c][b]
+        if rng.random() < 0.2:  # an entry out of range: -1 must not wrap round
+            table[rng.randrange(G.order)][rng.randrange(G.order)] = rng.choice(
+                (-1, G.order, 2**40))
+            out_of_range += 1
         expected = reference_table_failure(table)
         verdicts.add(expected.split(" ")[0] if expected else None)
         if expected is None:
@@ -195,6 +199,7 @@ def test_table_checks_agree_with_exhaustive_loops():
         assert message.startswith(expected) if "associative" in expected \
             else message == expected
     assert {"row", "column", "element", "table", None} <= verdicts
+    assert out_of_range > 30
 
 
 def test_rejects_wrong_identity_position():
@@ -237,6 +242,11 @@ def test_group_faults_are_named():
         (lambda: gl.quaternion8().invert(8), ValidationError,
          "element index out of range: 8"),
         (lambda: gl.dihedral(0), InputError, "dihedral group needs n >= 1"),
+        # entries out of range, below and above
+        (lambda: gl.FiniteGroup(["e", "a"], [[0, 1], [1, -1]]), ValidationError,
+         "row 1 of the table is not a permutation"),
+        (lambda: gl.FiniteGroup(["e", "a"], [[0, 1], [1, 2]]), ValidationError,
+         "row 1 of the table is not a permutation"),
     ]
     for build, kind, message in cases:
         with pytest.raises(kind) as refused:
