@@ -174,7 +174,7 @@ def cmd_gainline(args) -> int:
     ctx = _context(psi_fn.group, args)
     orientation = _orientation(psi_fn.graph, args.orientation)
     zeta = phase.gain_line(psi_fn, orientation, ctx)
-    _emit(gain.gain_to_dict(zeta))
+    _emit(gain._gain_wire(zeta))
     return 0
 
 

@@ -26,6 +26,11 @@ class FiniteGroup:
     ``table[a, b]`` is the index of the product of elements ``a`` and ``b``;
     index 0 is always the identity.  Instances are immutable after
     construction and safe to share between threads.
+
+    Once its entries are known to lie in range, the table is validated on an
+    int16 working copy (an order is at most ``MAX_ORDER`` = 512) and its
+    contiguous transpose, so that both sides of Light's associativity test
+    are row gathers of a few hundred kB; ``table`` keeps np.intp.
     """
 
     def __init__(self, labels: Sequence[str], mult: Sequence[Sequence[int]],
@@ -47,16 +52,19 @@ class FiniteGroup:
             raise ValidationError(
                 "group labels must be a list of strings and the table a list of rows")
 
-        try:
-            T = np.array(mult)
+        integer_array = isinstance(mult, np.ndarray) and mult.dtype.kind in "iu"
+        try:  # the one copy of the table
+            T = np.array(mult, dtype=np.intp if integer_array else None)
         except (TypeError, ValueError, OverflowError):
             T = None
-        # numpy reads a bool among ints as an int; only entries 0 and 1 can be bools.
+        # numpy reads a bool among ints as an int, so a list is scanned: only
+        # its entries 0 and 1 can be bools.  An integer array holds none.
         if T is None or T.shape != (order, order) or T.dtype.kind not in "iu" \
-                or any(isinstance(mult[i][j], (bool, np.bool_))
-                       for i, j in np.argwhere(np.isin(T, (0, 1))).tolist()):
+                or not integer_array and any(
+                    isinstance(mult[i][j], (bool, np.bool_))
+                    for i, j in np.argwhere(T >> 1 == 0).tolist()):
             raise ValidationError("multiplication table entries must be integers")
-        T = T.astype(np.intp)
+        T = T.astype(np.intp, copy=False)
         T.flags.writeable = False
         # Latin square: two boolean scatters of the range-masked entries, one
         # by row and one by column, must each hit every index.
@@ -65,21 +73,26 @@ class FiniteGroup:
         if bad.size:
             kind = "row" if bad_rows[bad[0]] else "column"
             raise ValidationError(f"{kind} {bad[0]} of the table is not a permutation")
+        # Every entry is now below order <= MAX_ORDER, so int16 holds it.
+        W = T.astype(np.int16)
+        Wt = np.ascontiguousarray(W.T)
         full = np.arange(order)
-        if (T[0] != full).any() or (T[:, 0] != full).any():
+        if (W[0] != full).any() or (Wt[0] != full).any():
             raise ValidationError("element 0 is not a two-sided identity")
         # Rows are permutations, so g h = 1 has exactly one solution h.
-        inv = np.argmin(T, axis=1)
-        bad = np.flatnonzero(T[inv, full] != 0)
+        inv = np.argmin(W, axis=1)
+        bad = np.flatnonzero(W[inv, full] != 0)
         if bad.size:
             raise ValidationError(f"element {bad[0]} has no two-sided inverse")
         # Light's test: the elements a with (x a) y = x (a y) for all x, y are
-        # closed under the product, so checking the generators proves associativity.
-        generators = _generators(T)
+        # closed under the product, so checking the generators proves
+        # associativity.  Both sides are row gathers: (x s) y is row W[x, s] of
+        # W, and x (s y) is row W[s, y] of Wt, read transposed.
+        generators = _generators(W)
         for s in generators:
-            bad = np.argwhere(T[T[:, s], :] != T[:, T[s, :]])
-            if bad.size:
-                x, y = bad[0]
+            bad = W[Wt[s]] != Wt[W[s]].T
+            if bad.any():
+                x, y = np.argwhere(bad)[0]
                 raise ValidationError(f"table is not associative at ({x}, {s}, {y})")
 
         self.name = name
@@ -163,17 +176,19 @@ def _not_permutations(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _generators(T: np.ndarray) -> tuple[Element, ...]:
     """A greedy generating set: the least element not yet reached is added,
-    then the reached set is squared until it stops growing."""
-    gens = []
-    reached = np.zeros(len(T), dtype=bool)
+    then the reached set is squared until it stops growing or is everything."""
+    order = len(T)
+    gens, count = [], 1
+    reached = np.zeros(order, dtype=bool)
     reached[0] = True
-    while not reached.all():
+    while count < order:
         gens.append(int(np.argmin(reached)))
         reached[gens[-1]] = True
         while True:
             R = np.flatnonzero(reached)
-            reached[T[np.ix_(R, R)]] = True
-            if np.count_nonzero(reached) == R.size:
+            reached[T[R][:, R]] = True
+            count = np.count_nonzero(reached)
+            if count in (R.size, order):
                 break
     return tuple(gens)
 

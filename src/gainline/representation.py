@@ -27,18 +27,33 @@ class UnitaryRepresentation:
     trivial representations), so that validation, Fourier transforms and
     eigensolves run in real arithmetic, and complex128 otherwise.
 
-    Tolerances are on the largest entry.  The homomorphism is decided on the
-    generators S of the group first.  Let n = |G|, k the degree, and rho = 0
-    if every entry is a Gaussian integer (by unitarity 0, +-1 or +-i, whose
-    products are exact), else rho = (k + 2) 2^-52, a bound on the rounding
-    of an entry of a product.  S suffices if it is not empty, k n tol <= 1
-    and every computed |pi(s)pi(h) - pi(sh)| <= tol / (4 k n) - rho.  Proof:
-    the exact deviations at S are then at most d = tol / (4 k n), k d in the
-    spectral norm, and ||pi(g)||^2 <= u^2 = 1 + k (tol + rho).  Each g is a
-    word s_1 ... s_L in S, 1 <= L <= n; peeling one letter at a time bounds
+    Tolerances are on the largest entry.  When every entry is a Gaussian
+    integer, unitarity is decided exactly: pi(g)* pi(g) = I holds iff pi(g)
+    is monomial, each row and each column holding one nonzero entry, +-1 or
+    +-i.  (The diagonal of pi(g)* pi(g) holds each column's sum of |x|^2, an
+    integer that is 1 only for a column with one unit, and two such columns
+    with their units in one row have a nonzero inner product.)
+    Row i of pi(g) then holds c_g(i) at column sigma_g(i), and pi(s)pi(h) =
+    pi(sh) iff sigma_h(sigma_s(i)) = sigma_sh(i) and c_s(i) c_h(sigma_s(i)) =
+    c_sh(i) for every i, compared as indices and powers of i without a
+    matrix product.  Holding for the generators S of the group, this proves
+    the homomorphism by induction on word length: for g = s g',
+    pi(g)pi(h) = pi(s)pi(g')pi(h) = pi(s)pi(g'h) = pi(gh).  An exact
+    deviation is 0 or at least 1, so these decisions are those of the
+    tolerance checks below.
+
+    Otherwise the checks are in floating point, with rho = (k + 2) 2^-52 a
+    bound on the rounding of an entry of a product, n = |G| and k the degree.
+    The homomorphism is decided on the generators S first.  S suffices if
+    it is not empty, k n tol <= 1 and every computed
+    |pi(s)pi(h) - pi(sh)| <= tol / (4 k n) - rho.  Proof: the exact
+    deviations at S are then at most d = tol / (4 k n), k d in the spectral
+    norm, and ||pi(g)||^2 <= u^2 = 1 + k (tol + rho).  Each g is a word
+    s_1 ... s_L in S, 1 <= L <= n; peeling one letter at a time bounds
     ||pi(g)pi(h) - pi(gh)|| by 2 k d L u^(L-1) <= (e^(1/2) / 2) tol < 0.83 tol
     as (n - 1) rho <= tol, and a scan, off by rho <= tol / 8, accepts every
-    pair.  Otherwise the scan decides, naming the first failing (g, h).
+    pair.  Otherwise, and in both branches when the generators fail, a scan
+    decides, naming the first failing (g, h).
 
     ``irreducible`` is decided, never declared: pi is irreducible iff
     <chi, chi> = (1/n) sum_g |tr pi(g)|^2 = 1 (Serre, section 2.3, Thm 5), and
@@ -70,24 +85,16 @@ class UnitaryRepresentation:
         _image_stack(images, group)
         if not np.isfinite(images).all():
             raise ValidationError("images must have finite entries")
-        n, k, tol = group.order, images.shape[1], VALIDATION_TOL
-        eye = np.eye(k)
-        if np.abs(images[0] - eye).max() > tol:
+        n, k = group.order, images.shape[1]
+        if np.abs(images[0] - np.eye(k)).max() > VALIDATION_TOL:
             raise ValidationError("pi(identity) is not the identity matrix")
-        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: not unitary
-            gram = images.conj().transpose(0, 2, 1) @ images
-        bad = np.flatnonzero(~(np.abs(gram - eye).max(axis=(1, 2)) <= tol))
-        if bad.size:
-            raise ValidationError(f"pi({group.label(bad[0])}) is not unitary")
-
-        def deviation(g: Element) -> np.ndarray:  # max |pi(g)pi(h) - pi(gh)| per h
-            return np.abs(images[g] @ images - images[group.table[g]]).max(axis=(1, 2))
-
-        rho = 0.0 if np.array_equal(images, images.round()) else (k + 2) * 2.0 ** -52
-        if not (group.generators and k * n * tol <= 1 and all(
-                deviation(s).max() <= tol / (4 * k * n) - rho for s in group.generators)):
+        if np.array_equal(images, images.round()):
+            wrong, proved = _monomial_checks(group, images)
+        else:
+            wrong, proved = _float_checks(group, images)
+        if not proved:
             for g in group.elements():
-                bad = np.flatnonzero(deviation(g) > tol)
+                bad = np.flatnonzero(wrong(g))
                 if bad.size:
                     raise ValidationError(
                         f"pi is not a homomorphism at ({group.label(g)}, "
@@ -101,6 +108,57 @@ class UnitaryRepresentation:
     def __repr__(self) -> str:
         return (f"UnitaryRepresentation({self.group.name}, degree={self.degree}, "
                 f"{'irreducible' if self.irreducible else 'reducible'})")
+
+
+def _require_unitary(group: FiniteGroup, bad: np.ndarray) -> None:
+    """Refuse the first g of the mask ``bad`` as not unitary."""
+    bad = np.flatnonzero(bad)
+    if bad.size:
+        raise ValidationError(f"pi({group.label(bad[0])}) is not unitary")
+
+
+def _monomial_checks(group: FiniteGroup, images: np.ndarray):
+    """Unitarity of Gaussian-integer images, decided exactly as monomiality,
+    and ``(wrong, proved)``: wrong(g) marks each h with pi(g)pi(h) != pi(gh),
+    compared as (column, power of i) pairs per row, and proved says that
+    no generator has such an h."""
+    n, k = images.shape[:2]
+    nonzero = images != 0
+    cols = nonzero.argmax(axis=2)  # the first nonzero of each row
+    lead = np.take_along_axis(images, cols[..., None], 2)[..., 0]
+    hit = np.zeros((n, k), dtype=bool)
+    hit[np.arange(n)[:, None], cols] = True
+    # every row leads with a unit and the k nonzeros of pi(g) sit in k columns
+    _require_unitary(group, ~((np.abs(lead) == 1).all(axis=1) & hit.all(axis=1)
+                              & (np.count_nonzero(nonzero.reshape(n, -1), axis=1) == k)))
+    # lead = i^powers: 1, i, -1, -i are powers 0, 1, 2, 3
+    powers = np.where(lead.real != 0, 1 - lead.real, 2 - lead.imag).astype(np.intp)
+    table = group.table
+
+    def wrong(g: Element) -> np.ndarray:
+        at, gh = cols[g], table[g]
+        return ((cols[:, at] != cols[gh])
+                | ((powers[g] + powers[:, at] - powers[gh]) % 4 != 0)).any(axis=1)
+
+    return wrong, not any(wrong(s).any() for s in group.generators)
+
+
+def _float_checks(group: FiniteGroup, images: np.ndarray):
+    """Unitarity within ``VALIDATION_TOL`` and ``(wrong, proved)``: wrong(g)
+    marks each h with |pi(g)pi(h) - pi(gh)| above tol, and proved says that
+    the generator bound of :class:`UnitaryRepresentation` holds."""
+    n, k, tol = group.order, images.shape[1], VALIDATION_TOL
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: not unitary
+        gram = images.conj().transpose(0, 2, 1) @ images
+    _require_unitary(group, ~(np.abs(gram - np.eye(k)).max(axis=(1, 2)) <= tol))
+
+    def deviation(g: Element) -> np.ndarray:  # max |pi(g)pi(h) - pi(gh)| per h
+        return np.abs(images[g] @ images - images[group.table[g]]).max(axis=(1, 2))
+
+    rho = (k + 2) * 2.0 ** -52
+    proved = bool(group.generators) and k * n * tol <= 1 and all(
+        deviation(s).max() <= tol / (4 * k * n) - rho for s in group.generators)
+    return (lambda g: deviation(g) > tol), proved
 
 
 def _image_stack(images: np.ndarray, group: FiniteGroup) -> np.ndarray:

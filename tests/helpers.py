@@ -279,11 +279,65 @@ def reference_table_failure(table) -> str | None:
     return None
 
 
+def dense_table_failure(mult) -> str | None:
+    """The message of the first failed table check, by whole-table numpy
+    intp passes: a bool scan of the 0 and 1 entries, boolean scatters for the
+    Latin square, and Light's test on the greedy generators by a row and a
+    column gather each, O(order^2) per generator where the exhaustive loops
+    of :func:`reference_table_failure` are O(order^3); oracle only."""
+    order = len(mult)
+    try:
+        T = np.array(mult)
+    except (TypeError, ValueError, OverflowError):
+        T = None
+    if T is None or T.shape != (order, order) or T.dtype.kind not in "iu" \
+            or any(isinstance(mult[i][j], (bool, np.bool_))
+                   for i, j in np.argwhere(np.isin(T, (0, 1))).tolist()):
+        return "multiplication table entries must be integers"
+    T = T.astype(np.intp)
+    full = np.arange(order)
+    valid = (T >= 0) & (T < order)
+    hits = np.where(valid, T, 0)
+    row_hit = np.zeros((order, order), dtype=bool)
+    col_hit = np.zeros((order, order), dtype=bool)
+    row_hit[full[:, None], hits] = True
+    col_hit[hits, full] = True
+    bad_rows = ~(valid.all(axis=1) & row_hit.all(axis=1))
+    bad_cols = ~(valid.all(axis=0) & col_hit.all(axis=0))
+    bad = np.flatnonzero(bad_rows | bad_cols)
+    if bad.size:
+        kind = "row" if bad_rows[bad[0]] else "column"
+        return f"{kind} {bad[0]} of the table is not a permutation"
+    if (T[0] != full).any() or (T[:, 0] != full).any():
+        return "element 0 is not a two-sided identity"
+    bad = np.flatnonzero(T[np.argmin(T, axis=1), full] != 0)
+    if bad.size:
+        return f"element {bad[0]} has no two-sided inverse"
+    gens, reached = [], np.zeros(order, dtype=bool)
+    reached[0] = True
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[gens[-1]] = True
+        while True:
+            R = np.flatnonzero(reached)
+            reached[T[np.ix_(R, R)]] = True
+            if np.count_nonzero(reached) == R.size:
+                break
+    for s in gens:
+        bad = np.argwhere(T[T[:, s], :] != T[:, T[s, :]])
+        if bad.size:
+            x, y = bad[0]
+            return f"table is not associative at ({x}, {s}, {y})"
+    return None
+
+
 def reference_representation_failure(group: gl.FiniteGroup, images,
                                      tol: float = 1e-10) -> str | None:
-    """The message of the first failed unitarity or homomorphism check, by
-    the per-element and per-pair loops; oracle only."""
+    """The message of the first failed identity, unitarity or homomorphism
+    check, by the per-element and per-pair loops; oracle only."""
     eye = np.eye(images.shape[1])
+    if np.abs(images[0] - eye).max() > tol:
+        return "pi(identity) is not the identity matrix"
     for g in group.elements():
         if np.abs(images[g].conj().T @ images[g] - eye).max() > tol:
             return f"pi({group.label(g)}) is not unitary"

@@ -750,6 +750,27 @@ def test_group_echo_builds_no_list_copy_of_the_table(tmp_path, capsys, monkeypat
     assert (code, err, same) == (0, "", True)
 
 
+def test_gainline_echo_builds_no_list_copy_of_the_table(tmp_path, capsys, monkeypatch):
+    rng = random.Random(167)
+    D32 = gl.dihedral(32)
+    graph = random_connected_graph(rng, 30)
+    psi = gl.GainFunction(graph, D32, tuple(rng.randrange(64) for _ in range(graph.m)))
+    r16 = D32.element("r16")
+    zeta = gl.gain_line(psi, gl.default_orientation(graph), gl.PhaseContext(D32, r16, r16))
+    expected = json.dumps(gl.gain_to_dict(zeta), indent=2, sort_keys=True) + "\n"
+    path = write(tmp_path, "d32.json", gl.gain_to_dict(psi))
+
+    def refuse(G):
+        raise AssertionError("the table was copied into lists")
+
+    # gain.py binds its own name for group_to_dict
+    monkeypatch.setattr(cli.group, "group_to_dict", refuse)
+    monkeypatch.setattr(cli.gain, "group_to_dict", refuse)
+    code, out, err = run(capsys, ["gainline", path, "--s1", "r16", "--s2", "r16"])
+    monkeypatch.undo()
+    assert (code, err, out == expected) == (0, "", True)
+
+
 def plain(value):
     """``value`` with every array replaced by its ``tolist()``."""
     if isinstance(value, np.ndarray):

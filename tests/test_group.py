@@ -9,8 +9,8 @@ import gainline as gl
 from gainline.errors import InputError, ValidationError
 from gainline.group import is_central_weak_involution
 
-from helpers import (reference_center, reference_cyclic_table, reference_dihedral,
-                     reference_direct_product, reference_generators,
+from helpers import (dense_table_failure, reference_center, reference_cyclic_table,
+                     reference_dihedral, reference_direct_product, reference_generators,
                      reference_quaternion8, reference_table_failure, small_groups)
 
 
@@ -155,6 +155,55 @@ def test_rejects_non_associative_table_of_order_512():
         table[r][5], table[r][261] = table[r][261], table[r][5]
     with pytest.raises(ValidationError, match="not associative"):
         gl.FiniteGroup([str(a) for a in range(n)], table)
+
+
+def swap_intercalate(rng, table):
+    """Swap a seeded intercalate of the list table in place: rows a, c and
+    columns b, d with table[a][b] = table[c][d] and table[a][d] = table[c][b],
+    away from row and column 0 and from the value 0."""
+    order = len(table)
+    while True:
+        a, b = rng.randrange(1, order), rng.randrange(1, order)
+        for c in rng.sample(range(1, order), order - 1):
+            d = table[c].index(table[a][b])
+            if a != c and d not in (0, b) and table[a][d] == table[c][b] \
+                    and 0 not in (table[a][b], table[a][d]):
+                table[a][b], table[a][d] = table[a][d], table[a][b]
+                table[c][b], table[c][d] = table[c][d], table[c][b]
+                return
+
+
+def test_order_512_table_checks_agree_with_the_dense_oracle():
+    rng = random.Random(512)
+    groups = (gl.cyclic(512), gl.dihedral(256),
+              gl.direct_product(gl.quaternion8(), gl.cyclic(64)))
+    verdicts = []
+    for G in groups:
+        for _ in range(2):
+            table = G.table.tolist()
+            i, j = rng.randrange(1, G.order), rng.randrange(1, G.order)
+            swapped = [list(row) for row in table]
+            swap_intercalate(rng, swapped)
+            out_of_range = [list(row) for row in table]
+            out_of_range[i][j] = rng.choice((-1, G.order, 2**40))
+            with_true = [list(row) for row in table]
+            with_true[i][with_true[i].index(1)] = True
+            with_float = [list(row) for row in table]
+            with_float[i][j] = float(with_float[i][j])
+            float_array = np.array(table, dtype=np.float64)
+            float_array[i, j] += 0.5
+            cases = [swapped, np.array(swapped), out_of_range, np.array(out_of_range),
+                     with_true, with_float, float_array]
+            for mult in cases:
+                expected = dense_table_failure(mult)
+                verdicts.append(expected)
+                with pytest.raises(ValidationError) as info:
+                    gl.FiniteGroup(G.labels, mult)
+                assert str(info.value) == expected, G.name
+    kinds = {verdict.split(" ")[0] for verdict in verdicts}
+    assert {"row", "column", "table", "multiplication"} <= kinds
+    assert sum(verdict.startswith("table is not associative at (")
+               for verdict in verdicts) == 2 * 2 * len(groups)
 
 
 def test_builders_check_order_cap_first():

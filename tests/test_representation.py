@@ -350,6 +350,56 @@ def test_validation_reports_first_failure_like_the_pairwise_loop():
     assert accepted_near_zero == {"Q8", "D4", "Z12"}
 
 
+#: The three refusals of UnitaryRepresentation, by a word of each message.
+KINDS = ("identity matrix", "unitary", "homomorphism")
+
+
+def exact_mutations(rng, images):
+    """Gaussian-integer changes of exact images, each on a seeded element:
+    two images swapped, one row negated, one row copied onto another (two
+    units in one column), one image times i, a non-monomial image, a wrong
+    identity, and one entry 2^60."""
+    n, k = images.shape[:2]
+    g, h = rng.sample(range(1, n), 2)
+    swapped, negated, copied, turned, sheared, identity, huge = (
+        images.astype(np.complex128) for _ in range(7))
+    swapped[[g, h]] = swapped[[h, g]]
+    negated[g, rng.randrange(k)] *= -1
+    copied[g, 1 % k] = copied[g, 0]
+    turned[g] *= 1j
+    sheared[g] = np.eye(k)
+    if k > 1:
+        sheared[g, 0, 1] = 1  # [[1, 1], [0, 1]] in the top corner
+    else:
+        sheared[g] = 1 + 1j
+    identity[0] = -identity[0] if rng.random() < 0.5 else identity[g]
+    huge[g, rng.randrange(k), rng.randrange(k)] = 2.0 ** 60
+    return swapped, negated, copied, turned, sheared, identity, huge
+
+
+def test_exact_validation_reports_first_failure_like_the_pairwise_loop():
+    rng = random.Random(59)
+    D4, Q8, T4 = gl.dihedral(4), gl.quaternion8(), gl.t4()
+    cases = [(gl.regular_representation(D4), 4), (gl.q8_representation(Q8), 4),
+             (gl.root_of_unity_representation(T4), 4), (gl.sign_character(D4), 4),
+             (gl.regular_representation(gl.dihedral(32)), 1)]
+    verdicts = set()
+    for rep, rounds in cases:
+        G = rep.group
+        for _ in range(rounds):
+            for bad in exact_mutations(rng, rep.images):
+                assert np.array_equal(bad, bad.round())  # the exact branch decides
+                expected = reference_representation_failure(G, bad)
+                verdicts.add(expected and next(kind for kind in KINDS if kind in expected))
+                if expected is None:
+                    gl.UnitaryRepresentation(G, bad)
+                    continue
+                with pytest.raises(ValidationError) as info:
+                    gl.UnitaryRepresentation(G, bad)
+                assert str(info.value) == expected, G.name
+    assert verdicts == {None, *KINDS}
+
+
 def generator_deviation(G, images):
     """Largest |pi(s)pi(h) - pi(sh)| over the group's generators s."""
     return max(np.abs(images[s] @ images[h] - images[G.mul(s, h)]).max()
