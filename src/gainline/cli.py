@@ -147,7 +147,7 @@ def _orientation(g: graph.SimpleGraph, spec: str) -> graph.Orientation:
     return graph.Orientation(g, heads)
 
 
-def cmd_group(args) -> int:
+def cmd_group(args) -> None:
     G = group.build_group(_load_json(args.file))
     center = group.center(G)
     square = G.table.diagonal()
@@ -158,37 +158,33 @@ def cmd_group(args) -> int:
         "center": [G.label(g) for g in center],
         "central_weak_involutions": [G.label(g) for g in center if square[g] == 0],
     })
-    return 0
 
 
-def cmd_line(args) -> int:
+def cmd_line(args) -> None:
     g = graph.graph_from_dict(_load_json(args.file))
     data = graph.line_graph(g)
     _emit({"line": graph.graph_to_dict(data.line),
            "shared_vertex": [v + 1 for v in data.shared_vertex]})
-    return 0
 
 
-def cmd_gainline(args) -> int:
+def cmd_gainline(args) -> None:
     psi_fn = gain.gain_from_dict(_load_json(args.file))
     ctx = _context(psi_fn.group, args)
     orientation = _orientation(psi_fn.graph, args.orientation)
     zeta = phase.gain_line(psi_fn, orientation, ctx)
     _emit(gain._gain_wire(zeta))
-    return 0
 
 
-def cmd_check_balance(args) -> int:
+def cmd_check_balance(args) -> None:
     psi_fn = gain.gain_from_dict(_load_json(args.file))
     witness = gain.balance_witness(psi_fn)
     verdict = {"balanced": witness is not None}
     if witness is not None:
         verdict["witness"] = [psi_fn.group.label(v) for v in witness]
     _emit(verdict)
-    return 0
 
 
-def cmd_check_switch_equiv(args) -> int:
+def cmd_check_switch_equiv(args) -> None:
     psi1 = gain.gain_from_dict(_load_json(args.first))
     psi2 = gain.gain_from_dict(_load_json(args.second))
     witness = gain.switching_to(psi1, psi2)
@@ -196,10 +192,9 @@ def cmd_check_switch_equiv(args) -> int:
     if witness is not None:
         verdict["witness"] = [psi1.group.label(v) for v in witness]
     _emit(verdict)
-    return 0
 
 
-def cmd_check_gainline(args) -> int:
+def cmd_check_gainline(args) -> None:
     zeta = gain.gain_from_dict(_load_json(args.file))
     root = graph.graph_from_dict(_load_json(args.root))
     ctx = _context(zeta.group, args)
@@ -208,19 +203,17 @@ def cmd_check_gainline(args) -> int:
     if H is not None:
         verdict["witness_phase"] = phase._phase_wire(H)
     _emit(verdict)
-    return 0
 
 
-def cmd_check_obstruction(args) -> int:
+def cmd_check_obstruction(args) -> None:
     zeta = gain.gain_from_dict(_load_json(args.file))
     rep = representation.representation_from_dict(_load_json(args.rep), zeta.group)
     s2 = zeta.group.element(args.s2) if args.s2 is not None else zeta.group.identity
     verdict = spectral.gainline_obstruction(zeta, rep, s2, tol=args.tol)
     _emit(verdict.to_dict())
-    return 0
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> None:
     psi_fn = gain.gain_from_dict(_load_json(args.file))
     rep = representation.representation_from_dict(_load_json(args.rep), psi_fn.group)
     spec = representation.represented_spectrum(gain.gain_adjacency(psi_fn), rep)
@@ -229,10 +222,11 @@ def cmd_spectrum(args) -> int:
         ["index,eigenvalue,multiplicity_group\r\n"]
         + [f"{i},{lam!r},{gid}\r\n"
            for i, (lam, gid) in enumerate(zip(spec, groups))]))
-    return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="gainline",
         description="Gain graphs over finite groups: constructions and checks.")
@@ -292,10 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()
     except GainlineError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -305,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         # the flush at exit cannot raise again (Python's "Note on SIGPIPE").
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -82,11 +82,8 @@ def switch(psi: GainFunction, f: Sequence[Element]) -> GainFunction:
     if len(f) != psi.graph.n:
         raise ValidationError("switching function must assign a value per vertex")
     G = psi.group
-    out = []
-    for k, (u, v) in enumerate(psi.graph.edges):
-        g = G.mul(G.invert(f[u]), G.mul(psi.forward[k], f[v]))
-        out.append(g)
-    return GainFunction(psi.graph, G, tuple(out))
+    return GainFunction(psi.graph, G, tuple(G.mul(G.invert(f[u]), G.mul(g, f[v]))
+                                            for (u, v), g in zip(psi.graph.edges, psi.forward)))
 
 
 def walk_gain(psi: GainFunction, walk: Sequence[int]) -> Element:

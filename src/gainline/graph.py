@@ -12,6 +12,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -33,20 +34,24 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n, edges = self.n, tuple(self.edges)
+        n = self.n
         if n < 1:
             raise ValidationError("graph needs at least one vertex")
-        if not edges and n > 1:
+        # One scan in edge order names the first fault, 1-based as files
+        # name vertices; the dict keeps edge order.
+        norm = {}
+        for u, v in self.edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValidationError(f"edge {(u + 1, v + 1)} out of vertex range")
+            if u == v:
+                raise ValidationError(f"loop at vertex {u + 1}")
+            key = (u, v) if u < v else (v, u)
+            if key in norm:
+                raise ValidationError(f"duplicate edge {(key[0] + 1, key[1] + 1)}")
+            norm[key] = None
+        if not norm and n > 1:
             raise ValidationError("graph needs at least one edge")
-        norm = tuple([(u, v) if u < v else (v, u) for u, v in edges])
-        if norm:
-            # A few C-level passes decide; the per-edge scan runs only to
-            # name the first bad edge.
-            lo, hi = zip(*norm)
-            if not (min(lo) >= 0 and max(hi) < n and all(map(operator.lt, lo, hi))
-                    and len(set(norm)) == len(norm)):
-                _raise_first_fault(n, edges)
-        object.__setattr__(self, "edges", norm)
+        object.__setattr__(self, "edges", tuple(norm))
         # Connected needs n - 1 edges; checked before the BFS allocates n.
         if n > len(norm) + 1 or len(self._tree[1]) != n:
             raise ValidationError("graph is not connected")
@@ -78,16 +83,12 @@ class SimpleGraph:
         if size > MAX_LINE_EDGES:
             raise ValidationError(
                 f"line graph of {size} edges exceeds cap {MAX_LINE_EDGES}")
-        pairs = []
-        for v, ks in enumerate(self.incidence):
-            for a, i in enumerate(ks):
-                for j in ks[a + 1:]:
-                    pairs.append((i, j, v))
         # Two distinct edges of a simple graph share at most one vertex, so
         # the (i, j) pairs are distinct and sorting fixes the order.  The
         # line graph of a connected simple graph is connected and simple, so
         # it is built without a check.
-        pairs.sort()
+        pairs = sorted((i, j, v) for v, ks in enumerate(self.incidence)
+                       for i, j in combinations(ks, 2))
         return LineGraphData(_trusted(self.m, tuple((i, j) for i, j, _ in pairs)),
                              tuple(v for _, _, v in pairs))
 
@@ -95,21 +96,6 @@ class SimpleGraph:
 def _line_size(degrees: Iterable[int]) -> int:
     """The number of line edges: a vertex of degree d joins C(d, 2) of them."""
     return sum(d * (d - 1) // 2 for d in degrees)
-
-
-def _raise_first_fault(n: int, edges: tuple) -> None:
-    """Scan the edges in order and raise for the first one that is out of
-    range, a loop or a duplicate, naming its vertices 1-based as files do."""
-    seen = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"edge {(u + 1, v + 1)} out of vertex range")
-        if u == v:
-            raise ValidationError(f"loop at vertex {u + 1}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValidationError(f"duplicate edge {(key[0] + 1, key[1] + 1)}")
-        seen.add(key)
 
 
 def _trusted(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleGraph:
@@ -270,18 +256,16 @@ def _placed(ends: list, star: list, choice: tuple, e: int) -> tuple[list, list]:
 def incidence_matrix(graph: SimpleGraph) -> np.ndarray:
     """Classical 0/1 vertex-by-edge incidence matrix."""
     out = np.zeros((graph.n, graph.m), dtype=np.int64)
-    for k, (u, v) in enumerate(graph.edges):
-        out[u, k] = 1
-        out[v, k] = 1
+    ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)  # (0, 2) with no edge
+    out[ends, np.arange(graph.m)[:, None]] = 1
     return out
 
 
 def classical_matrices(graph: SimpleGraph) -> dict[str, np.ndarray]:
     """Adjacency, degree, Laplacian and signless Laplacian over the integers."""
     a = np.zeros((graph.n, graph.n), dtype=np.int64)
-    for u, v in graph.edges:
-        a[u, v] = 1
-        a[v, u] = 1
+    u, v = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    a[u, v] = a[v, u] = 1
     deg = np.diag(a.sum(axis=1))
     return {
         "adjacency": a,

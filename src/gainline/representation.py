@@ -286,13 +286,8 @@ def invariant_blocks(rep: UnitaryRepresentation) -> tuple[np.ndarray, ...]:
 def multiplicity_groups(eigenvalues: tuple[float, ...]) -> list[int]:
     """Group id per ascending eigenvalue; consecutive values within
     ``MULTIPLICITY_TOL`` share one."""
-    ids = []
-    current = 0
-    for i, lam in enumerate(eigenvalues):
-        if i > 0 and lam - eigenvalues[i - 1] > MULTIPLICITY_TOL:
-            current += 1
-        ids.append(current)
-    return ids
+    lam = np.asarray(eigenvalues, dtype=float)
+    return np.cumsum(np.diff(lam, prepend=lam[:1]) > MULTIPLICITY_TOL).tolist()
 
 
 def hermitian_spectrum(M: np.ndarray) -> tuple[float, ...]:
@@ -332,8 +327,7 @@ def represented_spectrum(A: CGMatrix, rep: UnitaryRepresentation) -> tuple[float
 # -- builtin representations ------------------------------------------------
 
 def trivial_representation(group: FiniteGroup) -> UnitaryRepresentation:
-    images = np.ones((group.order, 1, 1))
-    return UnitaryRepresentation(group, images)
+    return UnitaryRepresentation(group, np.ones((group.order, 1, 1)))
 
 
 def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
@@ -483,11 +477,6 @@ def representation_from_dict(data: dict, group: FiniteGroup) -> UnitaryRepresent
 
 
 def representation_to_dict(rep: UnitaryRepresentation) -> dict:
-    images = {}
-    for g in rep.group.elements():
-        mat = rep.images[g]
-        images[rep.group.label(g)] = [
-            [[float(mat[i, j].real), float(mat[i, j].imag)]
-             for j in range(rep.degree)]
-            for i in range(rep.degree)]
+    pairs = np.stack((rep.images.real, rep.images.imag), axis=-1).tolist()
+    images = {rep.group.label(g): pairs[g] for g in rep.group.elements()}
     return {"degree": rep.degree, "irreducible": rep.irreducible, "images": images}

@@ -93,6 +93,31 @@ def reference_fourier(A: gl.CGMatrix, rep: gl.UnitaryRepresentation) -> np.ndarr
     return out
 
 
+def reference_multiplicity_groups(eigenvalues) -> list[int]:
+    """Group ids by the per-value loop: a new id wherever a value exceeds the
+    one before it by more than ``MULTIPLICITY_TOL``; oracle only."""
+    ids, current = [], 0
+    for i, lam in enumerate(eigenvalues):
+        if i > 0 and lam - eigenvalues[i - 1] > gl.representation.MULTIPLICITY_TOL:
+            current += 1
+        ids.append(current)
+    return ids
+
+
+def builtin_representations(G: gl.FiniteGroup) -> list[gl.UnitaryRepresentation]:
+    """Every builtin representation that G takes, with every power of
+    ``root_of_unity`` modulo the order."""
+    specs = [{"builtin": name} for name in ("trivial", "regular", "sign_character", "q8_2dim")]
+    specs += [{"builtin": "root_of_unity", "power": p} for p in range(G.order)]
+    reps = []
+    for spec in specs:
+        try:
+            reps.append(gl.representation_from_dict(spec, G))
+        except gl.InputError:  # a builtin that this group does not take
+            pass
+    return reps
+
+
 def reference_phase_rows(graph: gl.SimpleGraph, group: gl.FiniteGroup, entries):
     """Phase-file rows parsed by the per-pair incidence test, raising at the
     first bad pair in row-major order; oracle only."""
@@ -203,6 +228,52 @@ def brute_force_switching(psi1: gl.GainFunction, psi2: gl.GainFunction):
         if gl.switch(psi1, values) == psi2:
             return values
     return None
+
+
+def reference_first_fault(n: int, edges) -> str | None:
+    """The message for the first edge, in order, that is out of range, a loop
+    or a duplicate, its vertices named 1-based as files do, or None; the
+    per-edge scan of the older two-path check, kept as an oracle."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge {(u + 1, v + 1)} out of vertex range"
+        if u == v:
+            return f"loop at vertex {u + 1}"
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return f"duplicate edge {(key[0] + 1, key[1] + 1)}"
+        seen.add(key)
+    return None
+
+
+def holonomy(psi: gl.GainFunction) -> frozenset[int]:
+    """The holonomy group of psi at vertex 0: the subgroup generated by the
+    cycle gains p(u) psi(u, v) p(v)^-1, where p(v) is the gain of the BFS
+    tree path from vertex 0 to v; oracle only."""
+    G = psi.group
+    steps = [[] for _ in range(psi.graph.n)]
+    for (u, v), g in zip(psi.graph.edges, psi.forward):
+        steps[u].append((v, g))
+        steps[v].append((u, G.invert(g)))
+    p = {0: G.identity}
+    queue = [0]
+    for u in queue:
+        for v, g in steps[u]:
+            if v not in p:
+                p[v] = G.mul(p[u], g)
+                queue.append(v)
+    cycles = {G.mul(G.mul(p[u], g), G.invert(p[v]))
+              for (u, v), g in zip(psi.graph.edges, psi.forward)}
+    # a finite group: closing {1} under the generators gives the subgroup
+    hol, frontier = {G.identity}, [G.identity]
+    for h in frontier:
+        for c in cycles:
+            x = G.mul(h, c)
+            if x not in hol:
+                hol.add(x)
+                frontier.append(x)
+    return frozenset(hol)
 
 
 def shuffled_graph(rng: random.Random, graph: gl.SimpleGraph) -> gl.SimpleGraph:

@@ -53,6 +53,23 @@ def test_group_command(tmp_path, capsys):
     assert gl.build_group(data["group"]) == gl.quaternion8()
 
 
+def test_one_parser_serves_every_request_of_a_process(tmp_path, capsys):
+    sign = write(tmp_path, "sign.json", {"family": "sign"})
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"family": ')
+    first = run(capsys, ["group", sign])
+    assert first[0] == 0 and first[2] == ""
+    # argparse refuses an unknown flag, and the next request is unharmed
+    with pytest.raises(SystemExit) as refused:
+        main(["group", sign, "--no-such-flag"])
+    assert refused.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, ["group", str(broken)])
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert run(capsys, ["group", sign]) == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def nested_group_text(depth):
     """A group file with direct_product nested ``depth`` levels deep, written
     without recursion."""

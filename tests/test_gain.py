@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import gainline as gl
@@ -8,8 +9,9 @@ from gainline.algebra import AlgebraElement
 from gainline.errors import InputError, ValidationError
 
 from helpers import (DIAMOND, K2, PAW, TRIANGLE, all_gains, brute_force_switching,
-                     perturbed, q8_gain, random_connected_graph, random_gain,
-                     random_vector, reference_switching_to, small_groups)
+                     builtin_representations, holonomy, perturbed, q8_gain,
+                     random_connected_graph, random_gain, random_vector,
+                     reference_switching_to, small_groups)
 
 PAW_GAINS = ["-i", "-j", "-k", "-i"]
 
@@ -325,3 +327,71 @@ def test_equal_adjacency_matrices_hash_equal():
     assert a == b and a.group is not b.group
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+#: The groups of the holonomy tests, D32 of order 64.
+HOLONOMY_GROUPS = [gl.quaternion8(), gl.dihedral(4), gl.dihedral(32), gl.cyclic(8), gl.t4()]
+
+
+def holonomy_gains(rng: random.Random, G: gl.FiniteGroup) -> list[gl.GainFunction]:
+    """Gains on graphs with cycles: uniform ones, ones switched from values in
+    a proper non-trivial cyclic subgroup <h>, and balanced ones.  On the
+    diamond the values in <h> are all h, so its holonomy is a conjugate of
+    <h>: the cycle 0, 1, 3 has gain h h h^-1."""
+    while True:
+        h = rng.randrange(1, G.order)
+        powers = [h]
+        while powers[-1] != G.identity:
+            powers.append(G.mul(powers[-1], h))
+        if len(powers) < G.order:
+            break
+    gains = []
+    for graph in (DIAMOND, random_connected_graph(rng, 7)):
+        inside = [h] * graph.m if graph is DIAMOND else [rng.choice(powers) for _ in graph.edges]
+        gains.append(random_gain(rng, graph, G))
+        for base in (gl.GainFunction(graph, G, tuple(inside)),
+                     gl.constant_gain(graph, G, G.identity)):
+            gains.append(gl.switch(base, random_vector(rng, G, graph.n)))
+    return gains
+
+
+@pytest.mark.parametrize("G", HOLONOMY_GROUPS, ids=lambda G: G.name)
+def test_represented_laplacian_kernel_is_fixed_by_holonomy(G):
+    # L = D (x) I - pi(A) is sum over edges |x_u - pi(psi(u, v)) x_v|^2 >= 0,
+    # and x is in its kernel iff x_0 is fixed by pi(Hol) and the rest follows
+    # along the tree, so dim ker L = (1/|Hol|) sum over Hol of chi
+    rng = random.Random(G.order)
+    reps = builtin_representations(G)
+    assert any(rep.degree == G.order for rep in reps)  # regular
+    sizes = set()
+    for psi in holonomy_gains(rng, G):
+        hol = holonomy(psi)
+        sizes.add(len(hol))
+        degrees = np.diag([len(ks) for ks in psi.graph.incidence])
+        for rep in reps:
+            L = np.kron(degrees, np.eye(rep.degree)) - gl.fourier(gl.gain_adjacency(psi), rep)
+            lam = np.linalg.eigvalsh(L)
+            fixed = sum(np.trace(rep.images[h]) for h in hol) / len(hol)
+            assert abs(fixed - round(fixed.real)) < 1e-9
+            assert lam[0] >= -1e-9
+            assert np.sum(np.abs(lam) < 1e-9) == round(fixed.real), (psi.forward, rep.degree)
+    assert 1 in sizes and any(1 < s < G.order for s in sizes)
+
+
+@pytest.mark.parametrize("G", HOLONOMY_GROUPS, ids=lambda G: G.name)
+def test_holonomy_decides_balance_and_is_conjugated_by_switching(G):
+    rng = random.Random(G.order + 1)
+    gains = holonomy_gains(rng, G)
+    gains += [gl.switch(psi, random_vector(rng, G, psi.graph.n))
+              for psi in gains] + [perturbed(rng, psi) for psi in gains]
+    switched = 0
+    for psi in gains:
+        hol = holonomy(psi)
+        assert (hol == {G.identity}) == (gl.balance_witness(psi) is not None)
+        for phi in gains:
+            if phi.graph != psi.graph or (f := gl.switching_to(psi, phi)) is None:
+                continue
+            # Hol(psi^f) = f(0)^-1 Hol(psi) f(0), whichever witness f is found
+            switched += psi is not phi
+            assert holonomy(phi) == {G.mul(G.mul(G.invert(f[0]), h), f[0]) for h in hol}
+    assert switched

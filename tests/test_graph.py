@@ -12,7 +12,7 @@ from gainline.errors import InputError, ValidationError
 from gainline.graph import bfs_tree, line_roots
 
 from helpers import (K2, PAW, STAR3, TRIANGLE, complete_graph,
-                     random_connected_graph, reference_line_graph,
+                     random_connected_graph, reference_first_fault, reference_line_graph,
                      shuffled_graph, star_graph)
 
 
@@ -99,6 +99,12 @@ def test_incidence_matrix_k2():
     assert gl.incidence_matrix(K2).tolist() == [[1], [1]]
 
 
+def test_one_vertex_graph_matrices():
+    K1 = gl.SimpleGraph(1, ())
+    assert gl.incidence_matrix(K1).shape == (1, 0)
+    assert all(a.tolist() == [[0]] for a in gl.classical_matrices(K1).values())
+
+
 def test_incidence_matrix_paw_column_supports():
     N = gl.incidence_matrix(PAW)
     supports = [tuple(np.nonzero(N[:, k])[0]) for k in range(4)]
@@ -176,15 +182,49 @@ FIRST_FAULTS = [
 ]
 
 
+def seeded_faults(seed: int):
+    """A shuffled connected graph of 200-5000 edges with 1-3 faults put in at
+    random positions, each an end out of range (past n or negative, at the
+    tail or the head), a loop, or a copy of another edge in either
+    orientation: (n, edges, the fault kinds in insertion order)."""
+    rng = random.Random(seed)
+    m = rng.randint(200, 5000)
+    n = rng.randint(m // 3, m)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(edges)
+    kinds = [rng.choice(("past-n-tail", "past-n-head", "negative-tail", "negative-head",
+                         "loop", "duplicate", "reversed"))
+             for _ in range(rng.randint(1, 3))]
+    for kind in kinds:
+        u, v = edges[rng.randrange(len(edges))]
+        high, low = n + rng.randrange(3), -1 - rng.randrange(2)
+        bad = {"past-n-tail": (high, v), "past-n-head": (u, high),
+               "negative-tail": (low, v), "negative-head": (u, low),
+               "loop": (u, u), "duplicate": (u, v), "reversed": (v, u)}[kind]
+        edges.insert(rng.randrange(len(edges) + 1), bad)
+    return n, tuple(edges), kinds
+
+
 @pytest.mark.parametrize("n, edges, message", [
     pytest.param(n, edges, message, id=f"{n}-edges{i}-{fault}")
-    for i, (n, edges, fault, message) in enumerate(FIRST_FAULTS)])
+    for i, (n, edges, fault, message) in enumerate(FIRST_FAULTS)] + [
+    pytest.param(n, edges, reference_first_fault(n, edges),
+                 id=f"seeded{seed}-{'+'.join(kinds)}")
+    for seed in range(36) for n, edges, kinds in [seeded_faults(seed)]])
 def test_first_fault_is_named_in_edge_order(n, edges, message):
+    assert message is not None
     with pytest.raises(ValidationError) as checked:
         gl.SimpleGraph(n, edges)
     assert str(checked.value) == message
-    # the file reader checks the same graph, 1-based on the wire
+    # the file reader checks the same graph, 1-based on the wire, after
+    # refusing the first pair with a vertex below 1
     data = {"n": n, "edges": [[u + 1, v + 1] for u, v in edges]}
+    low = next(([u + 1, v + 1] for u, v in edges if min(u, v) < 0), None)
+    if low is not None:
+        message = f"vertices are 1-based; got {low} in graph field 'edges'"
     with pytest.raises(InputError) as read:
         gl.graph_from_dict(data)
     assert str(read.value) == message

@@ -9,11 +9,11 @@ import gainline as gl
 from gainline.algebra import CGMatrix
 from gainline.errors import InputError, ValidationError
 
-from helpers import (DIAMOND, PAW, index_two_subgroups, q8_gain, random_cg_matrix,
-                     random_connected_graph, random_gain, random_phase,
+from helpers import (DIAMOND, PAW, builtin_representations, index_two_subgroups, q8_gain,
+                     random_cg_matrix, random_connected_graph, random_gain, random_phase,
                      random_pure_matrix, random_vector, reference_fourier,
-                     reference_representation_failure, reference_sign_values,
-                     relabeled, small_groups)
+                     reference_multiplicity_groups, reference_representation_failure,
+                     reference_sign_values, relabeled, small_groups)
 
 DIAMOND_GAINS = ["-k", "1", "1", "1", "-j"]
 
@@ -417,6 +417,17 @@ def test_represented_gain_matrices_laplacian_psd_when_s_is_identity():
 
 def test_multiplicity_groups_tolerance():
     assert gl.multiplicity_groups((0.0, 1e-10, 1.0, 1.0 + 1e-10, 2.0)) == [0, 0, 1, 1, 2]
+    assert gl.multiplicity_groups(()) == []
+    # gaps drawn on both sides of the tolerance, and exactly at it
+    rng = random.Random(418)
+    tol = gl.representation.MULTIPLICITY_TOL
+    for size in range(1, 60):
+        lam = [rng.uniform(-4, 4)]
+        for _ in range(size - 1):
+            lam.append(lam[-1] + rng.choice((0.0, tol / 2, tol, 2 * tol, rng.uniform(0, 1))))
+        ids = gl.multiplicity_groups(tuple(lam))
+        assert ids == reference_multiplicity_groups(lam)
+        assert all(type(i) is int for i in ids)
 
 
 def test_classify_s2_image():
@@ -435,6 +446,17 @@ def test_representation_file_roundtrip():
     back = gl.representation_from_dict(d, Q8)
     assert np.abs(back.images - rep.images).max() < 1e-12
     assert back.irreducible == rep.irreducible
+
+
+def test_representation_file_writes_every_entry_with_its_sign_of_zero():
+    for G in (gl.quaternion8(), gl.dihedral(4), gl.cyclic(8), gl.t4()):
+        for rep in builtin_representations(G):
+            images = gl.representation_to_dict(rep)["images"]
+            assert list(images) == list(G.labels)
+            for g, label in enumerate(G.labels):
+                want = [[[float(x.real), float(x.imag)] for x in row] for row in rep.images[g]]
+                # repr tells -0.0 from 0.0, and a numpy scalar from a float
+                assert repr(images[label]) == repr(want), (G.name, label)
 
 
 def test_representation_file_builtin_and_errors():
