@@ -172,7 +172,7 @@ def cmd_gainline(args) -> None:
     ctx = _context(psi_fn.group, args)
     orientation = _orientation(psi_fn.graph, args.orientation)
     zeta = phase.gain_line(psi_fn, orientation, ctx)
-    _emit(gain._gain_wire(zeta))
+    _emit(gain.gain_to_dict(zeta))
 
 
 def cmd_check_balance(args) -> None:

@@ -13,7 +13,7 @@ from typing import Sequence
 from .algebra import AlgebraElement, CGMatrix
 from .errors import InputError, ValidationError, require_fields, require_type
 from .graph import SimpleGraph, bfs_tree, graph_from_dict, graph_to_dict
-from .group import (Element, FiniteGroup, _group_wire, build_group, group_to_dict,
+from .group import (Element, FiniteGroup, build_group, group_to_dict,
                     require_central_weak_involution)
 
 
@@ -154,14 +154,6 @@ def gain_from_dict(data: dict) -> GainFunction:
     return GainFunction(graph, group, forward)
 
 
-def _gain_wire(psi: GainFunction) -> dict:
-    """The wire form of psi with its group's ``table`` left as the read-only
-    array: :func:`gain_to_dict` turns it into lists, the CLI writes it."""
-    return {"graph": graph_to_dict(psi.graph), "group": _group_wire(psi.group),
-            "gains": [psi.group.label(g) for g in psi.forward]}
-
-
 def gain_to_dict(psi: GainFunction) -> dict:
-    data = _gain_wire(psi)
-    data["group"] = group_to_dict(psi.group)
-    return data
+    return {"graph": graph_to_dict(psi.graph), "group": group_to_dict(psi.group),
+            "gains": [psi.group.label(g) for g in psi.forward]}

@@ -16,7 +16,7 @@ from .errors import InputError, ValidationError, require_fields, require_type
 from .gain import GainFunction, switching_to
 from .graph import (Orientation, SimpleGraph, _line_size, graph_from_dict,
                     graph_to_dict, line_graph)
-from .group import (Element, FiniteGroup, _group_wire, build_group, group_to_dict,
+from .group import (Element, FiniteGroup, build_group, group_to_dict,
                     require_central_weak_involution)
 
 #: Largest phase written out, in n x m entries: a witness of ``check gainline``
@@ -278,18 +278,16 @@ def phase_from_dict(data: dict) -> GPhase:
 
 def _phase_wire(H: GPhase) -> dict:
     """The wire form of H with its ``entries`` left sparse ("0" off the
-    support) and its group's table an array: :func:`phase_to_dict` turns
-    both into lists, the CLI writes them.  Refused above
-    ``MAX_PHASE_CELLS`` entries, before any is written."""
+    support): :func:`phase_to_dict` densifies them, the CLI writes them.
+    Refused above ``MAX_PHASE_CELLS`` entries, before any is written."""
     if H.graph.n * H.graph.m > MAX_PHASE_CELLS:
         raise ValidationError(
             f"phase of {H.graph.n}x{H.graph.m} entries exceeds cap {MAX_PHASE_CELLS}")
-    return {"graph": graph_to_dict(H.graph), "group": _group_wire(H.group),
+    return {"graph": graph_to_dict(H.graph), "group": group_to_dict(H.group),
             "entries": H._sparse_rows("0", H.group.labels)}
 
 
 def phase_to_dict(H: GPhase) -> dict:
     data = _phase_wire(H)
-    data["group"] = group_to_dict(H.group)
     data["entries"] = data["entries"].dense()
     return data

@@ -276,6 +276,20 @@ def holonomy(psi: gl.GainFunction) -> frozenset[int]:
     return frozenset(hol)
 
 
+def derived_cover(psi: gl.GainFunction) -> np.ndarray:
+    """The 0/1 adjacency of the derived cover on n |G| vertices, (v, h) at
+    index v |G| + h: each stored edge (u, v), u < v, with gain g joins
+    (u, g h) to (v, h) for every h.  Built from the edges, the gains and the
+    table only, with no representation code; oracle only."""
+    N = psi.group.order
+    cover = np.zeros((psi.graph.n * N, psi.graph.n * N), dtype=int)
+    for (u, v), g in zip(psi.graph.edges, psi.forward):
+        for h in range(N):
+            a, b = u * N + psi.group.table[g, h], v * N + h
+            cover[a, b] = cover[b, a] = 1
+    return cover
+
+
 def shuffled_graph(rng: random.Random, graph: gl.SimpleGraph) -> gl.SimpleGraph:
     """The same graph with its edges in random order and random endpoint order."""
     edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges]

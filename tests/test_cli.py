@@ -767,25 +767,27 @@ def test_group_echo_builds_no_list_copy_of_the_table(tmp_path, capsys, monkeypat
     assert (code, err, same) == (0, "", True)
 
 
-def test_gainline_echo_builds_no_list_copy_of_the_table(tmp_path, capsys, monkeypatch):
+def test_gainline_and_its_check_echo_the_bytes_of_json_dumps(tmp_path, capsys):
+    # D32 is lift's group and D256 has order 512; r(n/2) is central with
+    # r(n/2)^2 = 1, so it serves as s1 and s2
     rng = random.Random(167)
-    D32 = gl.dihedral(32)
-    graph = random_connected_graph(rng, 30)
-    psi = gl.GainFunction(graph, D32, tuple(rng.randrange(64) for _ in range(graph.m)))
-    r16 = D32.element("r16")
-    zeta = gl.gain_line(psi, gl.default_orientation(graph), gl.PhaseContext(D32, r16, r16))
-    expected = json.dumps(gl.gain_to_dict(zeta), indent=2, sort_keys=True) + "\n"
-    path = write(tmp_path, "d32.json", gl.gain_to_dict(psi))
-
-    def refuse(G):
-        raise AssertionError("the table was copied into lists")
-
-    # gain.py binds its own name for group_to_dict
-    monkeypatch.setattr(cli.group, "group_to_dict", refuse)
-    monkeypatch.setattr(cli.gain, "group_to_dict", refuse)
-    code, out, err = run(capsys, ["gainline", path, "--s1", "r16", "--s2", "r16"])
-    monkeypatch.undo()
-    assert (code, err, out == expected) == (0, "", True)
+    for G, s in ((gl.dihedral(32), "r16"), (gl.dihedral(256), "r128")):
+        graph = random_connected_graph(rng, 12)
+        psi = gl.GainFunction(graph, G, tuple(rng.randrange(G.order) for _ in range(graph.m)))
+        ctx = gl.PhaseContext(G, G.element(s), G.element(s))
+        zeta = gl.gain_line(psi, gl.default_orientation(graph), ctx)
+        H = gl.recognize_gain_line(zeta, graph, ctx)
+        gains = write(tmp_path, "psi.json", gl.gain_to_dict(psi))
+        code, out, err = run(capsys, ["gainline", gains, "--s1", s, "--s2", s])
+        expected = json.dumps(gl.gain_to_dict(zeta), indent=2, sort_keys=True) + "\n"
+        assert (code, err, out == expected) == (0, "", True), G.order
+        argv = ["check", "gainline", write(tmp_path, "zeta.json", json.loads(out)),
+                "--root", write(tmp_path, "root.json", gl.graph_to_dict(graph)),
+                "--s1", s, "--s2", s]
+        code, out, err = run(capsys, argv)
+        expected = json.dumps({"gain_line": True, "witness_phase": gl.phase_to_dict(H)},
+                              indent=2, sort_keys=True) + "\n"
+        assert (code, err, out == expected) == (0, "", True), G.order
 
 
 def plain(value):

@@ -9,7 +9,7 @@ from gainline.algebra import AlgebraElement
 from gainline.errors import InputError, ValidationError
 
 from helpers import (DIAMOND, K2, PAW, TRIANGLE, all_gains, brute_force_switching,
-                     builtin_representations, holonomy, perturbed, q8_gain,
+                     builtin_representations, derived_cover, holonomy, perturbed, q8_gain,
                      random_connected_graph, random_gain, random_vector,
                      reference_switching_to, small_groups)
 
@@ -395,3 +395,24 @@ def test_holonomy_decides_balance_and_is_conjugated_by_switching(G):
             switched += psi is not phi
             assert holonomy(phi) == {G.mul(G.mul(G.invert(f[0]), h), f[0]) for h in hol}
     assert switched
+
+
+#: The groups of the derived-cover test, each with a regular representation.
+COVER_GROUPS = [gl.quaternion8(), gl.dihedral(4), gl.dihedral(32), gl.cyclic(8),
+                gl.direct_product(gl.quaternion8(), gl.cyclic(8))]
+
+
+@pytest.mark.parametrize("G", COVER_GROUPS, ids=lambda G: G.name)
+def test_regular_gain_adjacency_is_the_derived_cover(G):
+    # the regular image of g sends e_h to e_(g h), so block (u, v) of the
+    # regular transform joins (u, g h) to (v, h): the derived cover, which
+    # the oracle builds from the table alone
+    rng = random.Random(G.order + 2)
+    regular = gl.regular_representation(G)
+    for psi in holonomy_gains(rng, G):
+        cover = derived_cover(psi)
+        A = gl.gain_adjacency(psi)
+        assert np.array_equal(gl.fourier(A, regular), cover), psi.forward
+        deviation = np.abs(np.array(gl.represented_spectrum(A, regular))
+                           - np.linalg.eigvalsh(cover)).max()
+        assert deviation <= 1e-9 * max(map(len, psi.graph.incidence)), psi.forward
