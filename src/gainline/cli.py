@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
@@ -68,8 +69,10 @@ def _encode(value, level: int, write, head: str = "") -> None:
     A non-empty list of such lists (a table, an edge list) and a phase's
     ``_SparseRows`` (which has a row per vertex) are written in one loop.
     A 2-D integer ``np.ndarray`` with entries in ``range(size)`` (a group's
-    ``table``) is written from one string per value, gathered into rows,
-    with one join per row; any other array is written as its ``tolist()``.
+    ``table``), or a list of equal-length lists of exact ``int`` in that
+    range (an edge list), is written from one string per value, gathered
+    into rows, with one join per row; any other array is written as its
+    ``tolist()``.
     Each ``write`` gets at most one row or piece with the separator, key or
     bracket before it, so the text held at once is never the 26 MB of a
     large witness.  Dict keys must be ``str``, as in every gainline wire
@@ -77,6 +80,9 @@ def _encode(value, level: int, write, head: str = "") -> None:
     """
     inner, comma, pad, encode = _layout(level)
     sparse = isinstance(value, phase._SparseRows)
+    if type(value) is list and value and type(value[0]) is list:
+        grid = _int_grid(value)
+        value = value if grid is None else grid
     if isinstance(value, np.ndarray):
         if value.ndim == 2 and value.dtype.kind in "iu" and value.size \
                 and value.min() >= 0 and value.max() < value.size:
@@ -129,6 +135,21 @@ def _encode(value, level: int, write, head: str = "") -> None:
         write(head + encode(value))
 
 
+def _int_grid(rows: list) -> np.ndarray | None:
+    """``rows`` as a 2-D intp array, if they are equal-length non-empty lists
+    of exact ``int`` in ``range(size)``; otherwise None.  Types are checked
+    by C-level passes before any entry is converted."""
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {len(rows[0])} \
+            or not rows[0] or set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    size = len(rows) * len(rows[0])
+    try:
+        grid = np.fromiter(chain.from_iterable(rows), np.intp, size)
+    except OverflowError:
+        return None
+    return grid.reshape(len(rows), -1) if 0 <= grid.min() and grid.max() < size else None
+
+
 def _emit(data: dict) -> None:
     _encode(data, 0, sys.stdout.write)
     sys.stdout.write("\n")
@@ -164,7 +185,7 @@ def cmd_line(args) -> None:
     g = graph.graph_from_dict(_load_json(args.file))
     data = graph.line_graph(g)
     _emit({"line": graph.graph_to_dict(data.line),
-           "shared_vertex": [v + 1 for v in data.shared_vertex]})
+           "shared_vertex": (data.shared_vertex + 1).tolist()})
 
 
 def cmd_gainline(args) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .algebra import AlgebraElement, CGMatrix
 from .errors import InputError, ValidationError, require_fields, require_type
 from .graph import SimpleGraph, bfs_tree, graph_from_dict, graph_to_dict
@@ -36,8 +38,9 @@ class GainFunction:
         """The gain of the oriented edge (u, v), found among the edges at u
         in O(deg u)."""
         if 0 <= u < self.graph.n:
-            for k in self.graph.incidence[u]:
-                a, b = self.graph.edges[k]
+            indptr, indices = self.graph.incidence
+            for k in indices[indptr[u]:indptr[u + 1]].tolist():
+                a, b = self.graph.edges[k].tolist()
                 if a + b - u == v:
                     return self.forward[k] if u == a else self.group.invert(self.forward[k])
         raise InputError(f"vertices {u} and {v} are not adjacent")
@@ -58,7 +61,7 @@ def gain_adjacency(psi: GainFunction) -> CGMatrix:
     # Entries are never mutated, so equal entries share one object.
     unit = [AlgebraElement.unit(G, g) for g in G.elements()]
     support = {}
-    for (u, v), g in zip(psi.graph.edges, psi.forward):
+    for (u, v), g in zip(psi.graph.edges.tolist(), psi.forward):
         support[u, v] = unit[g]
         support[v, u] = unit[G.inv[g]]
     return CGMatrix(G, support, (n, n))
@@ -71,8 +74,8 @@ def s_laplacian(psi: GainFunction, s: Element) -> CGMatrix:
     # s is central and s^2 = 1, so s psi is a gain: s g^-1 = (s g)^-1.
     s_row = G.mult[s]
     adj = gain_adjacency(GainFunction(psi.graph, G, tuple(s_row[g] for g in psi.forward)))
-    degrees = {(i, i): AlgebraElement(G, {G.identity: len(ks)})
-               for i, ks in enumerate(psi.graph.incidence)}
+    degrees = {(i, i): AlgebraElement(G, {G.identity: d})
+               for i, d in enumerate(psi.graph.degrees.tolist())}
     return CGMatrix(G, adj.support | degrees, (adj.rows, adj.cols))
 
 
@@ -83,7 +86,7 @@ def switch(psi: GainFunction, f: Sequence[Element]) -> GainFunction:
         raise ValidationError("switching function must assign a value per vertex")
     G = psi.group
     return GainFunction(psi.graph, G, tuple(G.mul(G.invert(f[u]), G.mul(g, f[v]))
-                                            for (u, v), g in zip(psi.graph.edges, psi.forward)))
+                                            for (u, v), g in zip(psi.graph.edges.tolist(), psi.forward)))
 
 
 def walk_gain(psi: GainFunction, walk: Sequence[int]) -> Element:
@@ -128,11 +131,17 @@ def switching_to(psi1: GainFunction, psi2: GainFunction) -> tuple[Element, ...] 
         u, k = parent[v], via[v]
         p[v] = mul[p[u]][psi1.forward[k] if u < v else inv[psi1.forward[k]]]
         q[v] = mul[q[u]][psi2.forward[k] if u < v else inv[psi2.forward[k]]]
-    cycles = {(mul[mul[p[u]][g1]][inv[p[v]]], mul[mul[q[u]][g2]][inv[q[v]]])
-              for (u, v), g1, g2 in zip(psi1.graph.edges, psi1.forward, psi2.forward)}
+    # The cycle gains are gathers over the edge columns; each seed is tested
+    # on their distinct pairs.
+    T, inv = G.table, np.array(inv, dtype=np.intp)
+    p, q = np.array(p, dtype=np.intp), np.array(q, dtype=np.intp)
+    u, v = psi1.graph.edges.T
+    c1 = T[T[p[u], np.array(psi1.forward, dtype=np.intp)], inv[p[v]]]
+    c2 = T[T[q[u], np.array(psi2.forward, dtype=np.intp)], inv[q[v]]]
+    c1, c2 = np.divmod(np.unique(c1 * G.order + c2), G.order)
     for s in G.elements():
-        if all(mul[mul[inv[s]][c1]][s] == c2 for c1, c2 in cycles):
-            return tuple(mul[mul[inv[pv]][s]][qv] for pv, qv in zip(p, q))
+        if np.array_equal(T[T[inv[s], c1], s], c2):
+            return tuple(T[T[inv[p], s], q].tolist())
     return None
 
 

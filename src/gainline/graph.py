@@ -8,66 +8,95 @@ graph are deterministic.
 
 from __future__ import annotations
 
+import math
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain
 
 import numpy as np
 
 from .errors import InputError, ValidationError, require_fields, require_type
 
-#: Largest line graph built, in edges: about 250 bytes each while building.
+#: Largest line graph built, in edges: about 80 bytes each while building.
 MAX_LINE_EDGES = 1_000_000
 
+#: Largest n whose edge keys ``lo * n + hi`` fit in an intp.
+_KEY_MAX_N = math.isqrt(np.iinfo(np.intp).max)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SimpleGraph:
     """A finite, connected, simple graph.
 
-    The one-vertex graph is the only graph without an edge; it is line_graph(K2),
-    and it has no line graph of its own.
+    ``edges`` is a read-only (m, 2) ``np.intp`` array of (min, max) rows in
+    the given edge order.  The one-vertex graph is the only graph without an
+    edge; it is line_graph(K2), and it has no line graph of its own.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
         n = self.n
         if n < 1:
             raise ValidationError("graph needs at least one vertex")
-        # One scan in edge order names the first fault, 1-based as files
-        # name vertices; the dict keeps edge order.
-        norm = {}
-        for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
+        ends = _pairs(self.edges)
+        if n > _KEY_MAX_N:  # bounds and keys in exact integers; never connected
+            ends = ends.astype(object)
+        m = len(ends)
+        lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+        # Faults by masks: the lowest faulty edge is named, range before loop
+        # before duplicate, 1-based as files name vertices.
+        out, loop = (lo < 0) | (hi >= n), lo == hi
+        fault, key = out | loop, lo * n + hi
+        # A sort decides whether a key repeats; only then does np.unique,
+        # which gives the first edge of each key, mark the later copies.
+        if (np.diff(np.sort(key)) == 0).any():
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            fault |= first[inverse] != np.arange(m)
+        bad = np.flatnonzero(fault)
+        if bad.size:
+            k = bad[0]
+            u, v = ends[k].tolist()
+            if out[k]:
                 raise ValidationError(f"edge {(u + 1, v + 1)} out of vertex range")
-            if u == v:
+            if loop[k]:
                 raise ValidationError(f"loop at vertex {u + 1}")
-            key = (u, v) if u < v else (v, u)
-            if key in norm:
-                raise ValidationError(f"duplicate edge {(key[0] + 1, key[1] + 1)}")
-            norm[key] = None
-        if not norm and n > 1:
+            u, v = sorted((u, v))
+            raise ValidationError(f"duplicate edge {(u + 1, v + 1)}")
+        if not m and n > 1:
             raise ValidationError("graph needs at least one edge")
-        object.__setattr__(self, "edges", tuple(norm))
-        # Connected needs n - 1 edges; checked before the BFS allocates n.
-        if n > len(norm) + 1 or len(self._tree[1]) != n:
+        # Connected needs n - 1 edges; checked before any n-sized array.
+        if n > m + 1 or not _connected(n, lo, hi):
             raise ValidationError("graph is not connected")
+        object.__setattr__(self, "edges", _frozen(np.stack((lo, hi), axis=1)))
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, SimpleGraph) and self.n == other.n
+            and np.array_equal(self.edges, other.edges))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges.tobytes()))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the indices of its incident edges in edge order."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for k, (u, v) in enumerate(self.edges):
-            out[u].append(k)
-            out[v].append(k)
-        return tuple(tuple(ks) for ks in out)
+    def degrees(self) -> np.ndarray:
+        """The degree of each vertex, read-only."""
+        return _frozen(np.bincount(self.edges.ravel(), minlength=self.n))
+
+    @cached_property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR incidence (indptr, indices): the edges at vertex v are
+        ``indices[indptr[v]:indptr[v + 1]]``, in edge order.  Read-only."""
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(self.degrees, out=indptr[1:])
+        return _frozen(indptr), _frozen(np.argsort(self.edges.ravel(), kind="stable") // 2)
 
     @cached_property
     def _tree(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -77,33 +106,83 @@ class SimpleGraph:
     @cached_property
     def _line(self) -> "LineGraphData":
         """The line graph, built once; read it through :func:`line_graph`."""
-        if not self.edges:  # the one-vertex graph
+        if not self.m:  # the one-vertex graph
             raise ValidationError("a graph with no edge has no line graph")
-        size = _line_size(map(len, self.incidence))
+        deg = self.degrees
+        size = _line_size(deg)
         if size > MAX_LINE_EDGES:
             raise ValidationError(
                 f"line graph of {size} edges exceeds cap {MAX_LINE_EDGES}")
-        # Two distinct edges of a simple graph share at most one vertex, so
-        # the (i, j) pairs are distinct and sorting fixes the order.  The
-        # line graph of a connected simple graph is connected and simple, so
-        # it is built without a check.
-        pairs = sorted((i, j, v) for v, ks in enumerate(self.incidence)
-                       for i, j in combinations(ks, 2))
-        return LineGraphData(_trusted(self.m, tuple((i, j) for i, j, _ in pairs)),
-                             tuple(v for _, _, v in pairs))
+        # Each CSR slot s of vertex v pairs with the later slots of v, so the
+        # pairs at v are its C(deg v, 2) slot pairs, listed vertex by vertex.
+        indptr, indices = self.incidence
+        later = np.repeat(indptr[1:], deg) - np.arange(2 * self.m) - 1
+        first = np.repeat(np.arange(2 * self.m), later)
+        second = first + np.arange(size) - np.repeat(np.cumsum(later) - later, later) + 1
+        i, j = indices[first], indices[second]
+        # Incidence lists are in edge order, so i < j; two distinct edges of a
+        # simple graph share at most one vertex, so the keys are distinct and
+        # sorting fixes the order.  The line graph of a connected simple graph
+        # is connected and simple, so it is built without a check.
+        order = np.argsort(i * self.m + j)
+        shared = np.repeat(np.arange(self.n), deg * (deg - 1) // 2)[order]
+        return LineGraphData(_trusted(self.m, np.stack((i[order], j[order]), axis=1)),
+                             _frozen(shared))
 
 
-def _line_size(degrees: Iterable[int]) -> int:
+def _pairs(pairs) -> np.ndarray:
+    """``pairs`` as an (m, 2) array: intp, or object where a vertex does not
+    fit in intp, so that checks on it stay exact."""
+    try:
+        out = np.array(pairs, dtype=np.intp)
+    except OverflowError:
+        out = np.array(pairs, dtype=object)
+    return out.reshape(len(out), 2)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as intp, marked read-only."""
+    a = a.astype(np.intp, copy=False)
+    a.flags.writeable = False
+    return a
+
+
+def _connected(n: int, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the edges (lo, hi) join all n vertices.
+
+    Each round, every root hooks onto the smallest root it shares an edge
+    with, and pointer jumping then flattens every tree.  A root left alone
+    is next to a tree that hooked below it, so it hooks in the next round:
+    the trees halve every two rounds, O(log n) rounds of O(n + m) each.
+    Vertex 0 is the smallest root, so the graph is connected when every edge
+    lies in one tree and every label is 0.
+    """
+    comp = np.arange(n)
+    while True:
+        a, b = comp[lo], comp[hi]
+        cross = a != b
+        if not cross.any():
+            return not comp.any()
+        a, b = a[cross], b[cross]
+        np.minimum.at(comp, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = comp[comp]
+            if np.array_equal(up, comp):
+                break
+            comp = up
+
+
+def _line_size(degrees: np.ndarray) -> int:
     """The number of line edges: a vertex of degree d joins C(d, 2) of them."""
-    return sum(d * (d - 1) // 2 for d in degrees)
+    return int((degrees * (degrees - 1) // 2).sum())
 
 
-def _trusted(n: int, edges: tuple[tuple[int, int], ...]) -> SimpleGraph:
+def _trusted(n: int, edges: np.ndarray) -> SimpleGraph:
     """A SimpleGraph on ``edges`` that are already known to be (min, max)
-    pairs of a connected simple graph on ``n`` vertices; nothing is checked."""
+    rows of a connected simple graph on ``n`` vertices; nothing is checked."""
     graph = object.__new__(SimpleGraph)
     object.__setattr__(graph, "n", n)
-    object.__setattr__(graph, "edges", edges)
+    object.__setattr__(graph, "edges", _frozen(edges))
     return graph
 
 
@@ -116,37 +195,47 @@ def bfs_tree(graph: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...], tupl
 
 def _bfs(graph: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The BFS behind :func:`bfs_tree`; parent is -1 where unreached."""
+    indptr, indices = graph.incidence
+    # per CSR slot, the vertex at the other end of its edge
+    far = (graph.edges[indices, 0] + graph.edges[indices, 1]
+           - np.repeat(np.arange(graph.n), graph.degrees))
+    indptr, indices, far = indptr.tolist(), indices.tolist(), far.tolist()
     parent = [-1] * graph.n
     via = [-1] * graph.n
     parent[0] = 0
     order = [0]
-    edges = graph.edges
     for u in order:
-        for k in graph.incidence[u]:
-            a, b = edges[k]
-            w = a + b - u
+        for s in range(indptr[u], indptr[u + 1]):
+            w = far[s]
             if parent[w] < 0:
                 parent[w] = u
-                via[w] = k
+                via[w] = indices[s]
                 order.append(w)
     return tuple(parent), tuple(order), tuple(via)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Orientation:
-    """One ordered (tail, head) pair per edge, in edge order."""
+    """One ordered (tail, head) row per edge, in edge order, as a read-only
+    (m, 2) ``np.intp`` array."""
 
     graph: SimpleGraph
-    heads: tuple[tuple[int, int], ...]
+    heads: np.ndarray
 
     def __post_init__(self):
-        if len(self.heads) != self.graph.m:
+        heads = _pairs(self.heads)
+        if len(heads) != self.graph.m:
             raise ValidationError("orientation must cover every edge exactly once")
-        for (t, h), (a, b) in zip(self.heads, self.graph.edges):
-            if (min(t, h), max(t, h)) != (a, b):
-                # named 1-based, as files name vertices
-                raise ValidationError(f"oriented pair {(t + 1, h + 1)} "
-                                      f"does not match edge {(a + 1, b + 1)}")
+        edges = self.graph.edges
+        tail, head = heads[:, 0], heads[:, 1]
+        bad = np.flatnonzero((np.minimum(tail, head) != edges[:, 0])
+                             | (np.maximum(tail, head) != edges[:, 1]))
+        if bad.size:
+            # named 1-based, as files name vertices
+            (t, h), (a, b) = heads[bad[0]].tolist(), edges[bad[0]].tolist()
+            raise ValidationError(f"oriented pair {(t + 1, h + 1)} "
+                                  f"does not match edge {(a + 1, b + 1)}")
+        object.__setattr__(self, "heads", _frozen(heads))
 
 
 def default_orientation(graph: SimpleGraph) -> Orientation:
@@ -154,12 +243,13 @@ def default_orientation(graph: SimpleGraph) -> Orientation:
     return Orientation(graph, graph.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineGraphData:
-    """The line graph plus, for each line edge, the shared root vertex."""
+    """The line graph plus, for each line edge, the shared root vertex (a
+    read-only ``np.intp`` array)."""
 
     line: SimpleGraph
-    shared_vertex: tuple[int, ...]
+    shared_vertex: np.ndarray
 
 
 def line_graph(graph: SimpleGraph) -> LineGraphData:
@@ -167,7 +257,7 @@ def line_graph(graph: SimpleGraph) -> LineGraphData:
 
     Line edges are ordered lexicographically by their (min, max) edge-index
     pair; each records the vertex the two edges share.  Built once per graph
-    from its incidence lists, in O(sum of squared degrees).
+    from its CSR incidence, in O(sum of squared degrees) array work.
     """
     return graph._line
 
@@ -187,10 +277,12 @@ def line_roots(line: SimpleGraph) -> Iterator[SimpleGraph]:
     a root is yielded only when its line graph, built within the line-graph
     cap, equals ``line``.
     """
-    edges = line.edges
+    edges = line.edges.tolist()
     if any(map(operator.ge, edges, edges[1:])):
         return
-    order, incidence = line._tree[1], line.incidence
+    indptr, indices = (a.tolist() for a in line.incidence)
+    incidence = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
+    order = line._tree[1]
     starts = [([None] * line.n, [])]  # (root ends per line vertex, line vertices per root vertex)
     for e in order[:6]:
         starts = [_placed(ends[:], [set(s) for s in star], choice, e)
@@ -208,7 +300,7 @@ def line_roots(line: SimpleGraph) -> Iterator[SimpleGraph]:
             if stars in seen:
                 continue
             seen.add(stars)
-            size = _line_size(map(len, star))
+            size = _line_size(np.fromiter(map(len, star), np.intp))
             if size != line.m or size > MAX_LINE_EDGES:
                 return
             root = SimpleGraph(len(star), tuple(ends))
@@ -219,7 +311,7 @@ def line_roots(line: SimpleGraph) -> Iterator[SimpleGraph]:
                 return
 
 
-def _choices(ends: list, star: list, edges: tuple, incident: tuple, e: int):
+def _choices(ends: list, star: list, edges: list, incident: list, e: int):
     """The root vertex pairs (p, q) that edge e can take, q None for a new
     vertex: every placed edge at p or q, and no other, meets e in ``line``."""
     placed = {w for a, b in map(edges.__getitem__, incident)
@@ -256,15 +348,14 @@ def _placed(ends: list, star: list, choice: tuple, e: int) -> tuple[list, list]:
 def incidence_matrix(graph: SimpleGraph) -> np.ndarray:
     """Classical 0/1 vertex-by-edge incidence matrix."""
     out = np.zeros((graph.n, graph.m), dtype=np.int64)
-    ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)  # (0, 2) with no edge
-    out[ends, np.arange(graph.m)[:, None]] = 1
+    out[graph.edges, np.arange(graph.m)[:, None]] = 1
     return out
 
 
 def classical_matrices(graph: SimpleGraph) -> dict[str, np.ndarray]:
     """Adjacency, degree, Laplacian and signless Laplacian over the integers."""
     a = np.zeros((graph.n, graph.n), dtype=np.int64)
-    u, v = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    u, v = graph.edges.T
     a[u, v] = a[v, u] = 1
     deg = np.diag(a.sum(axis=1))
     return {
@@ -286,19 +377,33 @@ def graph_from_dict(data: dict) -> SimpleGraph:
         raise InputError(str(exc))
 
 
-def vertex_pairs(data: list, what: str) -> tuple[tuple[int, int], ...]:
+def vertex_pairs(data: list, what: str) -> np.ndarray:
     """Read ``what``, a JSON list of ``[a, b]`` pairs of 1-based vertices,
-    as 0-based tuples."""
-    pairs, one_pair, one_vertex = [], f"a pair in {what}", f"a vertex in {what}"
-    for pair in require_type(data, list, what):
+    as an (m, 2) array of 0-based vertices: intp, or object if a vertex does
+    not fit in intp.
+
+    C-level type passes come first, since numpy reads a JSON ``true`` as 1;
+    the array is built only once every vertex is an exact int, and kept only
+    if none is below 1.  Otherwise the per-pair scan names the first fault.
+    """
+    pairs = require_type(data, list, what)
+    if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2} \
+            and set(map(type, chain.from_iterable(pairs))) <= {int}:
+        try:
+            flat = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs))
+        except OverflowError:  # a vertex past intp: the scan keeps it exact
+            flat = None
+        if flat is not None and (not flat.size or flat.min() >= 1):
+            return (flat - 1).reshape(-1, 2)
+    one_pair, one_vertex = f"a pair in {what}", f"a vertex in {what}"
+    for pair in pairs:
         if len(require_type(pair, list, one_pair)) != 2:
             raise InputError(f"{pair} in {what} must be a pair of vertices")
         a, b = pair
         if require_type(a, int, one_vertex) < 1 or require_type(b, int, one_vertex) < 1:
             raise InputError(f"vertices are 1-based; got {pair} in {what}")
-        pairs.append((a - 1, b - 1))
-    return tuple(pairs)
+    return _pairs([[a - 1, b - 1] for a, b in pairs])
 
 
 def graph_to_dict(graph: SimpleGraph) -> dict:
-    return {"n": graph.n, "edges": [[u + 1, v + 1] for u, v in graph.edges]}
+    return {"n": graph.n, "edges": (graph.edges + 1).tolist()}

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .algebra import AlgebraElement, CGMatrix
 from .errors import InputError, ValidationError, require_fields, require_type
@@ -70,8 +73,10 @@ def _read_grid(graph: SimpleGraph, group: FiniteGroup, grid: Sequence[Sequence]
         raise InputError("phase must have one row per vertex")
     if any(len(row) != m for row in grid):
         raise InputError("phase must have one column per edge")
+    indptr, indices = (a.tolist() for a in graph.incidence)
     H = {}
-    for i, (row, incident) in enumerate(zip(grid, graph.incidence)):
+    for i, row in enumerate(grid):
+        incident = indices[indptr[i]:indptr[i + 1]]
         # Incidence decides whether a "0" cell is off the support or an entry
         # (cyclic groups label their identity "0").
         if row.count("0") - sum(row[k] == "0" for k in incident) != m - len(incident):
@@ -84,7 +89,7 @@ def _read_grid(graph: SimpleGraph, group: FiniteGroup, grid: Sequence[Sequence]
                         f"expected structural zero at (v{i + 1}, e{k + 1})")
         for k in incident:
             H[i, k] = element(row[k])
-    return tuple((H[u, k], H[v, k]) for k, (u, v) in enumerate(graph.edges))
+    return tuple((H[u, k], H[v, k]) for k, (u, v) in enumerate(graph.edges.tolist()))
 
 
 @dataclass(frozen=True)
@@ -121,15 +126,19 @@ class GPhase:
         """The n x m view, ``labels[H[i,k]]`` at each incident pair and
         ``zero`` elsewhere, kept as its 2m incident cells.  ``labels`` is
         indexed by element; ``range(order)`` gives the elements themselves."""
-        edges, ends = self.graph.edges, self.ends
-        return _SparseRows(self.graph.m, zero, [
-            [(k, labels[ends[k][edges[k][1] == i]]) for k in incident]
-            for i, incident in enumerate(self.graph.incidence)])
+        graph = self.graph
+        indptr, indices = graph.incidence
+        # per CSR slot, the entry at its vertex's end of its edge
+        vertex = np.repeat(np.arange(graph.n), graph.degrees)
+        values = _flat_ends(self)[_slots(graph, indices, vertex)]
+        cells = list(zip(indices.tolist(), map(labels.__getitem__, values.tolist())))
+        ptr = indptr.tolist()
+        return _SparseRows(graph.m, zero, [cells[a:b] for a, b in zip(ptr, ptr[1:])])
 
     def to_cg_matrix(self) -> CGMatrix:
         G = self.group
         return CGMatrix(G, {(i, k): AlgebraElement.unit(G, g)
-                            for k, pair in enumerate(zip(self.graph.edges, self.ends))
+                            for k, pair in enumerate(zip(self.graph.edges.tolist(), self.ends))
                             for i, g in zip(*pair)},
                         (self.graph.n, self.graph.m))
 
@@ -149,9 +158,13 @@ def psi(H: GPhase, ctx: PhaseContext) -> GainFunction:
 def psi_line(H: GPhase, ctx: PhaseContext) -> GainFunction:
     """The induced gain on the line graph: s2 * H[v,i]^-1 * H[v,j] per line
     edge (i, j) at shared vertex v, which is psi of Reff's line phase with
-    s2 in the place of s1."""
+    s2 in the place of s1; one gather over the line edges."""
     G = _shared_group(H, ctx)
-    return psi(reff_line_phase(H), PhaseContext(G, ctx.s2, ctx.s2))
+    data = line_graph(H.graph)
+    at_i, at_j = _line_entries(H, data)
+    T = G.table
+    return GainFunction(data.line, G, tuple(
+        T[ctx.s2][T[np.array(G.inv)[at_i], at_j]].tolist()))
 
 
 def phase_from_orientation(psi_fn: GainFunction, orientation: Orientation,
@@ -162,9 +175,10 @@ def phase_from_orientation(psi_fn: GainFunction, orientation: Orientation,
     G = _shared_group(psi_fn, ctx)
     inv, s1 = G.inv, ctx.s1
     # forward[k] is read from the lower end, so a higher tail gets its inverse.
+    heads = orientation.heads
     return GPhase(psi_fn.graph, G, tuple(
-        (g, s1) if tail < head else (s1, inv[g])
-        for (tail, head), g in zip(orientation.heads, psi_fn.forward)))
+        (g, s1) if low else (s1, inv[g])
+        for low, g in zip((heads[:, 0] < heads[:, 1]).tolist(), psi_fn.forward)))
 
 
 def act(H: GPhase, f: tuple[Element, ...] | None = None,
@@ -178,7 +192,7 @@ def act(H: GPhase, f: tuple[Element, ...] | None = None,
     ends = H.ends
     if f is not None:
         ends = tuple((G.mul(G.invert(f[u]), a), G.mul(G.invert(f[v]), b))
-                     for (u, v), (a, b) in zip(H.graph.edges, ends))
+                     for (u, v), (a, b) in zip(H.graph.edges.tolist(), ends))
     if g is not None:
         ends = tuple((G.mul(a, x), G.mul(b, x)) for (a, b), x in zip(ends, g))
     return GPhase(H.graph, G, ends)
@@ -218,13 +232,28 @@ def gain_line(psi_fn: GainFunction, orientation: Orientation,
 
 def reff_line_phase(H: GPhase) -> GPhase:
     """The line phase: inverse of the shared-vertex entry, per incidence."""
-    G = H.group
-    data = line_graph(H.graph)
-    inv, edges, ends = G.inv, H.graph.edges, H.ends
+    G, data = H.group, line_graph(H.graph)
+    at_i, at_j = _line_entries(H, data)
+    inv = np.array(G.inv)
     # Line edge (i, j) has i < j, so H[v,i]^-1 sits at its lower end.
-    return GPhase(data.line, G, tuple(
-        (inv[ends[i][edges[i][1] == v]], inv[ends[j][edges[j][1] == v]])
-        for (i, j), v in zip(data.line.edges, data.shared_vertex)))
+    return GPhase(data.line, G, tuple(zip(inv[at_i].tolist(), inv[at_j].tolist())))
+
+
+def _slots(graph: SimpleGraph, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The flat index 2 k + (v is the higher end of edge k) of each entry
+    H[v,k], into the entries listed edge by edge as in ``GPhase.ends``."""
+    return 2 * k + (graph.edges[k, 1] == v)
+
+
+def _flat_ends(H: GPhase) -> np.ndarray:
+    """H's entries listed edge by edge as in ``H.ends``, read by :func:`_slots`."""
+    return np.fromiter(chain.from_iterable(H.ends), np.intp, 2 * len(H.ends))
+
+
+def _line_entries(H: GPhase, data) -> tuple[np.ndarray, np.ndarray]:
+    """(H[v,i], H[v,j]) per line edge (i, j) at shared vertex v, as arrays."""
+    ends, (i, j), v = _flat_ends(H), data.line.edges.T, data.shared_vertex
+    return ends[_slots(H.graph, i, v)], ends[_slots(H.graph, j, v)]
 
 
 def recognize_gain_line(zeta: GainFunction, root: SimpleGraph,
@@ -233,25 +262,28 @@ def recognize_gain_line(zeta: GainFunction, root: SimpleGraph,
 
     Rows are independent: at each root vertex the first edge, the base, is
     anchored at the identity and each line edge (base, e) forces e to
-    s2 zeta(base, e).  Line edges are sorted, so the base pairs come first;
-    every later line edge is checked once, its reverse holding with it as s2
-    is a central involution and reverse gains are inverses.
+    s2 zeta(base, e).  The base pairs are scattered first, then every line
+    edge is checked in one comparison, its reverse holding with it as s2 is
+    a central involution and reverse gains are inverses.
     """
     G = _shared_group(zeta, ctx)
     # Sizes first, the line edges counted in O(n): a mismatch builds nothing.
-    sizes = (root.m, _line_size(map(len, root.incidence)))
-    if (zeta.graph.n, zeta.graph.m) != sizes or zeta.graph != line_graph(root).line:
+    if (zeta.graph.n, zeta.graph.m) != (root.m, _line_size(root.degrees)) \
+            or zeta.graph != line_graph(root).line:
         raise ValidationError("gain function does not live on the root's line graph")
     data = line_graph(root)
-    mul, inv, s2 = G.mult, G.inv, G.mult[ctx.s2]
-    H = {(v, incident[0]): G.identity for v, incident in enumerate(root.incidence)}
-    for (a, b), v, g in zip(data.line.edges, data.shared_vertex, zeta.forward):
-        if a == root.incidence[v][0]:
-            H[v, b] = s2[g]
-        elif s2[mul[inv[H[v, a]]][H[v, b]]] != g:
-            return None
-    return GPhase(root, G, tuple((H[u, k], H[v, k])
-                                            for k, (u, v) in enumerate(root.edges)))
+    T, inv, s2 = G.table, np.array(G.inv), G.table[ctx.s2]
+    (a, b), v = data.line.edges.T, data.shared_vertex
+    at_a, at_b = _slots(root, a, v), _slots(root, b, v)
+    g = np.array(zeta.forward, dtype=np.intp)
+    indptr, indices = root.incidence
+    base = a == indices[indptr[v]]
+    H = np.zeros(2 * root.m, dtype=np.intp)  # the identity is 0
+    H[at_b[base]] = s2[g[base]]
+    # A base pair holds by construction, since s2^2 = 1.
+    if not np.array_equal(s2[T[inv[H[at_a]], H[at_b]]], g):
+        return None
+    return GPhase(root, G, tuple(zip(H[0::2].tolist(), H[1::2].tolist())))
 
 
 def _shared_group(obj, ctx: PhaseContext) -> FiniteGroup:

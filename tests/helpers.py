@@ -33,11 +33,11 @@ def random_gain(rng: random.Random, graph: gl.SimpleGraph,
 
 def random_phase(rng: random.Random, graph: gl.SimpleGraph,
                  group: gl.FiniteGroup) -> gl.GPhase:
-    rows = []
+    rows, edges = [], graph.edges.tolist()
     for i in range(graph.n):
         row = []
         for k in range(graph.m):
-            row.append(rng.randrange(group.order) if i in graph.edges[k] else None)
+            row.append(rng.randrange(group.order) if i in edges[k] else None)
         rows.append(tuple(row))
     return phase_of_rows(graph, group, rows)
 
@@ -121,11 +121,11 @@ def builtin_representations(G: gl.FiniteGroup) -> list[gl.UnitaryRepresentation]
 def reference_phase_rows(graph: gl.SimpleGraph, group: gl.FiniteGroup, entries):
     """Phase-file rows parsed by the per-pair incidence test, raising at the
     first bad pair in row-major order; oracle only."""
-    rows = []
+    rows, edges = [], graph.edges.tolist()
     for i, row in enumerate(entries):
         parsed = []
         for k, label in enumerate(row):
-            if i in graph.edges[k]:
+            if i in edges[k]:
                 parsed.append(group.element(label))
             elif label == "0":
                 parsed.append(None)
@@ -170,7 +170,7 @@ def reference_act(H: gl.GPhase, f=None, g=None) -> gl.GPhase:
     """f_i^-1 H[i,k] g_k on every incident pair of the dense rows; oracle only."""
     G = H.group
     rows = [list(row) for row in H.rows]
-    for i, incident in enumerate(H.graph.incidence):
+    for i, incident in enumerate(incidence_lists(H.graph)):
         for k in incident:
             if f is not None:
                 rows[i][k] = G.mul(G.invert(f[i]), rows[i][k])
@@ -305,18 +305,37 @@ def star_graph(leaves: int) -> gl.SimpleGraph:
     return gl.SimpleGraph(leaves + 1, tuple((0, v) for v in range(1, leaves + 1)))
 
 
-def reference_line_graph(graph: gl.SimpleGraph):
+def incidence_lists(graph: gl.SimpleGraph) -> tuple[tuple[int, ...], ...]:
+    """Per vertex, the indices of its incident edges in edge order, read off
+    the CSR incidence."""
+    indptr, indices = (a.tolist() for a in graph.incidence)
+    return tuple(tuple(indices[a:b]) for a, b in zip(indptr, indptr[1:]))
+
+
+def pairwise_line_graph(graph: gl.SimpleGraph):
     """(line edges, shared vertices) by the pairwise O(m^2) scan; oracle only."""
-    m = graph.m
+    edges = graph.edges.tolist()
     line_edges = []
     shared = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            common = set(graph.edges[i]) & set(graph.edges[j])
+    for i in range(graph.m):
+        for j in range(i + 1, graph.m):
+            common = set(edges[i]) & set(edges[j])
             if common:
                 line_edges.append((i, j))
                 shared.append(common.pop())
     return tuple(line_edges), tuple(shared)
+
+
+def reference_line_graph(graph: gl.SimpleGraph):
+    """(line edges, shared vertices) by the per-vertex build of pairs of
+    incident edges, sorted; oracle only."""
+    incident = [[] for _ in range(graph.n)]
+    for k, (u, v) in enumerate(graph.edges.tolist()):
+        incident[u].append(k)
+        incident[v].append(k)
+    pairs = sorted((i, j, v) for v, ks in enumerate(incident)
+                   for i, j in itertools.combinations(ks, 2))
+    return tuple((i, j) for i, j, _ in pairs), tuple(v for _, _, v in pairs)
 
 
 def reference_gain_line(psi: gl.GainFunction, orientation: gl.Orientation,
@@ -327,7 +346,7 @@ def reference_gain_line(psi: gl.GainFunction, orientation: gl.Orientation,
     h(v, k) is the gain of edge k at its tail and s1 at its head.
     """
     G = psi.group
-    line_edges, shared = reference_line_graph(psi.graph)
+    line_edges, shared = pairwise_line_graph(psi.graph)
 
     def section_entry(v: int, k: int) -> int:
         tail, head = orientation.heads[k]
@@ -584,7 +603,7 @@ def reference_recognize_gain_line(zeta: gl.GainFunction, root: gl.SimpleGraph,
     checked on every ordered pair of incident edges; oracle only."""
     G = zeta.group
     rows = [[None] * root.m for _ in range(root.n)]
-    for v, incident in enumerate(root.incidence):
+    for v, incident in enumerate(incidence_lists(root)):
         if not incident:
             continue
         base = incident[0]

@@ -18,8 +18,8 @@ from gainline import cli
 from gainline.cli import _emit, main
 from gainline.phase import _SparseRows, _phase_wire
 
-from helpers import (DIAMOND, K2, PAW, q8_gain, random_connected_graph, random_phase,
-                     relabeled)
+from helpers import (DIAMOND, K2, PAW, incidence_lists, q8_gain, random_connected_graph,
+                     random_phase, relabeled)
 
 PAW_GAINS = ["-i", "-j", "-k", "-i"]
 
@@ -119,7 +119,7 @@ def test_gainline_command_golden(tmp_path, capsys):
 
 def test_gainline_command_orientation_file(tmp_path, capsys):
     path = paw_gain_file(tmp_path)
-    default = [[u + 1, v + 1] for u, v in gl.default_orientation(PAW).heads]
+    default = (gl.default_orientation(PAW).heads + 1).tolist()
     opath = write(tmp_path, "orient.json", default)
     code, out, _ = run(capsys, ["gainline", path, "--s1", "-1", "--s2", "-1",
                                 "--orientation", opath])
@@ -158,8 +158,9 @@ def test_check_switch_equiv_command(tmp_path, capsys):
 
 
 def test_check_commands_run_one_bfs_per_graph(tmp_path, capsys, monkeypatch):
-    """Each graph read from a file is searched once, when it is checked;
-    switching_to and balance_witness reuse that tree."""
+    """Connectivity is decided without a search, so a graph is searched only
+    for switching_to, which balance_witness also runs, and then once; the
+    line-graph commands search nothing."""
     runs = []
     bfs = gl.graph._bfs
     monkeypatch.setattr(gl.graph, "_bfs", lambda graph: runs.append(graph) or bfs(graph))
@@ -168,13 +169,23 @@ def test_check_commands_run_one_bfs_per_graph(tmp_path, capsys, monkeypatch):
     b = write(tmp_path, "b.json", gl.gain_to_dict(gl.switch(psi, (2, 5, 1, 0))))
     code, out, _ = run(capsys, ["check", "switch-equiv", a, b])
     assert code == 0 and json.loads(out)["equivalent"] is True
-    assert len(runs) == 2 and runs[0] is not runs[1]
+    assert len(runs) == 1 and runs[0] == PAW
 
     runs.clear()
     balanced = paw_gain_file(tmp_path, "c.json", ["1", "1", "1", "1"])
     code, out, _ = run(capsys, ["check", "balance", balanced])
     assert code == 0 and json.loads(out)["balanced"] is True
     assert len(runs) == 1
+
+    runs.clear()
+    ctx = gl.PhaseContext(psi.group, psi.group.identity, psi.group.identity)
+    zeta = write(tmp_path, "zeta.json", gl.gain_to_dict(
+        gl.gain_line(psi, gl.default_orientation(PAW), ctx)))
+    root = write(tmp_path, "root.json", gl.graph_to_dict(PAW))
+    for argv in (["line", root], ["gainline", a], ["check", "gainline", zeta, "--root", root]):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out
+    assert runs == []
 
 
 def test_check_commands_read_tree_gains_without_a_lookup(tmp_path, capsys, monkeypatch):
@@ -267,6 +278,30 @@ def test_graphs_without_edges_are_named(tmp_path, capsys):
     two_vertices = write(tmp_path, "e2.json", {"n": 2, "edges": []})
     assert run(capsys, ["line", two_vertices]) == (
         1, "", "error: graph needs at least one edge\n")
+
+
+#: A 40-vertex path, whose faults below come after 39 good edges.
+PATH40 = [[v, v + 1] for v in range(1, 40)]
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [[1, 2], [1, True]], "a vertex in graph field 'edges' must be an integer, got True"),
+    (3, [[1, 2], [2, 2.0]], "a vertex in graph field 'edges' must be an integer, got 2.0"),
+    (3, [[1, 2], [1, 10**30]], f"edge (1, {10**30}) out of vertex range"),
+    (3, [[1, 2], [0, 1]], "vertices are 1-based; got [0, 1] in graph field 'edges'"),
+    (3, [[1, 2], [1]], "[1] in graph field 'edges' must be a pair of vertices"),
+    (3, [1, 2], "a pair in graph field 'edges' must be a list, got 1"),
+    (40, PATH40 + [[40, 40]], "loop at vertex 40"),
+    (40, PATH40 + [[21, 20]], "duplicate edge (20, 21)"),
+    (40, PATH40 + [[3, 41]], "edge (3, 41) out of vertex range"),
+    (40, PATH40[:19] + PATH40[20:] + [[1, 3]], "graph is not connected"),
+    (10**30, [[1, 10**30]], "graph is not connected"),
+    (10**12, [[1, 10**11], [10**11, 1]], f"duplicate edge (1, {10**11})"),
+], ids=["true", "float", "huge", "zero", "short", "flat", "loop-last", "reversed-duplicate",
+        "out-of-range", "disconnected", "huge-n", "huge-n-duplicate"])
+def test_graph_file_faults_end_in_one_error_line(tmp_path, capsys, n, edges, message):
+    path = write(tmp_path, "g.json", {"n": n, "edges": edges})
+    assert run(capsys, ["line", path]) == (1, "", f"error: {message}\n")
 
 
 def test_check_obstruction_command(tmp_path, capsys):
@@ -401,7 +436,7 @@ def test_regular_spectrum_solves_no_side_above_a_block(tmp_path, capsys, monkeyp
     dense = eigvalsh(gl.fourier(gl.gain_adjacency(psi), gl.regular_representation(D32)))
     values = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
     # the coefficient mass of a row of the gain adjacency is the vertex degree
-    mass = max(map(len, psi.graph.incidence))
+    mass = psi.graph.degrees.max()
     assert np.abs(np.array(values) - dense).max() <= 1e-9 * mass
 
 
@@ -630,6 +665,8 @@ JSON_VALUES = st.recursive(
 @example({"é": [1, "λ\U0001F600", (2, "x"), [], {}, [[]], {"\U0001F600": {}}, 3],
           "": [float("nan"), float("inf"), float("-inf"), -0.0, 1e308, 2**70, -2**70],
           "b": (True, False, None, [True, [False, [None]]], 0.5, "")})
+@example([[[0, 1], [2, 3]], [[1, 3], [2, 4]], [[0, True]], [[0], [1, 2]], [[], []],
+          [[2**70, 0]], [[-1, 0]], [[0, 1.0]], ([0, 1],), [(0, 1)], [[0, 1], "x"]])
 def test_emit_writes_the_bytes_of_json_dumps(value):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -872,7 +909,7 @@ def test_check_gainline_prints_the_witness_of_json_dumps(tmp_path, capsys):
                               "labels": ["e", 'q"\\', "\u00e9\U0001F600"],
                               "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]})
     c4 = gl.SimpleGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
-    assert c4.incidence[0] == (0, 3)  # v1 is on the first and the last edge
+    assert incidence_lists(c4)[0] == (0, 3)  # v1 is on the first and the last edge
     cases = [
         (random_phase(rng, PAW, gl.cyclic(4)), "2"),  # the identity "0" is also the zero
         (random_phase(rng, PAW, escaped), "e"),
@@ -981,7 +1018,7 @@ def test_emit_falls_back_to_the_python_encoder(capsys, monkeypatch):
     H = random_phase(random.Random(157), DIAMOND, z3)
     cases = [({"group": gl.group_to_dict(z3), "order": 3, "abelian": True}, None),
              ({"line": gl.graph_to_dict(data.line),
-               "shared_vertex": [v + 1 for v in data.shared_vertex]}, None),
+               "shared_vertex": (data.shared_vertex + 1).tolist()}, None),
              ({"gain_line": True, "witness_phase": _phase_wire(H)},
               {"gain_line": True, "witness_phase": gl.phase_to_dict(H)})]
     monkeypatch.setattr(cli, "c_make_encoder", None)

@@ -11,28 +11,28 @@ import gainline.graph as graph_module
 from gainline.errors import InputError, ValidationError
 from gainline.graph import bfs_tree, line_roots
 
-from helpers import (K2, PAW, STAR3, TRIANGLE, complete_graph,
-                     random_connected_graph, reference_first_fault, reference_line_graph,
-                     shuffled_graph, star_graph)
+from helpers import (K2, PAW, STAR3, TRIANGLE, complete_graph, incidence_lists,
+                     pairwise_line_graph, random_connected_graph, reference_first_fault,
+                     reference_line_graph, shuffled_graph, star_graph)
 
 
 def test_paw_line_graph_matches_drawn_adjacencies():
     data = gl.line_graph(PAW)
     assert data.line.n == 4
-    assert data.line.edges == ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3))
+    assert data.line.edges.tolist() == [[0, 1], [0, 3], [1, 2], [1, 3], [2, 3]]
 
 
 def test_star_line_graph_is_triangle():
     data = gl.line_graph(STAR3)
     assert data.line.n == 3
-    assert data.line.edges == ((0, 1), (0, 2), (1, 2))
-    assert data.shared_vertex == (0, 0, 0)
+    assert data.line.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert data.shared_vertex.tolist() == [0, 0, 0]
 
 
 def test_k2_line_graph_is_single_vertex():
     data = gl.line_graph(K2)
     assert data.line.n == 1
-    assert data.line.edges == ()
+    assert data.line.edges.shape == (0, 2)
 
 
 def test_one_vertex_graph_has_no_line_graph():
@@ -52,10 +52,9 @@ def test_one_vertex_graph_has_no_line_graph():
 
 def test_shared_vertex_incident_to_both_endpoints():
     for g in (PAW, STAR3, TRIANGLE):
-        data = gl.line_graph(g)
-        for pos, (i, j) in enumerate(data.line.edges):
-            v = data.shared_vertex[pos]
-            assert v in g.edges[i] and v in g.edges[j]
+        data, edges = gl.line_graph(g), g.edges.tolist()
+        for (i, j), v in zip(data.line.edges.tolist(), data.shared_vertex.tolist()):
+            assert v in edges[i] and v in edges[j]
 
 
 def test_line_graph_matches_pairwise_reference(monkeypatch):
@@ -67,12 +66,13 @@ def test_line_graph_matches_pairwise_reference(monkeypatch):
     for g in graphs:
         data = gl.line_graph(g)
         assert data.line.n == g.m
-        assert (data.line.edges, data.shared_vertex) == reference_line_graph(g)
+        assert (tuple(map(tuple, data.line.edges.tolist())),
+                tuple(data.shared_vertex.tolist())) == pairwise_line_graph(g)
         assert gl.line_graph(g) is data
         # built without a check, yet equal to the checked graph on its edges
         checked = gl.SimpleGraph(g.m, data.line.edges)
         assert data.line == checked and hash(data.line) == hash(checked)
-        assert data.line.incidence == checked.incidence
+        assert all(map(np.array_equal, data.line.incidence, checked.incidence))
         assert bfs_tree(data.line) == bfs_tree(checked)
     assert graphs[0].m == 1 and gl.line_graph(graphs[0]).line.n == 1  # K2
 
@@ -86,13 +86,81 @@ def test_line_graph_matches_pairwise_reference(monkeypatch):
     assert lines == [gl.line_graph(g).line for g in graphs]
 
 
+def test_line_graph_matches_the_combinations_build():
+    nx = pytest.importorskip("networkx")
+    graphs = [_atlas_graph(g) for g in nx.graph_atlas_g()
+              if g.number_of_edges() and nx.is_connected(g)]
+    rng = random.Random(31)
+    for _ in range(8):  # 200-5000 edges
+        m = rng.randint(200, 5000)
+        graphs.append(shuffled_graph(rng, _shuffled_random_graph(rng, rng.randint(m // 3, m), m)))
+    assert len(graphs) == 995 + 8
+    for g in graphs:
+        data = gl.line_graph(g)
+        edges, shared = reference_line_graph(g)
+        assert data.line.n == g.m
+        assert data.line.edges.tolist() == list(map(list, edges))
+        assert data.shared_vertex.tolist() == list(shared)
+        assert not data.line.edges.flags.writeable and not data.shared_vertex.flags.writeable
+
+
+def _labelled(rng: random.Random, n: int, edges) -> tuple[int, np.ndarray]:
+    """``edges`` with the vertices renamed at random, the edges shuffled."""
+    name = list(range(n))
+    rng.shuffle(name)
+    out = [(name[u], name[v]) for u, v in edges]
+    rng.shuffle(out)
+    return n, np.array(out)
+
+
+def test_connectivity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    k = 40
+    cliques = [(u, v) for u, v in itertools.combinations(range(2 * k), 2)
+               if (u < k) == (v < k)]
+    # each with the one edge whose removal disconnects it, and without it
+    cases = {"path": (5000, [(v, v + 1) for v in range(4999)], (2499, 2500)),
+             "star": (5000, [(0, v) for v in range(1, 5000)], (0, 4999)),
+             "cliques": (2 * k, cliques + [(k - 1, k)], (k - 1, k))}
+    for name, (n, edges, cut) in cases.items():
+        for kept in (edges, [e for e in edges if e != cut]):
+            n, ends = _labelled(rng, n, kept)
+            reference = nx.Graph(ends.tolist())
+            reference.add_nodes_from(range(n))
+            expected = nx.is_connected(reference)
+            lo, hi = ends.min(axis=1), ends.max(axis=1)
+            assert graph_module._connected(n, lo, hi) == expected, name
+            if expected:
+                assert gl.SimpleGraph(n, ends).m == len(kept)
+            else:
+                with pytest.raises(ValidationError, match="^graph is not connected$"):
+                    gl.SimpleGraph(n, ends)
+
+
+def test_graphs_hash_and_compare_by_value():
+    pairs = ((1, 0), (1, 2), (2, 3), (3, 1))
+    graphs = [gl.SimpleGraph(4, pairs), gl.SimpleGraph(4, [list(e) for e in pairs]),
+              gl.SimpleGraph(4, np.array(pairs)), PAW]
+    assert all(g == PAW and hash(g) == hash(PAW) for g in graphs)
+    assert len(set(graphs)) == 1
+    assert PAW != gl.SimpleGraph(4, pairs[::-1]) and PAW != gl.SimpleGraph(5, pairs + ((3, 4),))
+    assert (PAW != "x") is True and (PAW == "x") is False
+    assert PAW.edges.dtype == np.intp and PAW.edges.shape == (4, 2)
+    for array in (PAW.edges, PAW.degrees, *PAW.incidence):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert PAW.edges.tolist() == [[0, 1], [1, 2], [2, 3], [1, 3]]
+
+
 def test_incidence_lists_and_degrees():
     rng = random.Random(103)
     for _ in range(20):
         g = shuffled_graph(rng, random_connected_graph(rng, 30))
         for v in range(g.n):
-            expected = [k for k, e in enumerate(g.edges) if v in e]
-            assert list(g.incidence[v]) == expected
+            expected = tuple(k for k, e in enumerate(g.edges.tolist()) if v in e)
+            assert incidence_lists(g)[v] == expected
+        assert g.degrees.tolist() == list(map(len, incidence_lists(g)))
 
 
 def test_incidence_matrix_k2():
@@ -113,15 +181,15 @@ def test_incidence_matrix_paw_column_supports():
 
 def test_incidence_row_sums_are_degrees():
     N = gl.incidence_matrix(PAW)
-    assert N.sum(axis=1).tolist() == [len(PAW.incidence[v]) for v in range(4)]
+    assert N.sum(axis=1).tolist() == PAW.degrees.tolist()
 
 
 def test_default_orientation_low_to_high():
     o = gl.default_orientation(PAW)
-    assert o.heads[3] == (1, 3)
-    assert gl.default_orientation(K2).heads == ((0, 1),)
+    assert o.heads[3].tolist() == [1, 3]
+    assert gl.default_orientation(K2).heads.tolist() == [[0, 1]]
     # the reversal is a valid orientation too
-    gl.Orientation(PAW, tuple((h, t) for t, h in o.heads))
+    gl.Orientation(PAW, tuple((h, t) for t, h in o.heads.tolist()))
 
 
 def test_classical_matrix_identities_small_graphs():
@@ -249,8 +317,9 @@ def test_bfs_tree_is_run_once_and_cannot_be_changed():
     parent, order, via = bfs_tree(g)
     assert bfs_tree(g) is bfs_tree(g)
     assert sorted(order) == list(range(g.n)) and order[0] == parent[0] == 0
-    assert all((min(v, parent[v]), max(v, parent[v])) in g.edges for v in order[1:])
-    assert all(set(g.edges[via[v]]) == {v, parent[v]} for v in order[1:])
+    edges = g.edges.tolist()
+    assert all([min(v, parent[v]), max(v, parent[v])] in edges for v in order[1:])
+    assert all(set(edges[via[v]]) == {v, parent[v]} for v in order[1:])
     # what every caller reads is the cached tree itself, so it is immutable
     assert type(parent) is tuple and type(order) is tuple and type(via) is tuple
     with pytest.raises(TypeError):
@@ -357,8 +426,7 @@ def test_line_root_recovers_random_roots():
         found = next(line_roots(line), None)
         assert gl.line_graph(found).line == line
         # Whitney: the root is unique up to relabelling its vertices
-        assert (found.n, sorted(map(len, found.incidence))) == \
-            (n, sorted(map(len, root.incidence)))
+        assert (found.n, sorted(found.degrees)) == (n, sorted(root.degrees))
     # the one-vertex graph is the line graph of K2
     assert next(line_roots(gl.line_graph(K2).line), None) == K2
 
@@ -366,7 +434,7 @@ def test_line_root_recovers_random_roots():
 def test_line_root_refuses_unsorted_edges_and_stays_under_the_cap(monkeypatch):
     line = gl.line_graph(PAW).line
     assert next(line_roots(line), None) is not None
-    unsorted = gl.SimpleGraph(line.n, line.edges[1:] + line.edges[:1])
+    unsorted = gl.SimpleGraph(line.n, np.roll(line.edges, -1, axis=0))
     assert next(line_roots(unsorted), None) is None
     # L(K1,5) = K5 has C(5, 2) = 10 line edges: past a cap of 5, its root is
     # not certified, and nothing is built
