@@ -139,7 +139,12 @@ def switching_to(psi1: GainFunction, psi2: GainFunction) -> tuple[Element, ...] 
     c1 = T[T[p[u], np.array(psi1.forward, dtype=np.intp)], inv[p[v]]]
     c2 = T[T[q[u], np.array(psi2.forward, dtype=np.intp)], inv[q[v]]]
     c1, c2 = np.divmod(np.unique(c1 * G.order + c2), G.order)
-    for s in G.elements():
+    # A seed conjugates every pair, so one gather over all seeds on the last
+    # pair, whose c1 is the largest, leaves the candidates, still in order.
+    seeds = np.arange(G.order)
+    if c1.size:
+        seeds = seeds[T[T[inv, c1[-1]], seeds] == c2[-1]]
+    for s in seeds.tolist():
         if np.array_equal(T[T[inv[s], c1], s], c2):
             return tuple(T[T[inv[p], s], q].tolist())
     return None
