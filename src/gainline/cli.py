@@ -57,6 +57,14 @@ def _layout(level: int):
     return inner, comma, inner[:-2], lambda value: "".join(chunks(value, 0))
 
 
+#: Text gathered before it is written: a write holds at most this much, or
+#: one piece where a piece is longer.
+_CHUNK = 1 << 16
+
+#: Items of a list of scalars encoded by one call of the C encoder.
+_ITEMS = 1 << 12
+
+
 def _encode(value, level: int, write, head: str = "") -> None:
     """Write ``head`` and then ``value`` at nesting ``level``, exactly as
     ``json.dump(value, fp, indent=2, sort_keys=True)`` writes ``value``.
@@ -64,62 +72,42 @@ def _encode(value, level: int, write, head: str = "") -> None:
     With ``indent`` set, ``json.dump`` runs the pure-Python encoder.  Here
     only non-empty dicts and lists that hold a container are walked in
     Python; everything else (a scalar, a dict key, an empty container, or a
-    list whose items all have exact ``_SCALARS`` types) goes out in one call
-    of the level's C encoder, whose item separator carries the indentation.
-    A non-empty list of such lists (a table, an edge list) and a phase's
-    ``_SparseRows`` (which has a row per vertex) are written in one loop.
-    A 2-D integer ``np.ndarray`` with entries in ``range(size)`` (a group's
-    ``table``), or a list of equal-length lists of exact ``int`` in that
-    range (an edge list), is written from one string per value, gathered
-    into rows, with one join per row; any other array is written as its
-    ``tolist()``.
-    Each ``write`` gets at most one row or piece with the separator, key or
-    bracket before it, so the text held at once is never the 26 MB of a
-    large witness.  Dict keys must be ``str``, as in every gainline wire
-    format.
+    list whose items all have exact ``_SCALARS`` types) goes out through the
+    level's C encoder, whose item separator carries the indentation, in
+    blocks of ``_ITEMS`` items.  A non-empty list of such lists is written
+    row by row.  A 2-D integer ``np.ndarray`` with entries in
+    ``range(size)`` (a group's ``table``), or a list of equal-length lists
+    of exact ``int`` in that range (an edge list), goes to :func:`_grid`,
+    and a phase's ``_SparseRows`` to :func:`_sparse`; any other array is
+    written as its ``tolist()``.  Each ``write`` gets at most one row, one
+    block or one piece with the separator, key or bracket before it.  Dict
+    keys must be ``str``, as in every gainline wire format.
     """
     inner, comma, pad, encode = _layout(level)
-    sparse = isinstance(value, phase._SparseRows)
     if type(value) is list and value and type(value[0]) is list:
         grid = _int_grid(value)
         value = value if grid is None else grid
     if isinstance(value, np.ndarray):
         if value.ndim == 2 and value.dtype.kind in "iu" and value.size \
                 and value.min() >= 0 and value.max() < value.size:
-            row_inner, row_comma, row_pad, _ = _layout(level + 1)
-            strs = np.array([str(v) for v in range(value.max() + 1)], dtype=object)
-            sep = head + "[" + inner
-            for row in strs[value].tolist():
-                write(sep + "[" + row_inner + row_comma.join(row) + row_pad + "]")
-                sep = comma
-            write(pad + "]")
+            _grid(value, level, write, head)
         else:
             _encode(value.tolist(), level, write, head)
+    elif isinstance(value, phase._SparseRows):
+        _sparse(value, level, write, head)
     elif isinstance(value, dict) and value:
         sep = head + "{" + inner
         for key, item in sorted(value.items()):
             _encode(item, level + 1, write, sep + encode(key) + ": ")
             sep = comma
         write(pad + "}")
-    elif sparse or (isinstance(value, (list, tuple)) and value
+    elif isinstance(value, (list, tuple)) and value \
             and all(isinstance(row, (list, tuple)) and set(map(type, row)) <= _SCALARS
-                    for row in value)):
-        row_inner, row_comma, row_pad, row_encode = _layout(level + 1)
-        if sparse:
-            zero = row_encode(value.zero) + row_comma
+                    for row in value):
+        row_inner, _, row_pad, row_encode = _layout(level + 1)
         sep = head + "[" + inner
-        for row in value.cells if sparse else value:
-            if sparse:
-                # Zero runs are string products, so a row costs O(its support)
-                # steps; every cell is followed by the separator, the last dropped.
-                parts, done = [], 0
-                for k, cell in row:
-                    parts += (zero * (k - done), row_encode(cell), row_comma)
-                    done = k + 1
-                parts.append(zero * (value.width - done))
-                body = "".join(parts)[:-len(row_comma)]
-            else:
-                body = row_encode(row)[1:-1]
+        for row in value:
+            body = row_encode(row)[1:-1]
             write(sep + ("[" + row_inner + body + row_pad + "]" if body else "[]"))
             sep = comma
         write(pad + "]")
@@ -130,9 +118,78 @@ def _encode(value, level: int, write, head: str = "") -> None:
             sep = comma
         write(pad + "]")
     elif isinstance(value, (list, tuple)) and value:
-        write(head + "[" + inner + encode(value)[1:-1] + pad + "]")
+        sep = head + "[" + inner
+        for start in range(0, len(value), _ITEMS):
+            write(sep + encode(value[start:start + _ITEMS])[1:-1])
+            sep = comma
+        write(pad + "]")
     else:
         write(head + encode(value))
+
+
+def _grid(value: np.ndarray, level: int, write, head: str) -> None:
+    """Write the 2-D array ``value`` of integers in ``range(size)`` as
+    :func:`_encode` writes its ``tolist()``, from one string per value.
+
+    A block of rows that fits in ``_CHUNK`` is one object array of tokens
+    (per row its opening, each value and its separator, and its closing),
+    filled by one gather and written by one join.
+    """
+    inner, comma, pad, _ = _layout(level)
+    row_inner, row_comma, row_pad, _ = _layout(level + 1)
+    strs = np.array([str(v) for v in range(value.max() + 1)], dtype=object)
+    rows, width = value.shape
+    opening = comma + "[" + row_inner
+    longest = len(opening) + width * (len(strs[-1]) + len(row_comma)) + len(row_pad) + 1
+    per = max(1, _CHUNK // longest)
+    tokens = np.empty((min(per, rows), 2 * width + 1), dtype=object)
+    tokens[:, 0] = opening
+    tokens[:, 2:-1:2] = row_comma
+    tokens[:, -1] = row_pad + "]"
+    tokens[0, 0] = head + "[" + inner + "[" + row_inner
+    for start in range(0, rows, per):
+        block = tokens[:min(per, rows - start)]
+        block[:, 1::2] = strs[value[start:start + per]]
+        write("".join(block.ravel().tolist()))
+        tokens[0, 0] = opening
+    write(pad + "]")
+
+
+def _sparse(value: phase._SparseRows, level: int, write, head: str) -> None:
+    """Write the grid of ``value`` as :func:`_encode` writes its ``dense()``
+    form, without building it.
+
+    Each distinct label is encoded once, and every zero run is a slice of
+    one run of ``width`` zeros, so a row costs O(its support) steps and one
+    join.
+    """
+    inner, comma, pad, _ = _layout(level)
+    row_inner, row_comma, row_pad, row_encode = _layout(level + 1)
+    bare = [row_encode(label) for label in value.labels]
+    cell = [text + row_comma for text in bare]
+    zero = row_encode(value.zero) + row_comma
+    width, z = value.width, len(zero)
+    zeros = zero * width
+    ptr, columns, values = (a.tolist() for a in (value.indptr, value.columns, value.values))
+    sep = head + "[" + inner
+    for a, b in zip(ptr, ptr[1:]):
+        if not width:
+            write(sep + "[]")
+            sep = comma
+            continue
+        parts, done = [sep + "[" + row_inner], 0
+        for k, x in zip(columns[a:b], values[a:b]):
+            parts += (zeros[:z * (k - done)], cell[x])
+            done = k + 1
+        # every cell is followed by the separator, except the last of the row
+        if done < width:
+            parts.append(zeros[:z * (width - done) - len(row_comma)])
+        else:
+            parts[-1] = bare[values[b - 1]]
+        parts.append(row_pad + "]")
+        write("".join(parts))
+        sep = comma
+    write(pad + "]")
 
 
 def _int_grid(rows: list) -> np.ndarray | None:
@@ -151,8 +208,22 @@ def _int_grid(rows: list) -> np.ndarray | None:
 
 
 def _emit(data: dict) -> None:
-    _encode(data, 0, sys.stdout.write)
-    sys.stdout.write("\n")
+    """Write ``data`` and a newline to stdout, the pieces of :func:`_encode`
+    joined into writes of at most ``_CHUNK`` (or one longer piece)."""
+    pieces, size = [], 0
+
+    def put(text: str) -> None:
+        nonlocal size
+        if size + len(text) > _CHUNK and pieces:
+            sys.stdout.write("".join(pieces))
+            pieces.clear()
+            size = 0
+        pieces.append(text)
+        size += len(text)
+
+    _encode(data, 0, put)
+    put("\n")
+    sys.stdout.write("".join(pieces))
 
 
 def _context(G: group.FiniteGroup, args) -> phase.PhaseContext:
@@ -201,7 +272,7 @@ def cmd_check_balance(args) -> None:
     witness = gain.balance_witness(psi_fn)
     verdict = {"balanced": witness is not None}
     if witness is not None:
-        verdict["witness"] = [psi_fn.group.label(v) for v in witness]
+        verdict["witness"] = list(map(psi_fn.group.labels.__getitem__, witness))
     _emit(verdict)
 
 
@@ -211,7 +282,7 @@ def cmd_check_switch_equiv(args) -> None:
     witness = gain.switching_to(psi1, psi2)
     verdict = {"equivalent": witness is not None}
     if witness is not None:
-        verdict["witness"] = [psi1.group.label(v) for v in witness]
+        verdict["witness"] = list(map(psi1.group.labels.__getitem__, witness))
     _emit(verdict)
 
 

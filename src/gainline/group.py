@@ -8,6 +8,7 @@ convention that index 0 is the identity.  All builders return validated
 from __future__ import annotations
 
 import functools
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +102,10 @@ class FiniteGroup:
         self.table = T
         #: A generating set: every element is a product of these.
         self.generators = generators
+        #: The inverse of each element as a read-only np.intp array, for gathers.
+        self.inverse = inv
+        inv.flags.writeable = False
+        #: The same inverses as a tuple, for scalar reads.
         self.inv = tuple(inv.tolist())
         self.order = order
         self._label_index = {label: i for i, label in enumerate(self.labels)}
@@ -160,16 +165,22 @@ def _not_permutations(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     permutations of its indices, by boolean scatters: a row or column is one
     when its order entries are all in range and hit every index.  Entries out
     of range fail their row and column and are masked to 0 before the
-    scatters, where a negative index would wrap round.  A function of its
-    own, so that its (order, order) temporaries are freed before Light's test."""
+    scatters, where a negative index would wrap round.  Both scatters take
+    flat indices, r order + T[r, c] and T[r, c] order + c, made in place in
+    one array.  A function of its own, so that its (order, order) temporaries
+    are freed before Light's test."""
     order = len(T)
     full = np.arange(order)
     valid = (T >= 0) & (T < order)
-    hits = np.where(valid, T, 0)
+    flat = np.where(valid, T, 0)
     row_hit = np.zeros((order, order), dtype=bool)
     col_hit = np.zeros((order, order), dtype=bool)
-    row_hit[full[:, None], hits] = True
-    col_hit[hits, full] = True
+    flat += full[:, None] * order
+    row_hit.ravel()[flat] = True
+    flat -= full[:, None] * order
+    flat *= order
+    flat += full
+    col_hit.ravel()[flat] = True
     return (~(valid.all(axis=1) & row_hit.all(axis=1)),
             ~(valid.all(axis=0) & col_hit.all(axis=0)))
 
@@ -196,6 +207,47 @@ def _generators(T: np.ndarray) -> tuple[Element, ...]:
 def _check_order(order: int) -> None:
     if order > MAX_ORDER:
         raise ValidationError(f"group order {order} exceeds cap {MAX_ORDER}")
+
+
+def _element_array(values, shape: tuple[int, ...], order: int, kind: str,
+                   index: str) -> np.ndarray:
+    """``values`` as a read-only np.intp array of ``shape`` whose entries are
+    element indices below ``order``.
+
+    An integer array is taken as it is, and shared when it is already a
+    read-only intp array; a list or tuple (of rows, for a 2-D ``shape``)
+    gets C-level type passes before numpy reads it, since numpy reads a bool
+    among integers as 0 or 1.  A bool, a float, a string or another shape
+    raises ValidationError(``kind``).  Then one mask finds the first entry x
+    out of range in row-major order, and raises ValidationError naming it as
+    ``f"{index} {x} out of range"``; an integer too large for intp stays
+    exact in an object array until then.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        a = values if values.dtype == np.intp and not values.flags.writeable \
+            else values.copy()
+    else:
+        a, rows = None, values.tolist() if isinstance(values, np.ndarray) else values
+        try:
+            flat = list(chain.from_iterable(rows) if len(shape) > 1 else rows)
+            flat = None if len(shape) > 1 and set(map(len, rows)) - {shape[1]} else flat
+        except TypeError:  # a row or a value that is not a sequence
+            flat = None
+        if flat is not None and all(issubclass(t, (int, np.integer)) and t is not bool
+                                    for t in set(map(type, flat))):
+            try:
+                a = np.fromiter(flat, np.intp, len(flat))
+            except OverflowError:
+                a = np.array(flat, dtype=object)
+            a = a.reshape(-1, *shape[1:])
+    if a is None or a.shape != shape:
+        raise ValidationError(kind)
+    bad = np.flatnonzero((a < 0) | (a >= order))
+    if bad.size:
+        raise ValidationError(f"{index} {a.ravel()[bad[0]]} out of range")
+    a = a.astype(np.intp, copy=False)
+    a.flags.writeable = False
+    return a
 
 
 def center(group: FiniteGroup) -> list[Element]:

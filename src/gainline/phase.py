@@ -10,16 +10,15 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .algebra import AlgebraElement, CGMatrix
 from .errors import InputError, ValidationError, require_fields, require_type
 from .gain import GainFunction, switching_to
-from .graph import (Orientation, SimpleGraph, _line_size, graph_from_dict,
+from .graph import (Orientation, SimpleGraph, _frozen, _line_size, graph_from_dict,
                     graph_to_dict, line_graph)
-from .group import (Element, FiniteGroup, build_group, group_to_dict,
+from .group import (Element, FiniteGroup, _element_array, build_group, group_to_dict,
                     require_central_weak_involution)
 
 #: Largest phase written out, in n x m entries: a witness of ``check gainline``
@@ -40,29 +39,37 @@ class PhaseContext:
         require_central_weak_involution(self.group, self.s2, "s2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SparseRows:
     """An n x m grid stored as its support: row i holds ``zero`` except at
-    the (column, value) pairs of ``cells[i]``, which come in column order."""
+    the columns ``columns[indptr[i]:indptr[i + 1]]``, which come in column
+    order, where slot s holds ``labels[values[s]]``.  ``indptr``,
+    ``columns`` and ``values`` are integer arrays."""
 
     width: int
     zero: object
-    cells: list[list[tuple[int, object]]]
+    labels: Sequence
+    indptr: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
 
     def dense(self) -> list[list]:
+        ptr, columns = self.indptr.tolist(), self.columns.tolist()
+        values = list(map(self.labels.__getitem__, self.values.tolist()))
         grid = []
-        for cells in self.cells:
+        for a, b in zip(ptr, ptr[1:]):
             row = [self.zero] * self.width
-            for k, x in cells:
+            for k, x in zip(columns[a:b], values[a:b]):
                 row[k] = x
             grid.append(row)
         return grid
 
 
 def _read_grid(graph: SimpleGraph, group: FiniteGroup, grid: Sequence[Sequence]
-               ) -> tuple[tuple[Element, Element], ...]:
-    """The ends of the phase-file grid ``grid``: the string "0" at every pair
-    off the incidence pattern and an element label at each incident pair.
+               ) -> np.ndarray:
+    """The ends, as in ``GPhase.ends``, of the phase-file grid ``grid``: the
+    string "0" at every pair off the incidence pattern and an element label
+    at each incident pair.
 
     One C-level ``count`` per row decides its off-support cells; only a row
     that fails it is scanned in column order, to name its first fault, so
@@ -73,10 +80,11 @@ def _read_grid(graph: SimpleGraph, group: FiniteGroup, grid: Sequence[Sequence]
         raise InputError("phase must have one row per vertex")
     if any(len(row) != m for row in grid):
         raise InputError("phase must have one column per edge")
-    indptr, indices = (a.tolist() for a in graph.incidence)
-    H = {}
+    indptr, indices = graph.incidence
+    ptr, columns = indptr.tolist(), indices.tolist()
+    values = []  # per CSR slot, the element at its vertex's end of its edge
     for i, row in enumerate(grid):
-        incident = indices[indptr[i]:indptr[i + 1]]
+        incident = columns[ptr[i]:ptr[i + 1]]
         # Incidence decides whether a "0" cell is off the support or an entry
         # (cyclic groups label their identity "0").
         if row.count("0") - sum(row[k] == "0" for k in incident) != m - len(incident):
@@ -87,35 +95,41 @@ def _read_grid(graph: SimpleGraph, group: FiniteGroup, grid: Sequence[Sequence]
                 elif x != "0":
                     raise InputError(
                         f"expected structural zero at (v{i + 1}, e{k + 1})")
-        for k in incident:
-            H[i, k] = element(row[k])
-    return tuple((H[u, k], H[v, k]) for k, (u, v) in enumerate(graph.edges.tolist()))
+        values += map(element, map(row.__getitem__, incident))
+    ends = np.empty(2 * m, dtype=np.intp)
+    ends[_slots(graph, indices, _slot_vertices(graph))] = values
+    return _frozen(ends.reshape(m, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GPhase:
     """A group element per incident (vertex, edge) pair.
 
-    Stored as ``ends``, per edge k = (u, v) with u < v the pair (H[u,k],
-    H[v,k]), so H[i,k] is ``ends[k][i == v]``.  ``rows`` is the dense view:
-    None where vertex i is not an endpoint of edge k.
+    Stored as ``ends``, a read-only (m, 2) ``np.intp`` array: per edge
+    k = (u, v) with u < v the row (H[u,k], H[v,k]), so H[i,k] is
+    ``ends[k, i == v]``.  It may be given as pairs in a tuple or a list, or
+    as an array.  ``rows`` is the dense view: None where vertex i is not an
+    endpoint of edge k.
     """
 
     graph: SimpleGraph
     group: FiniteGroup
-    ends: tuple[tuple[Element, Element], ...]
+    ends: np.ndarray
 
     def __post_init__(self):
         if len(self.ends) != self.graph.m:
             raise ValidationError("need exactly one pair of entries per edge")
-        n = self.group.order
-        try:  # one pass; only a pair with a fault is looked at twice
-            bad = [g for x, y in self.ends if not (0 <= x < n and 0 <= y < n)
-                   for g in (x, y) if not 0 <= g < n]
-        except (TypeError, ValueError):  # unpacking or comparing a non-pair
-            raise ValidationError("each edge needs a pair of element indices")
-        if bad:
-            raise ValidationError(f"element index {bad[0]} out of range")
+        object.__setattr__(self, "ends", _element_array(
+            self.ends, (self.graph.m, 2), self.group.order,
+            "each edge needs a pair of element indices", "element index"))
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, GPhase) and self.graph == other.graph
+            and self.group == other.group and np.array_equal(self.ends, other.ends))
+
+    def __hash__(self) -> int:
+        return hash(self.ends.tobytes())
 
     @property
     def rows(self) -> tuple[tuple[Element | None, ...], ...]:
@@ -128,31 +142,28 @@ class GPhase:
         indexed by element; ``range(order)`` gives the elements themselves."""
         graph = self.graph
         indptr, indices = graph.incidence
-        # per CSR slot, the entry at its vertex's end of its edge
-        vertex = np.repeat(np.arange(graph.n), graph.degrees)
-        values = _flat_ends(self)[_slots(graph, indices, vertex)]
-        cells = list(zip(indices.tolist(), map(labels.__getitem__, values.tolist())))
-        ptr = indptr.tolist()
-        return _SparseRows(graph.m, zero, [cells[a:b] for a, b in zip(ptr, ptr[1:])])
+        values = self.ends.ravel()[_slots(graph, indices, _slot_vertices(graph))]
+        return _SparseRows(graph.m, zero, labels, indptr, indices, values)
 
     def to_cg_matrix(self) -> CGMatrix:
         G = self.group
         return CGMatrix(G, {(i, k): AlgebraElement.unit(G, g)
-                            for k, pair in enumerate(zip(self.graph.edges.tolist(), self.ends))
+                            for k, pair in enumerate(zip(self.graph.edges.tolist(),
+                                                         self.ends.tolist()))
                             for i, g in zip(*pair)},
                         (self.graph.n, self.graph.m))
 
 
 def incidence_phase(graph: SimpleGraph, group: FiniteGroup) -> GPhase:
     """The all-identity phase, the CG analogue of the incidence matrix."""
-    return GPhase(graph, group, ((group.identity,) * 2,) * graph.m)
+    return GPhase(graph, group, _frozen(np.zeros((graph.m, 2), dtype=np.intp)))
 
 
 def psi(H: GPhase, ctx: PhaseContext) -> GainFunction:
     """The induced gain on the graph: s1 * H[i,k] * H[j,k]^-1 per edge."""
     G = _shared_group(H, ctx)
-    mul, inv, s1 = G.mult, G.inv, G.mult[ctx.s1]
-    return GainFunction(H.graph, G, tuple(s1[mul[a][inv[b]]] for a, b in H.ends))
+    T = G.table
+    return GainFunction(H.graph, G, _frozen(T[ctx.s1][T[H.ends[:, 0], G.inverse[H.ends[:, 1]]]]))
 
 
 def psi_line(H: GPhase, ctx: PhaseContext) -> GainFunction:
@@ -163,8 +174,7 @@ def psi_line(H: GPhase, ctx: PhaseContext) -> GainFunction:
     data = line_graph(H.graph)
     at_i, at_j = _line_entries(H, data)
     T = G.table
-    return GainFunction(data.line, G, tuple(
-        T[ctx.s2][T[np.array(G.inv)[at_i], at_j]].tolist()))
+    return GainFunction(data.line, G, _frozen(T[ctx.s2][T[G.inverse[at_i], at_j]]))
 
 
 def phase_from_orientation(psi_fn: GainFunction, orientation: Orientation,
@@ -173,29 +183,34 @@ def phase_from_orientation(psi_fn: GainFunction, orientation: Orientation,
     if orientation.graph != psi_fn.graph:
         raise ValidationError("orientation belongs to a different graph")
     G = _shared_group(psi_fn, ctx)
-    inv, s1 = G.inv, ctx.s1
     # forward[k] is read from the lower end, so a higher tail gets its inverse.
-    heads = orientation.heads
-    return GPhase(psi_fn.graph, G, tuple(
-        (g, s1) if low else (s1, inv[g])
-        for low, g in zip((heads[:, 0] < heads[:, 1]).tolist(), psi_fn.forward)))
+    g, low = psi_fn.forward, orientation.heads[:, 0] < orientation.heads[:, 1]
+    ends = np.full((psi_fn.graph.m, 2), ctx.s1, dtype=np.intp)
+    ends[low, 0] = g[low]
+    ends[~low, 1] = G.inverse[g[~low]]
+    return GPhase(psi_fn.graph, G, _frozen(ends))
 
 
 def act(H: GPhase, f: tuple[Element, ...] | None = None,
         g: tuple[Element, ...] | None = None) -> GPhase:
     """underline(f)* H underline(g): entry -> f_i^-1 H[i,k] g_k."""
-    G = H.group
+    G, T = H.group, H.group.table
     if f is not None and len(f) != H.graph.n:
         raise ValidationError("left action vector must have one entry per vertex")
     if g is not None and len(g) != H.graph.m:
         raise ValidationError("right action vector must have one entry per edge")
     ends = H.ends
     if f is not None:
-        ends = tuple((G.mul(G.invert(f[u]), a), G.mul(G.invert(f[v]), b))
-                     for (u, v), (a, b) in zip(H.graph.edges.tolist(), ends))
+        f = _element_array(f, (H.graph.n,), G.order,
+                           "each left action value must be an integer element index",
+                           "element index")
+        ends = T[G.inverse[f[H.graph.edges]], ends]
     if g is not None:
-        ends = tuple((G.mul(a, x), G.mul(b, x)) for (a, b), x in zip(ends, g))
-    return GPhase(H.graph, G, ends)
+        g = _element_array(g, (H.graph.m,), G.order,
+                           "each right action value must be an integer element index",
+                           "element index")
+        ends = T[ends, g[:, None]]
+    return GPhase(H.graph, G, _frozen(ends))
 
 
 def same_orbit(H1: GPhase, H2: GPhase, which: str, ctx: PhaseContext) -> bool:
@@ -234,25 +249,24 @@ def reff_line_phase(H: GPhase) -> GPhase:
     """The line phase: inverse of the shared-vertex entry, per incidence."""
     G, data = H.group, line_graph(H.graph)
     at_i, at_j = _line_entries(H, data)
-    inv = np.array(G.inv)
     # Line edge (i, j) has i < j, so H[v,i]^-1 sits at its lower end.
-    return GPhase(data.line, G, tuple(zip(inv[at_i].tolist(), inv[at_j].tolist())))
+    return GPhase(data.line, G, _frozen(G.inverse[np.stack((at_i, at_j), axis=1)]))
 
 
 def _slots(graph: SimpleGraph, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The flat index 2 k + (v is the higher end of edge k) of each entry
-    H[v,k], into the entries listed edge by edge as in ``GPhase.ends``."""
+    H[v,k], into ``GPhase.ends.ravel()``."""
     return 2 * k + (graph.edges[k, 1] == v)
 
 
-def _flat_ends(H: GPhase) -> np.ndarray:
-    """H's entries listed edge by edge as in ``H.ends``, read by :func:`_slots`."""
-    return np.fromiter(chain.from_iterable(H.ends), np.intp, 2 * len(H.ends))
+def _slot_vertices(graph: SimpleGraph) -> np.ndarray:
+    """The vertex of each slot of the CSR incidence."""
+    return np.repeat(np.arange(graph.n), graph.degrees)
 
 
 def _line_entries(H: GPhase, data) -> tuple[np.ndarray, np.ndarray]:
     """(H[v,i], H[v,j]) per line edge (i, j) at shared vertex v, as arrays."""
-    ends, (i, j), v = _flat_ends(H), data.line.edges.T, data.shared_vertex
+    ends, (i, j), v = H.ends.ravel(), data.line.edges.T, data.shared_vertex
     return ends[_slots(H.graph, i, v)], ends[_slots(H.graph, j, v)]
 
 
@@ -272,10 +286,10 @@ def recognize_gain_line(zeta: GainFunction, root: SimpleGraph,
             or zeta.graph != line_graph(root).line:
         raise ValidationError("gain function does not live on the root's line graph")
     data = line_graph(root)
-    T, inv, s2 = G.table, np.array(G.inv), G.table[ctx.s2]
+    T, inv, s2 = G.table, G.inverse, G.table[ctx.s2]
     (a, b), v = data.line.edges.T, data.shared_vertex
     at_a, at_b = _slots(root, a, v), _slots(root, b, v)
-    g = np.array(zeta.forward, dtype=np.intp)
+    g = zeta.forward
     indptr, indices = root.incidence
     base = a == indices[indptr[v]]
     H = np.zeros(2 * root.m, dtype=np.intp)  # the identity is 0
@@ -283,7 +297,7 @@ def recognize_gain_line(zeta: GainFunction, root: SimpleGraph,
     # A base pair holds by construction, since s2^2 = 1.
     if not np.array_equal(s2[T[inv[H[at_a]], H[at_b]]], g):
         return None
-    return GPhase(root, G, tuple(zip(H[0::2].tolist(), H[1::2].tolist())))
+    return GPhase(root, G, _frozen(H.reshape(-1, 2)))
 
 
 def _shared_group(obj, ctx: PhaseContext) -> FiniteGroup:

@@ -134,8 +134,8 @@ def test_criterion_04_orbit_fiber_theorems_exhaustive():
 
         # theorem-side partitions: fibers of the vertex / line gain maps,
         # and switching classes of the vertex gains
-        psi_keys = [gl.psi(H, ctx).forward for H in phases]
-        line_keys = [gl.psi_line(H, ctx).forward for H in phases]
+        psi_keys = [tuple(gl.psi(H, ctx).forward.tolist()) for H in phases]
+        line_keys = [tuple(gl.psi_line(H, ctx).forward.tolist()) for H in phases]
         assert partition_labels(r_ids) == partition_labels(psi_keys)
         assert partition_labels(l_ids) == partition_labels(line_keys)
 
@@ -276,7 +276,7 @@ def test_criterion_09_recognition_exhaustive_star():
     for s1 in (0, 1):
         for s2 in (0, 1):
             ctx = gl.PhaseContext(Z2, s1, s2)
-            image = {gl.psi_line(H, ctx).forward
+            image = {gl.psi_line(H, ctx).forward.tobytes()
                      for H in all_phases(STAR3, Z2)}
             accepted = set()
             for combo in itertools.product(range(2), repeat=line.m):
@@ -284,7 +284,7 @@ def test_criterion_09_recognition_exhaustive_star():
                 H = gl.recognize_gain_line(zeta, STAR3, ctx)
                 if H is not None:
                     assert gl.psi_line(H, ctx) == zeta
-                    accepted.add(combo)
+                    accepted.add(zeta.forward.tobytes())
             assert accepted == image
             assert 0 < len(accepted) < 2 ** line.m
     ok("criterion 9: recognition accepts exactly the realizable line gains "
