@@ -131,25 +131,26 @@ def _grid(value: np.ndarray, level: int, write, head: str) -> None:
     """Write the 2-D array ``value`` of integers in ``range(size)`` as
     :func:`_encode` writes its ``tolist()``, from one string per value.
 
-    A block of rows that fits in ``_CHUNK`` is one object array of tokens
-    (per row its opening, each value and its separator, and its closing),
-    filled by one gather and written by one join.
+    Each value's string carries the separator after it, or, in the last
+    column, the row's closing bracket.  A block of rows that fits in
+    ``_CHUNK`` is an object array of those strings behind each row's
+    opening, filled by two gathers and written by one join.
     """
     inner, comma, pad, _ = _layout(level)
     row_inner, row_comma, row_pad, _ = _layout(level + 1)
-    strs = np.array([str(v) for v in range(value.max() + 1)], dtype=object)
+    top = value.max() + 1
+    sep = np.array([str(v) + row_comma for v in range(top)], dtype=object)
+    last = np.array([str(v) + row_pad + "]" for v in range(top)], dtype=object)
     rows, width = value.shape
     opening = comma + "[" + row_inner
-    longest = len(opening) + width * (len(strs[-1]) + len(row_comma)) + len(row_pad) + 1
-    per = max(1, _CHUNK // longest)
-    tokens = np.empty((min(per, rows), 2 * width + 1), dtype=object)
+    per = max(1, _CHUNK // (len(opening) + width * len(sep[-1]) + len(last[-1])))
+    tokens = np.empty((min(per, rows), width + 1), dtype=object)
     tokens[:, 0] = opening
-    tokens[:, 2:-1:2] = row_comma
-    tokens[:, -1] = row_pad + "]"
     tokens[0, 0] = head + "[" + inner + "[" + row_inner
     for start in range(0, rows, per):
-        block = tokens[:min(per, rows - start)]
-        block[:, 1::2] = strs[value[start:start + per]]
+        block, part = tokens[:min(per, rows - start)], value[start:start + per]
+        block[:, 1:-1] = sep[part[:, :-1]]
+        block[:, -1] = last[part[:, -1]]
         write("".join(block.ravel().tolist()))
         tokens[0, 0] = opening
     write(pad + "]")

@@ -53,11 +53,10 @@ class GainFunction:
         if 0 <= u < self.graph.n:
             indptr, indices = self.graph.incidence
             at = indices[indptr[u]:indptr[u + 1]]
-            ends = self.graph.edges[at]
-            hit = np.flatnonzero(ends.sum(axis=1) - u == v)
-            if hit.size:
-                g = self.forward[at[hit[0]]]
-                return int(g if ends[hit[0], 0] == u else self.group.inverse[g])
+            for k, (a, b) in zip(at.tolist(), self.graph.edges[at].tolist()):
+                if a + b - u == v:
+                    g = int(self.forward[k])
+                    return g if u == a else self.group.inv[g]
         raise InputError(f"vertices {u} and {v} are not adjacent")
 
 

@@ -582,7 +582,7 @@ def q8_gain(graph: gl.SimpleGraph, labels: list[str]) -> gl.GainFunction:
     return gl.GainFunction(graph, Q8, tuple(Q8.element(l) for l in labels))
 
 
-def reference_switching_to(psi1: gl.GainFunction, psi2: gl.GainFunction):
+def per_seed_switching_to(psi1: gl.GainFunction, psi2: gl.GainFunction):
     """Some f with psi2 = psi1^f by propagating f along the BFS tree from
     each seed f(0) in element order and checking every edge; oracle only."""
     G = psi1.group
@@ -594,6 +594,31 @@ def reference_switching_to(psi1: gl.GainFunction, psi2: gl.GainFunction):
             f[v] = G.mul(G.invert(psi1.gain(u, v)), G.mul(f[u], psi2.gain(u, v)))
         if gl.switch(psi1, f) == psi2:
             return tuple(f)
+    return None
+
+
+def reference_switching_to(psi1: gl.GainFunction, psi2: gl.GainFunction):
+    """Some f with psi2 = psi1^f, or None, from potentials p and q taken
+    along the BFS tree from vertex 0: f(v) = p(v)^-1 s q(v) for the first
+    seed s, in element order, with s^-1 c1 s = c2 for the cycle gains
+    c1 = p(u) psi1(u,v) p(v)^-1 and c2 = q(u) psi2(u,v) q(v)^-1 of every
+    edge; oracle only."""
+    G = psi1.group
+    mul, inv = G.mult, G.inv
+    parent, order, via = gl.graph.bfs_tree(psi1.graph)
+    g1, g2 = psi1.forward.tolist(), psi2.forward.tolist()
+    p = [G.identity] * psi1.graph.n
+    q = [G.identity] * psi1.graph.n
+    for v in order[1:]:
+        # forward[k] is read from the lower end, so a higher parent inverts it.
+        u, k = parent[v], via[v]
+        p[v] = mul[p[u]][g1[k] if u < v else inv[g1[k]]]
+        q[v] = mul[q[u]][g2[k] if u < v else inv[g2[k]]]
+    pairs = {(mul[mul[p[u]][a]][inv[p[v]]], mul[mul[q[u]][b]][inv[q[v]]])
+             for (u, v), a, b in zip(psi1.graph.edges.tolist(), g1, g2)}
+    for s in G.elements():
+        if all(mul[mul[inv[s]][c1]][s] == c2 for c1, c2 in pairs):
+            return tuple(mul[mul[inv[p[v]]][s]][q[v]] for v in range(psi1.graph.n))
     return None
 
 

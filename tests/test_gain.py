@@ -10,8 +10,8 @@ from gainline.errors import InputError, ValidationError
 
 from helpers import (DIAMOND, K2, PAW, TRIANGLE, all_gains, brute_force_switching,
                      builtin_representations, derived_cover, holonomy, perturbed, q8_gain,
-                     random_connected_graph, random_gain, random_vector,
-                     reference_switching_to, small_groups)
+                     per_seed_switching_to, random_connected_graph, random_gain,
+                     random_vector, reference_switching_to, shuffled_graph, small_groups)
 
 PAW_GAINS = ["-i", "-j", "-k", "-i"]
 
@@ -158,6 +158,19 @@ def test_gain_faults_are_named():
          ValidationError, "need exactly one gain per edge"),
         (lambda: gl.GainFunction(PAW, Q8, (0, 0, 0, 8)),
          ValidationError, "gain index 8 out of range"),
+        # the first bad index in edge order, exact past intp
+        (lambda: gl.GainFunction(PAW, Q8, [0, 2 ** 70, -1, 0]),
+         ValidationError, f"gain index {2 ** 70} out of range"),
+        (lambda: gl.GainFunction(PAW, Q8, np.array([0, 0, 9, -1], dtype=np.int8)),
+         ValidationError, "gain index 9 out of range"),
+        # never converted: numpy would read True as 1 and 1.0 as an index
+        *((lambda bad=bad: gl.GainFunction(PAW, Q8, bad), ValidationError,
+           "each gain must be an integer element index")
+          for bad in ((0, 0, 0, 1.5), (0, 0, 0, 1.0), (0, 0, 0, True), (0, 0, 0, "1"),
+                      (0, 0, 0, None), np.array([0.0, 0, 0, 1]), np.ones(4, dtype=bool),
+                      np.zeros((4, 1), dtype=np.intp))),
+        (lambda: gl.switch(psi, (0, 0, 0, 8)),
+         ValidationError, "element index 8 out of range"),
         (lambda: gl.constant_gain(PAW, Q8, Q8.element("i")),
          ValidationError, "constant gain requires s with s^2 = 1"),
         (lambda: gl.switch(psi, (0, 0, 0)),
@@ -173,6 +186,29 @@ def test_gain_faults_are_named():
         with pytest.raises(kind) as refused:
             build()
         assert str(refused.value) == message
+
+
+def test_gains_are_read_only_arrays_compared_by_value():
+    Q8 = gl.quaternion8()
+    labels = [Q8.element(l) for l in PAW_GAINS]
+    given = np.array(labels)
+    forms = [gl.GainFunction(PAW, Q8, tuple(labels)), gl.GainFunction(PAW, Q8, labels),
+             gl.GainFunction(PAW, Q8, given), gl.GainFunction(PAW, Q8, given.astype(np.uint8)),
+             gl.gain_from_dict(gl.gain_to_dict(q8_gain(PAW, PAW_GAINS)))]
+    given[0] = 0  # the caller's array was copied
+    for psi in forms:
+        assert psi.forward.dtype == np.intp and psi.forward.tolist() == labels
+        assert psi == forms[0] and hash(psi) == hash(forms[0])
+        with pytest.raises(ValueError):
+            psi.forward[0] = 0
+    assert len(set(forms)) == 1
+    # a read-only intp array is shared, not copied
+    assert gl.GainFunction(PAW, Q8, forms[0].forward).forward is forms[0].forward
+    other = [forms[0] != x for x in (
+        gl.GainFunction(PAW, Q8, labels[:3] + [0]), gl.GainFunction(PAW, gl.cyclic(8), labels),
+        gl.GainFunction(gl.SimpleGraph(4, ((0, 1), (1, 2), (2, 3), (0, 2))), Q8, labels),
+        forms[0].forward, labels, None)]
+    assert all(other)
 
 
 def test_trees_are_balanced():
@@ -251,8 +287,11 @@ def test_switching_equivalence_agrees_with_brute_force():
     for gains in pairs:
         for psi1, psi2 in gains:
             fast = gl.switching_to(psi1, psi2)
+            # Brute force tries f in lexicographic order, so its first hit has
+            # the least f(0) that admits any f; on a connected graph f(0)
+            # fixes f, so the witness is that hit.
             brute = brute_force_switching(psi1, psi2)
-            assert (fast is None) == (brute is None)
+            assert fast == brute
             if fast is not None:
                 assert gl.switch(psi1, fast) == psi2
             verdicts.add((psi1.group.order, fast is None))
@@ -271,7 +310,7 @@ def test_switching_to_matches_per_seed_reference():
             switched = gl.switch(psi1, random_vector(rng, G, graph.n))
             for psi2 in (switched, perturbed(rng, switched),
                          random_gain(rng, graph, G)):
-                want = reference_switching_to(psi1, psi2)
+                want = per_seed_switching_to(psi1, psi2)
                 assert gl.switching_to(psi1, psi2) == want
                 nones += want is None
                 if want is not None:
@@ -279,9 +318,60 @@ def test_switching_to_matches_per_seed_reference():
             trivial = gl.constant_gain(graph, G, G.identity)
             balanced = gl.switch(trivial, random_vector(rng, G, graph.n))
             for psi in (balanced, perturbed(rng, balanced)):
-                assert gl.balance_witness(psi) == reference_switching_to(psi, trivial)
+                assert gl.balance_witness(psi) == per_seed_switching_to(psi, trivial)
     # both verdicts occur, and witnesses need seeds other than the identity
     assert nones > 0 and len(seeds) > 2 * len(groups)
+
+
+def large_graphs(rng):
+    """(name, graph) for seeded random graphs, a shuffled 5000-vertex path,
+    a star, and two K40 joined by one edge, each with shuffled vertex labels
+    and edge order."""
+    def relabelled(name, n, edges):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return name, shuffled_graph(rng, gl.SimpleGraph(n, tuple(
+            (perm[u], perm[v]) for u, v in edges)))
+
+    for n in (2, 5, 40, 300, 1000):
+        edges = {tuple(sorted((rng.randrange(v), v))) for v in range(1, n)}
+        while len(edges) < min(2 * n, n * (n - 1) // 2):
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        yield relabelled(f"random{n}", n, sorted(edges))
+    yield relabelled("path5000", 5000, [(v, v + 1) for v in range(4999)])
+    yield relabelled("star300", 301, [(0, v) for v in range(1, 301)])
+    k40 = list(itertools.combinations(range(40), 2))
+    yield relabelled("two-k40", 80, k40 + [(u + 40, v + 40) for u, v in k40] + [(39, 40)])
+
+
+def test_switching_to_matches_the_bfs_potentials():
+    """Potentials from hooking give the witness, and None, of potentials
+    from the BFS tree, on large and deep graphs."""
+    rng = random.Random(31)
+    nones = 0
+    for G in (gl.quaternion8(), gl.dihedral(4), gl.dihedral(32)):
+        for name, graph in large_graphs(rng):
+            psi1 = random_gain(rng, graph, G)
+            switched = gl.switch(psi1, random_vector(rng, G, graph.n))
+            # a chord is an edge off the BFS tree; a tree has none
+            chords = sorted(set(range(graph.m)) - set(gl.graph.bfs_tree(graph)[2]))
+            k = chords[-1] if chords else graph.m - 1
+            def changed(psi):
+                forward = psi.forward.copy()
+                forward[k] = (forward[k] + 1 + rng.randrange(G.order - 1)) % G.order
+                return gl.GainFunction(graph, G, forward)
+
+            trivial = gl.constant_gain(graph, G, G.identity)
+            balanced = gl.switch(trivial, random_vector(rng, G, graph.n))
+            for psi2 in (switched, changed(switched)):
+                want = reference_switching_to(psi1, psi2)
+                assert gl.switching_to(psi1, psi2) == want, (G.name, name)
+                nones += want is None
+            for psi in (balanced, changed(balanced)):
+                want = reference_switching_to(psi, trivial)
+                assert gl.balance_witness(psi) == want, (G.name, name)
+                nones += want is None
+    assert nones > 0
 
 
 def test_closed_walk_gains_conjugate_under_switching():

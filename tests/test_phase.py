@@ -93,11 +93,37 @@ def test_phase_constructor_refuses_bad_ends():
         (ends[:3] + ((8, 0),), "element index 8 out of range"),
         # the first bad index in edge order, lower end first
         (((0, 9), (8, 0)) + ends[2:], "element index 9 out of range"),
+        (np.array([[0, 0], [0, 300], [-1, 0], [0, 0]], dtype=np.int16),
+         "element index 300 out of range"),
+        # never converted: numpy would read True as 1 and 1.0 as an index
+        (ends[:3] + ((0, 1.0),), "each edge needs a pair of element indices"),
+        (ends[:3] + ((True, 0),), "each edge needs a pair of element indices"),
+        (ends[:3] + ((0, "1"),), "each edge needs a pair of element indices"),
+        (np.zeros((4, 2)), "each edge needs a pair of element indices"),
+        (np.zeros((4, 3), dtype=np.intp), "each edge needs a pair of element indices"),
     ]
     for bad, message in cases:
         with pytest.raises(ValidationError) as refused:
             gl.GPhase(PAW, Q8, bad)
         assert str(refused.value) == message
+
+
+def test_phases_are_read_only_arrays_compared_by_value():
+    Q8 = gl.quaternion8()
+    pairs = [[1, 2], [3, 4], [5, 6], [7, 0]]
+    given = np.array(pairs)
+    forms = [gl.GPhase(PAW, Q8, tuple(map(tuple, pairs))), gl.GPhase(PAW, Q8, pairs),
+             gl.GPhase(PAW, Q8, given)]
+    given[0, 0] = 0  # the caller's array was copied
+    for H in forms:
+        assert H.ends.dtype == np.intp and H.ends.tolist() == pairs
+        assert H == forms[0] and hash(H) == hash(forms[0])
+        with pytest.raises(ValueError):
+            H.ends[0, 0] = 0
+    assert gl.GPhase(PAW, Q8, forms[0].ends).ends is forms[0].ends
+    assert forms[0] != gl.GPhase(PAW, Q8, pairs[:3] + [[0, 7]])
+    assert forms[0] != gl.GPhase(PAW, gl.cyclic(8), pairs)
+    assert forms[0] != forms[0].ends and forms[0] != pairs
 
 
 def test_ends_file_and_rows_routes_give_one_phase():
