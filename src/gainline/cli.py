@@ -61,9 +61,6 @@ def _layout(level: int):
 #: one piece where a piece is longer.
 _CHUNK = 1 << 16
 
-#: Items of a list of scalars encoded by one call of the C encoder.
-_ITEMS = 1 << 12
-
 
 def _encode(value, level: int, write, head: str = "") -> None:
     """Write ``head`` and then ``value`` at nesting ``level``, exactly as
@@ -72,16 +69,16 @@ def _encode(value, level: int, write, head: str = "") -> None:
     With ``indent`` set, ``json.dump`` runs the pure-Python encoder.  Here
     only non-empty dicts and lists that hold a container are walked in
     Python; everything else (a scalar, a dict key, an empty container, or a
-    list whose items all have exact ``_SCALARS`` types) goes out through the
-    level's C encoder, whose item separator carries the indentation, in
-    blocks of ``_ITEMS`` items.  A non-empty list of such lists is written
-    row by row.  A 2-D integer ``np.ndarray`` with entries in
-    ``range(size)`` (a group's ``table``), or a list of equal-length lists
-    of exact ``int`` in that range (an edge list), goes to :func:`_grid`,
-    and a phase's ``_SparseRows`` to :func:`_sparse`; any other array is
-    written as its ``tolist()``.  Each ``write`` gets at most one row, one
-    block or one piece with the separator, key or bracket before it.  Dict
-    keys must be ``str``, as in every gainline wire format.
+    list whose items all have exact ``_SCALARS`` types) goes out in one call
+    of the level's C encoder, whose item separator carries the indentation.
+    A non-empty list of such lists is written row by row.  A 2-D integer
+    ``np.ndarray`` with entries in ``range(size)`` (a group's ``table``), or
+    a list of equal-length lists of exact ``int`` in that range (an edge
+    list), goes to :func:`_grid`, and a phase's ``_SparseRows`` to
+    :func:`_sparse`; any other array is written as its ``tolist()``.  Each
+    ``write`` gets at most one row, one block of grid rows within
+    ``_CHUNK``, or one piece, with the separator, key or bracket before it.
+    Dict keys must be ``str``, as in every gainline wire format.
     """
     inner, comma, pad, encode = _layout(level)
     if type(value) is list and value and type(value[0]) is list:
@@ -118,11 +115,7 @@ def _encode(value, level: int, write, head: str = "") -> None:
             sep = comma
         write(pad + "]")
     elif isinstance(value, (list, tuple)) and value:
-        sep = head + "[" + inner
-        for start in range(0, len(value), _ITEMS):
-            write(sep + encode(value[start:start + _ITEMS])[1:-1])
-            sep = comma
-        write(pad + "]")
+        write(head + "[" + inner + encode(value)[1:-1] + pad + "]")
     else:
         write(head + encode(value))
 

@@ -105,8 +105,6 @@ class FiniteGroup:
         #: The inverse of each element as a read-only np.intp array, for gathers.
         self.inverse = inv
         inv.flags.writeable = False
-        #: The same inverses as a tuple, for scalar reads.
-        self.inv = tuple(inv.tolist())
         self.order = order
         self._label_index = {label: i for i, label in enumerate(self.labels)}
 
@@ -114,6 +112,11 @@ class FiniteGroup:
     def mult(self) -> tuple[tuple[int, ...], ...]:
         """The table as nested tuples, for scalar loops; built on first use."""
         return tuple(map(tuple, self.table.tolist()))
+
+    @functools.cached_property
+    def inv(self) -> tuple[int, ...]:
+        """The inverses as a tuple, for scalar loops; built on first use."""
+        return tuple(self.inverse.tolist())
 
     # -- basic operations ---------------------------------------------------
 

@@ -112,6 +112,14 @@ def test_cyclic_inverse_involution(n):
         assert G.invert(G.invert(g)) == g
 
 
+def test_inverses_are_one_read_only_array_with_a_lazy_tuple():
+    for G in small_groups():
+        assert G.inverse.dtype == np.intp and not G.inverse.flags.writeable
+        assert "inv" not in vars(G)
+        assert G.inv == tuple(G.inverse.tolist())
+        assert all(G.mul(g, G.inv[g]) == 0 for g in G.elements())
+
+
 def test_associativity_exhaustive_small():
     for G in small_groups():
         if G.order > 8:
