@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
@@ -36,16 +35,14 @@ def _load_json(path: str) -> dict:
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-@functools.lru_cache(maxsize=None)
 def _layout(level: int):
     """Item indentation, item separator and closing pad of a container at
     nesting ``level``, and an encoder whose item separator is that one.
 
     The encoder is the C encoder that ``json.dumps(separators=(comma, ": "))``
-    builds on every call, built here once per level; on a Python without
-    the ``_json`` accelerator it is that call's pure-Python encoder.  It
-    keeps no markers for circular references: every document the CLI
-    writes is a tree.
+    builds on every call; on a Python without the ``_json`` accelerator it
+    is that call's pure-Python encoder.  It keeps no markers for circular
+    references: every document the CLI writes is a tree.
     """
     inner = "\n" + "  " * (level + 1)
     comma = "," + inner
@@ -71,19 +68,15 @@ def _encode(value, level: int, write, head: str = "") -> None:
     Python; everything else (a scalar, a dict key, an empty container, or a
     list whose items all have exact ``_SCALARS`` types) goes out in one call
     of the level's C encoder, whose item separator carries the indentation.
-    A non-empty list of such lists is written row by row.  A 2-D integer
-    ``np.ndarray`` with entries in ``range(size)`` (a group's ``table``), or
-    a list of equal-length lists of exact ``int`` in that range (an edge
-    list), goes to :func:`_grid`, and a phase's ``_SparseRows`` to
-    :func:`_sparse`; any other array is written as its ``tolist()``.  Each
-    ``write`` gets at most one row, one block of grid rows within
-    ``_CHUNK``, or one piece, with the separator, key or bracket before it.
-    Dict keys must be ``str``, as in every gainline wire format.
+    A 2-D integer ``np.ndarray`` with entries in ``range(size)`` (a group's
+    ``table``, a graph's 1-based ``edges``) goes to :func:`_grid`, and a
+    phase's ``_SparseRows`` to :func:`_sparse`; any other array is written
+    as its ``tolist()``.  Each ``write`` gets at most one row, one block of
+    grid rows within ``_CHUNK``, or one piece, with the separator, key or
+    bracket before it.  Dict keys must be ``str``, as in every gainline wire
+    format.
     """
     inner, comma, pad, encode = _layout(level)
-    if type(value) is list and value and type(value[0]) is list:
-        grid = _int_grid(value)
-        value = value if grid is None else grid
     if isinstance(value, np.ndarray):
         if value.ndim == 2 and value.dtype.kind in "iu" and value.size \
                 and value.min() >= 0 and value.max() < value.size:
@@ -98,16 +91,6 @@ def _encode(value, level: int, write, head: str = "") -> None:
             _encode(item, level + 1, write, sep + encode(key) + ": ")
             sep = comma
         write(pad + "}")
-    elif isinstance(value, (list, tuple)) and value \
-            and all(isinstance(row, (list, tuple)) and set(map(type, row)) <= _SCALARS
-                    for row in value):
-        row_inner, _, row_pad, row_encode = _layout(level + 1)
-        sep = head + "[" + inner
-        for row in value:
-            body = row_encode(row)[1:-1]
-            write(sep + ("[" + row_inner + body + row_pad + "]" if body else "[]"))
-            sep = comma
-        write(pad + "]")
     elif isinstance(value, (list, tuple)) and not set(map(type, value)) <= _SCALARS:
         sep = head + "[" + inner
         for item in value:
@@ -150,7 +133,7 @@ def _grid(value: np.ndarray, level: int, write, head: str) -> None:
 
 
 def _sparse(value: phase._SparseRows, level: int, write, head: str) -> None:
-    """Write the grid of ``value`` as :func:`_encode` writes its ``dense()``
+    """Write the grid of ``value`` as :func:`_encode` writes its ``tolist()``
     form, without building it.
 
     Each distinct label is encoded once, and every zero run is a slice of
@@ -184,21 +167,6 @@ def _sparse(value: phase._SparseRows, level: int, write, head: str) -> None:
         write("".join(parts))
         sep = comma
     write(pad + "]")
-
-
-def _int_grid(rows: list) -> np.ndarray | None:
-    """``rows`` as a 2-D intp array, if they are equal-length non-empty lists
-    of exact ``int`` in ``range(size)``; otherwise None.  Types are checked
-    by C-level passes before any entry is converted."""
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {len(rows[0])} \
-            or not rows[0] or set(map(type, chain.from_iterable(rows))) != {int}:
-        return None
-    size = len(rows) * len(rows[0])
-    try:
-        grid = np.fromiter(chain.from_iterable(rows), np.intp, size)
-    except OverflowError:
-        return None
-    return grid.reshape(len(rows), -1) if 0 <= grid.min() and grid.max() < size else None
 
 
 def _emit(data: dict) -> None:
@@ -249,7 +217,7 @@ def cmd_group(args) -> None:
 def cmd_line(args) -> None:
     g = graph.graph_from_dict(_load_json(args.file))
     data = graph.line_graph(g)
-    _emit({"line": graph.graph_to_dict(data.line),
+    _emit({"line": graph._graph_wire(data.line),
            "shared_vertex": (data.shared_vertex + 1).tolist()})
 
 
@@ -258,7 +226,7 @@ def cmd_gainline(args) -> None:
     ctx = _context(psi_fn.group, args)
     orientation = _orientation(psi_fn.graph, args.orientation)
     zeta = phase.gain_line(psi_fn, orientation, ctx)
-    _emit(gain.gain_to_dict(zeta))
+    _emit(gain._gain_wire(zeta))
 
 
 def cmd_check_balance(args) -> None:

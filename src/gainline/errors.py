@@ -1,4 +1,5 @@
-"""Exception hierarchy and the two checks every JSON parser reads through."""
+"""Exception hierarchy, the two checks every JSON parser reads through, and
+``_plain``, which turns an object's wire form into its plain JSON values."""
 
 
 class GainlineError(Exception):
@@ -43,3 +44,12 @@ def require_type(value, kind: type, what: str):
     if type(value) is not kind:
         raise InputError(f"{what} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
+
+
+def _plain(wire: dict) -> dict:
+    """The wire form ``wire`` with every nested dict copied and every value
+    that has a ``tolist`` (an integer array, a phase's sparse rows) replaced
+    by its ``tolist()``: what ``json.loads`` reads back from the CLI."""
+    return {key: _plain(value) if type(value) is dict
+            else value.tolist() if hasattr(value, "tolist") else value
+            for key, value in wire.items()}

@@ -13,9 +13,9 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, CGMatrix
-from .errors import InputError, ValidationError, require_fields, require_type
-from .graph import SimpleGraph, _frozen, graph_from_dict, graph_to_dict
-from .group import (Element, FiniteGroup, _element_array, build_group, group_to_dict,
+from .errors import InputError, ValidationError, _plain, require_fields, require_type
+from .graph import SimpleGraph, _frozen, _graph_wire, graph_from_dict
+from .group import (Element, FiniteGroup, _element_array, _group_wire, build_group,
                     require_central_weak_involution)
 
 
@@ -225,6 +225,11 @@ def gain_from_dict(data: dict) -> GainFunction:
     return GainFunction(graph, group, _frozen(forward))
 
 
-def gain_to_dict(psi: GainFunction) -> dict:
-    return {"graph": graph_to_dict(psi.graph), "group": group_to_dict(psi.group),
+def _gain_wire(psi: GainFunction) -> dict:
+    """The wire form of psi, the grids of its graph and group left arrays."""
+    return {"graph": _graph_wire(psi.graph), "group": _group_wire(psi.group),
             "gains": list(map(psi.group.labels.__getitem__, psi.forward.tolist()))}
+
+
+def gain_to_dict(psi: GainFunction) -> dict:
+    return _plain(_gain_wire(psi))

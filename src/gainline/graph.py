@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InputError, ValidationError, require_fields, require_type
+from .errors import InputError, ValidationError, _plain, require_fields, require_type
 
 #: Largest line graph built, in edges: about 80 bytes each while building.
 MAX_LINE_EDGES = 1_000_000
@@ -405,5 +405,10 @@ def vertex_pairs(data: list, what: str) -> np.ndarray:
     return _pairs([[a - 1, b - 1] for a, b in pairs])
 
 
+def _graph_wire(graph: SimpleGraph) -> dict:
+    """The wire form of a graph, its 1-based ``edges`` left an (m, 2) array."""
+    return {"n": graph.n, "edges": graph.edges + 1}
+
+
 def graph_to_dict(graph: SimpleGraph) -> dict:
-    return {"n": graph.n, "edges": (graph.edges + 1).tolist()}
+    return _plain(_graph_wire(graph))

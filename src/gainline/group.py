@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, ValidationError, require_fields, require_type
+from .errors import InputError, ValidationError, _plain, require_fields, require_type
 
 Element = int
 
@@ -378,6 +378,4 @@ def _group_wire(group: FiniteGroup) -> dict:
 
 def group_to_dict(group: FiniteGroup) -> dict:
     """Serialize a group; always emits the explicit custom form."""
-    data = _group_wire(group)
-    data["table"] = data["table"].tolist()
-    return data
+    return _plain(_group_wire(group))

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, CGMatrix
-from .errors import InputError, ValidationError, require_fields, require_type
+from .errors import InputError, ValidationError, _plain, require_fields, require_type
 from .gain import GainFunction, switching_to
-from .graph import (Orientation, SimpleGraph, _frozen, _line_size, graph_from_dict,
-                    graph_to_dict, line_graph)
-from .group import (Element, FiniteGroup, _element_array, build_group, group_to_dict,
+from .graph import (Orientation, SimpleGraph, _frozen, _graph_wire, _line_size,
+                    graph_from_dict, line_graph)
+from .group import (Element, FiniteGroup, _element_array, _group_wire, build_group,
                     require_central_weak_involution)
 
 #: Largest phase written out, in n x m entries: a witness of ``check gainline``
@@ -53,7 +53,7 @@ class _SparseRows:
     columns: np.ndarray
     values: np.ndarray
 
-    def dense(self) -> list[list]:
+    def tolist(self) -> list[list]:
         ptr, columns = self.indptr.tolist(), self.columns.tolist()
         values = list(map(self.labels.__getitem__, self.values.tolist()))
         grid = []
@@ -134,7 +134,7 @@ class GPhase:
     @property
     def rows(self) -> tuple[tuple[Element | None, ...], ...]:
         """The dense vertex-by-edge view; built on each access."""
-        return tuple(map(tuple, self._sparse_rows(None, range(self.group.order)).dense()))
+        return tuple(map(tuple, self._sparse_rows(None, range(self.group.order)).tolist()))
 
     def _sparse_rows(self, zero, labels: Sequence) -> _SparseRows:
         """The n x m view, ``labels[H[i,k]]`` at each incident pair and
@@ -324,16 +324,15 @@ def phase_from_dict(data: dict) -> GPhase:
 
 def _phase_wire(H: GPhase) -> dict:
     """The wire form of H with its ``entries`` left sparse ("0" off the
-    support): :func:`phase_to_dict` densifies them, the CLI writes them.
+    support) and the integer grids of its graph and group left as arrays:
+    :func:`phase_to_dict` turns them into lists, the CLI writes them.
     Refused above ``MAX_PHASE_CELLS`` entries, before any is written."""
     if H.graph.n * H.graph.m > MAX_PHASE_CELLS:
         raise ValidationError(
             f"phase of {H.graph.n}x{H.graph.m} entries exceeds cap {MAX_PHASE_CELLS}")
-    return {"graph": graph_to_dict(H.graph), "group": group_to_dict(H.group),
+    return {"graph": _graph_wire(H.graph), "group": _group_wire(H.group),
             "entries": H._sparse_rows("0", H.group.labels)}
 
 
 def phase_to_dict(H: GPhase) -> dict:
-    data = _phase_wire(H)
-    data["entries"] = data["entries"].dense()
-    return data
+    return _plain(_phase_wire(H))

@@ -789,16 +789,43 @@ def test_group_echo_is_the_bytes_of_json_dumps(tmp_path, capsys):
 
 
 def test_group_echo_builds_no_list_copy_of_the_table(tmp_path, capsys, monkeypatch):
-    def refuse(G):
-        raise AssertionError("the table was copied into lists")
+    # every command that echoes a group, a graph, a gain or a phase writes
+    # its arrays as they are stored, never through the plain list forms
+    rng = random.Random(173)
+    D256, s = gl.dihedral(256), "r128"
+    graph = random_connected_graph(rng, 12)
+    psi = gl.GainFunction(graph, D256, tuple(rng.randrange(512) for _ in range(graph.m)))
+    ctx = gl.PhaseContext(D256, D256.element(s), D256.element(s))
+    zeta = gl.gain_line(psi, gl.default_orientation(graph), ctx)
+    data, H = gl.line_graph(graph), gl.recognize_gain_line(zeta, graph, ctx)
+    flags = ["--s1", s, "--s2", s]
+    cases = [
+        (["group", write(tmp_path, "z512.json", {"family": "cyclic", "n": 512})],
+         group_document(gl.cyclic(512))),
+        (["line", write(tmp_path, "graph.json", gl.graph_to_dict(graph))],
+         {"line": gl.graph_to_dict(data.line),
+          "shared_vertex": (data.shared_vertex + 1).tolist()}),
+        (["gainline", write(tmp_path, "psi.json", gl.gain_to_dict(psi))] + flags,
+         gl.gain_to_dict(zeta)),
+        (["check", "gainline", write(tmp_path, "zeta.json", gl.gain_to_dict(zeta)),
+          "--root", write(tmp_path, "root.json", gl.graph_to_dict(graph))] + flags,
+         {"gain_line": True, "witness_phase": gl.phase_to_dict(H)}),
+    ]
 
-    monkeypatch.setattr(cli.group, "group_to_dict", refuse)
-    code, out, err = run(capsys, ["group", write(tmp_path, "z512.json",
-                                                 {"family": "cyclic", "n": 512})])
-    monkeypatch.undo()
-    expected = json.dumps(group_document(gl.cyclic(512)), indent=2, sort_keys=True) + "\n"
-    same = out == expected
-    assert (code, err, same) == (0, "", True)
+    def refuse(value):
+        raise AssertionError("an array was copied into lists")
+
+    names = ("graph_to_dict", "group_to_dict", "gain_to_dict", "phase_to_dict")
+    for argv, document in cases:
+        for module in [m for key, m in sys.modules.items()
+                       if key == "gainline" or key.startswith("gainline.")]:
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        code, out, err = run(capsys, argv)
+        monkeypatch.undo()
+        same = out == json.dumps(document, indent=2, sort_keys=True) + "\n"
+        assert (code, err, same) == (0, "", True), argv[0]
 
 
 def test_gainline_and_its_check_echo_the_bytes_of_json_dumps(tmp_path, capsys):
@@ -862,14 +889,12 @@ def test_emit_writes_integer_arrays_as_json_dumps_of_their_lists(capsys, monkeyp
                     plain(document), indent=2, sort_keys=True) + "\n", (encoder, document)
             # a Python built without the _json accelerator has no C encoder
             monkeypatch.setattr(cli, "c_make_encoder", None)
-            cli._layout.cache_clear()
     finally:
         monkeypatch.undo()
-        cli._layout.cache_clear()
 
 
 def test_rows_of_a_list_are_written_without_a_call_each(tmp_path, capsys, monkeypatch):
-    # the edge list of a line graph is one list of rows, however many it has
+    # the edges of a line graph are one array of rows, however many it has
     calls = []
     encode = cli._encode
     monkeypatch.setattr(cli, "_encode", lambda *args: calls.append(1) or encode(*args))
@@ -947,7 +972,7 @@ def test_check_gainline_streams_its_witness_rows(tmp_path, monkeypatch):
     def no_grid(self):
         raise AssertionError("the dense witness grid was built")
 
-    monkeypatch.setattr(_SparseRows, "dense", no_grid)
+    monkeypatch.setattr(_SparseRows, "tolist", no_grid)
     recorder = WriteRecorder()
     monkeypatch.setattr(sys, "stdout", recorder)
     assert main(argv) == 0
@@ -1020,7 +1045,6 @@ def test_emit_falls_back_to_the_python_encoder(capsys, monkeypatch):
              ({"gain_line": True, "witness_phase": _phase_wire(H)},
               {"gain_line": True, "witness_phase": gl.phase_to_dict(H)})]
     monkeypatch.setattr(cli, "c_make_encoder", None)
-    cli._layout.cache_clear()
     try:
         for value, plain in cases:
             _emit(value)
@@ -1029,4 +1053,3 @@ def test_emit_falls_back_to_the_python_encoder(capsys, monkeypatch):
         assert isinstance(cli._layout(0)[3].__self__, json.JSONEncoder)
     finally:
         monkeypatch.undo()
-        cli._layout.cache_clear()
