@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, CGMatrix
+from .algebra import CGMatrix
 from .errors import InputError, ValidationError, _plain, require_fields, require_type
 from .graph import SimpleGraph, _frozen, _graph_wire, graph_from_dict
 from .group import (Element, FiniteGroup, _element_array, _group_wire, build_group,
@@ -37,7 +37,7 @@ class GainFunction:
             raise ValidationError("need exactly one gain per edge")
         object.__setattr__(self, "forward", _element_array(
             self.forward, (self.graph.m,), self.group.order,
-            "each gain must be an integer element index", "gain index"))
+            "each gain must be an integer element index", "gain index {x} out of range"))
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -70,16 +70,7 @@ def constant_gain(graph: SimpleGraph, group: FiniteGroup, s: Element) -> GainFun
 
 def gain_adjacency(psi: GainFunction) -> CGMatrix:
     """The adjacency matrix over CG; satisfies A* = A."""
-    G = psi.group
-    n = psi.graph.n
-    # Entries are never mutated, so equal entries share one object.
-    unit = [AlgebraElement.unit(G, g) for g in G.elements()]
-    support = {}
-    for (u, v), g, h in zip(psi.graph.edges.tolist(), psi.forward.tolist(),
-                            G.inverse[psi.forward].tolist()):
-        support[u, v] = unit[g]
-        support[v, u] = unit[h]
-    return CGMatrix(G, support, (n, n))
+    return _adjacency(psi, psi.forward, ())
 
 
 def s_laplacian(psi: GainFunction, s: Element) -> CGMatrix:
@@ -87,10 +78,17 @@ def s_laplacian(psi: GainFunction, s: Element) -> CGMatrix:
     G = psi.group
     require_central_weak_involution(G, s, "s")
     # s is central and s^2 = 1, so s psi is a gain: s g^-1 = (s g)^-1.
-    adj = gain_adjacency(GainFunction(psi.graph, G, _frozen(G.table[s][psi.forward])))
-    degrees = {(i, i): AlgebraElement(G, {G.identity: d})
-               for i, d in enumerate(psi.graph.degrees.tolist())}
-    return CGMatrix(G, adj.support | degrees, (adj.rows, adj.cols))
+    return _adjacency(psi, G.table[s][psi.forward], psi.graph.degrees)
+
+
+def _adjacency(psi: GainFunction, forward: np.ndarray, degrees) -> CGMatrix:
+    """The adjacency matrix of the gain ``forward`` on psi's edges, plus
+    degrees[i] times the identity at (i, i) for each given degree."""
+    (u, v), k, n = psi.graph.edges.T, np.arange(len(degrees)), psi.graph.n
+    return CGMatrix._from_terms(
+        psi.group, (n, n), np.concatenate((k, u, v)), np.concatenate((k, v, u)),
+        np.concatenate((np.zeros_like(k), forward, psi.group.inverse[forward])),
+        np.concatenate((degrees, np.ones(2 * len(u)))))
 
 
 def switch(psi: GainFunction, f: Sequence[Element]) -> GainFunction:
@@ -101,7 +99,7 @@ def switch(psi: GainFunction, f: Sequence[Element]) -> GainFunction:
     G = psi.group
     f = _element_array(f, (psi.graph.n,), G.order,
                        "each switching value must be an integer element index",
-                       "element index")
+                       "element index {x} out of range")
     u, v = psi.graph.edges.T
     return GainFunction(psi.graph, G, _frozen(G.table[G.table[G.inverse[f[u]], psi.forward], f[v]]))
 

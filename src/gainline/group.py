@@ -212,19 +212,18 @@ def _check_order(order: int) -> None:
         raise ValidationError(f"group order {order} exceeds cap {MAX_ORDER}")
 
 
-def _element_array(values, shape: tuple[int, ...], order: int, kind: str,
+def _element_array(values, shape: tuple[int, ...], order, kind: str,
                    index: str) -> np.ndarray:
     """``values`` as a read-only np.intp array of ``shape`` whose entries are
-    element indices below ``order``.
+    below ``order``, or below ``order[c]`` in column c when it is a tuple.
 
     An integer array is taken as it is, and shared when it is already a
     read-only intp array; a list or tuple (of rows, for a 2-D ``shape``)
     gets C-level type passes before numpy reads it, since numpy reads a bool
     among integers as 0 or 1.  A bool, a float, a string or another shape
     raises ValidationError(``kind``).  Then one mask finds the first entry x
-    out of range in row-major order, and raises ValidationError naming it as
-    ``f"{index} {x} out of range"``; an integer too large for intp stays
-    exact in an object array until then.
+    out of range in row-major order, and raises ValidationError(``index``
+    .format(*row, x=x)), row being x's; a too large integer stays exact.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         a = values if values.dtype == np.intp and not values.flags.writeable \
@@ -245,9 +244,10 @@ def _element_array(values, shape: tuple[int, ...], order: int, kind: str,
             a = a.reshape(-1, *shape[1:])
     if a is None or a.shape != shape:
         raise ValidationError(kind)
-    bad = np.flatnonzero((a < 0) | (a >= order))
+    bad = np.flatnonzero((a < 0) | (a >= np.asarray(order)))
     if bad.size:
-        raise ValidationError(f"{index} {a.ravel()[bad[0]]} out of range")
+        row = a.reshape(len(a), -1)[bad[0] // (a.size // len(a))].tolist()
+        raise ValidationError(index.format(*row, x=a.ravel()[bad[0]]))
     a = a.astype(np.intp, copy=False)
     a.flags.writeable = False
     return a

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, CGMatrix
+from .algebra import CGMatrix
 from .errors import InputError, ValidationError, _plain, require_fields, require_type
 from .gain import GainFunction, switching_to
 from .graph import (Orientation, SimpleGraph, _frozen, _graph_wire, _line_size,
@@ -121,7 +121,7 @@ class GPhase:
             raise ValidationError("need exactly one pair of entries per edge")
         object.__setattr__(self, "ends", _element_array(
             self.ends, (self.graph.m, 2), self.group.order,
-            "each edge needs a pair of element indices", "element index"))
+            "each edge needs a pair of element indices", "element index {x} out of range"))
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -146,12 +146,10 @@ class GPhase:
         return _SparseRows(graph.m, zero, labels, indptr, indices, values)
 
     def to_cg_matrix(self) -> CGMatrix:
-        G = self.group
-        return CGMatrix(G, {(i, k): AlgebraElement.unit(G, g)
-                            for k, pair in enumerate(zip(self.graph.edges.tolist(),
-                                                         self.ends.tolist()))
-                            for i, g in zip(*pair)},
-                        (self.graph.n, self.graph.m))
+        """The n x m matrix over CG with the unit H[i,k] at each incident pair."""
+        m = self.graph.m
+        return CGMatrix._from_terms(self.group, (self.graph.n, m), self.graph.edges.ravel(),
+                                    np.arange(m).repeat(2), self.ends.ravel(), np.ones(2 * m))
 
 
 def incidence_phase(graph: SimpleGraph, group: FiniteGroup) -> GPhase:
@@ -203,12 +201,12 @@ def act(H: GPhase, f: tuple[Element, ...] | None = None,
     if f is not None:
         f = _element_array(f, (H.graph.n,), G.order,
                            "each left action value must be an integer element index",
-                           "element index")
+                           "element index {x} out of range")
         ends = T[G.inverse[f[H.graph.edges]], ends]
     if g is not None:
         g = _element_array(g, (H.graph.m,), G.order,
                            "each right action value must be an integer element index",
-                           "element index")
+                           "element index {x} out of range")
         ends = T[ends, g[:, None]]
     return GPhase(H.graph, G, _frozen(ends))
 

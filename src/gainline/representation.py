@@ -197,22 +197,17 @@ def fourier(A: CGMatrix, rep: UnitaryRepresentation | np.ndarray) -> np.ndarray:
     ``rep`` is a representation of A's group or an (order, k, k) array of
     images with k >= 1, such as a block from :func:`invariant_blocks`.  The
     result is the (rows k) x (cols k) block matrix, one k x k block per
-    entry of A; every term c*x of every stored entry is scattered into its
-    block in one pass.  It is real when the images and the coefficients
+    entry of A; every term c x of A is scattered into its block in one
+    pass.  It is real when the images and the coefficients
     are, complex otherwise.  Refused, before anything is allocated, when a
     side of the result would exceed ``MAX_EIG_DIM``.
     """
     images = _images(A, rep)
     k = images.shape[1]
-    where = np.array([(i, j, g) for (i, j), entry in A.support.items()
-                      for g in entry.coeffs], dtype=np.intp).reshape(-1, 3)
-    coeffs = np.array([c for entry in A.support.values()
-                       for c in entry.coeffs.values()], dtype=np.complex128)
-    if not np.iscomplexobj(images) and not coeffs.imag.any():
-        coeffs = coeffs.real
-    blocks = coeffs[:, None, None] * images[where[:, 2]]
+    real = not np.iscomplexobj(images) and not A.c.imag.any()
+    blocks = (A.c.real if real else A.c)[:, None, None] * images[A.g]
     out = np.zeros((A.rows, k, A.cols, k), dtype=blocks.dtype)
-    np.add.at(out, (where[:, 0], slice(None), where[:, 1]), blocks)
+    np.add.at(out, (A.i, slice(None), A.j), blocks)
     return out.reshape(A.rows * k, A.cols * k)
 
 

@@ -1,13 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 import gainline as gl
 from gainline.algebra import AlgebraElement, CGMatrix, group_diagonal
 from gainline.errors import ValidationError
 
-from helpers import (matrix_of_rows, random_cg_matrix, random_pure_matrix,
-                     random_vector, small_groups)
+from helpers import (matrix_of_rows, random_cg_matrix, random_connected_graph, random_gain,
+                     random_pure_matrix, random_vector, small_groups)
 
 
 def unit(G, label):
@@ -271,3 +272,80 @@ def test_sparse_products_match_dense_expansion():
                     expected = expected + A[i, l] * B[l, j]
                 assert product[i, j] == expected
         assert (A @ B).star() == B.star() @ A.star()
+
+
+def test_malformed_indices_and_positions_are_refused():
+    Q8 = gl.quaternion8()
+    u = unit(Q8, "i")
+    cases = [
+        (lambda: AlgebraElement(Q8, {99: 1}), "^element index out of range: 99$"),
+        (lambda: AlgebraElement(Q8, {-1: 1}), "^element index out of range: -1$"),
+        (lambda: AlgebraElement(Q8, {1.5: 1}), "^each term needs an integer element index$"),
+        (lambda: AlgebraElement(Q8, {True: 1}), "^each term needs an integer element index$"),
+        (lambda: AlgebraElement.unit(Q8, 1.5), "^each term needs an integer element index$"),
+        (lambda: CGMatrix(Q8, {(0.5, 0): u}, (2, 2)),
+         "^matrix positions must be pairs of integers$"),
+        (lambda: CGMatrix(Q8, {0: u}, (2, 2)), "^matrix positions must be pairs of integers$"),
+        (lambda: CGMatrix(Q8, {(0, 1): u, (1, -1): u}, (2, 2)),
+         r"^entry \(1, -1\) outside a 2x2 matrix$"),
+        (lambda: CGMatrix(Q8, {(0, 10 ** 30): u}, (2, 2)),
+         rf"^entry \(0, {10 ** 30}\) outside a 2x2 matrix$"),
+        (lambda: group_diagonal(Q8, [0, 8]), "^element index out of range: 8$"),
+        (lambda: group_diagonal(Q8, [0.5]), "^each term needs an integer element index$"),
+        (lambda: group_diagonal(Q8, []), "^matrix must have at least one row$"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            build()
+
+
+def test_terms_are_sorted_read_only_arrays():
+    rng = random.Random(43)
+    for G in small_groups():
+        A = random_cg_matrix(rng, G, 4, 5)
+        for M in (A, A.star(), A @ A.star(), A + A, A.scalar_mul(A[0, 0] + AlgebraElement.unit(G, 0))):
+            assert [a.dtype for a in (M.i, M.j, M.g, M.c)] \
+                == [np.intp, np.intp, np.intp, np.complex128]
+            assert not any(a.flags.writeable for a in (M.i, M.j, M.g, M.c))
+            keys = list(zip(M.i.tolist(), M.j.tolist(), M.g.tolist()))
+            assert keys == sorted(set(keys)) and M.c.all()
+
+
+def test_array_form_hashes_with_equality():
+    rng = random.Random(47)
+    for G in (gl.quaternion8(), gl.dihedral(4)):
+        graph = random_connected_graph(rng, 8)
+        psi = random_gain(rng, graph, G)
+        A = gl.gain_adjacency(psi)
+        star = A.star()
+        # conjugation writes -0.0 imaginary parts, which must not reach the hash
+        assert star == A and hash(star) == hash(A) and len({A, star}) == 1
+        twin = gl.FiniteGroup(G.labels, G.table, G.name)
+        B = gl.gain_adjacency(gl.GainFunction(graph, twin, psi.forward))
+        assert B.group is not A.group and B == A and hash(B) == hash(A)
+        # support is a new dict of new elements on each access
+        support = A.support
+        first = next(iter(support))
+        support[first].coeffs.clear()
+        support.clear()
+        assert A == star and A[first].coeffs and len(A.support) == 2 * graph.m
+
+
+def test_positions_past_any_packed_key():
+    G = gl.quaternion8()
+    u = unit(G, "i")
+    far = 10 ** 12
+    A = CGMatrix(G, {(0, far): u}, (1, far + 1))
+    assert A[0, far] == u and not A[0, far - 1].coeffs and not A[0, 0].coeffs
+    assert A.support == {(0, far): u}
+    assert A.star()[far, 0] == unit(G, "-i")
+    assert A.star().star() == A and hash(A.star().star()) == hash(A)
+    assert A != CGMatrix(G, {(0, far - 1): u}, (1, far + 1))
+
+
+def test_one_vertex_graph_has_an_empty_incidence_matrix():
+    G = gl.quaternion8()
+    N = gl.incidence_phase(gl.SimpleGraph(1, ()), G).to_cg_matrix()
+    assert N == CGMatrix(G, {}, (1, 0)) and not N.support and N.entries == ((),)
+    assert gl.fourier(N, gl.q8_representation(G)).shape == (2, 0)
+    assert N @ N.star() == CGMatrix(G, {}, (1, 1))
