@@ -83,7 +83,13 @@ class CGMatrix:
 
     def __init__(self, group: FiniteGroup, entries: Mapping[tuple[int, int], AlgebraElement],
                  shape: tuple[int, int]):
-        rows, cols = shape
+        try:
+            rows, cols = shape
+        except (TypeError, ValueError):  # not a pair
+            rows = cols = None
+        if not all(isinstance(x, (int, np.integer)) and type(x) is not bool for x in (rows, cols)):
+            raise ValidationError("matrix shape must be a pair of integers")
+        shape = rows, cols = int(rows), int(cols)
         if rows < 1 or cols < 0:
             raise ValidationError("matrix must have at least one row")
         if any(a.group != group for a in entries.values()):

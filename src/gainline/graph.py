@@ -9,11 +9,10 @@ graph are deterministic.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -96,12 +95,11 @@ class SimpleGraph:
         ``indices[indptr[v]:indptr[v + 1]]``, in edge order.  Read-only."""
         indptr = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum(self.degrees, out=indptr[1:])
-        return _frozen(indptr), _frozen(np.argsort(self.edges.ravel(), kind="stable") // 2)
-
-    @cached_property
-    def _tree(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """The BFS tree from vertex 0, run once; read it through :func:`bfs_tree`."""
-        return _bfs(self)
+        # Ends sorted by vertex, then by slot 2k or 2k + 1 of edge k: the keys,
+        # below n 2m, are distinct, so an unstable sort gives the stable order.
+        slots = 2 * self.m
+        order = np.argsort(self.edges.ravel() * slots + np.arange(slots))
+        return _frozen(indptr), _frozen(order // 2)
 
     @cached_property
     def _line(self) -> "LineGraphData":
@@ -186,34 +184,6 @@ def _trusted(n: int, edges: np.ndarray) -> SimpleGraph:
     return graph
 
 
-def bfs_tree(graph: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """BFS from vertex 0: (parent per vertex, with the root its own parent;
-    vertices in visiting order; per vertex the index of the tree edge that
-    joins it to its parent, -1 at the root).  Run once per graph and shared."""
-    return graph._tree
-
-
-def _bfs(graph: SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The BFS behind :func:`bfs_tree`; parent is -1 where unreached."""
-    indptr, indices = graph.incidence
-    # per CSR slot, the vertex at the other end of its edge
-    far = (graph.edges[indices, 0] + graph.edges[indices, 1]
-           - np.repeat(np.arange(graph.n), graph.degrees))
-    indptr, indices, far = indptr.tolist(), indices.tolist(), far.tolist()
-    parent = [-1] * graph.n
-    via = [-1] * graph.n
-    parent[0] = 0
-    order = [0]
-    for u in order:
-        for s in range(indptr[u], indptr[u + 1]):
-            w = far[s]
-            if parent[w] < 0:
-                parent[w] = u
-                via[w] = indices[s]
-                order.append(w)
-    return tuple(parent), tuple(order), tuple(via)
-
-
 @dataclass(frozen=True, eq=False)
 class Orientation:
     """One ordered (tail, head) row per edge, in edge order, as a read-only
@@ -264,85 +234,142 @@ def line_graph(graph: SimpleGraph) -> LineGraphData:
 
 def line_roots(line: SimpleGraph) -> Iterator[SimpleGraph]:
     """Every root R with ``line_graph(R).line == line``, one per labelled root
-    up to renaming R's vertices.
+    up to renaming R's vertices, which are numbered by first appearance.
 
     Edge k of R is vertex k of ``line``, so ``line``'s edges must come in
-    sorted order.  Line vertices are placed in BFS order, each as the one
-    root edge whose endpoints meet exactly its placed neighbours (Degiorgi
-    and Simon, WG 1995).  By Whitney (Amer. J. Math. 54, 1932) a placed
-    connected part with more than six vertices leaves at most one choice,
-    and a line graph with more than six vertices has one labelled root.
-    K3 (root K3 or K1,3), L(K4), L(K4 - e) and L(K1,3 + e) have more, so
-    every choice for the first six vertices is tried.  O(n + m) per start;
-    a root is yielded only when its line graph, built within the line-graph
-    cap, equals ``line``.
+    sorted order.  The roots are read off the Krausz stars, the cliques of
+    the line edges at one root vertex, found by array passes over the CSR
+    incidence; an adjacency test is a ``searchsorted`` of a packed key.
+
+    Let line vertex a be the root edge xy, its smallest neighbour b = xw,
+    and A_z the other edges at z, a clique.  N(a) is A_x and A_y, and
+    P(a) = {b} + (N(a) & N(b)) is A_x plus c = yw when R has the triangle
+    xyw.  With p the smallest of P(a) - {b} and D the rest of P(a) not
+    adjacent to p: p in A_x gives D = {c} or none, and p = c gives
+    D = A_x - {b}, so s = |P(a)| = |D| + 2.  So |D| >= 2 makes p the c,
+    |D| = 0 < s - 2 leaves no c, and |D| = 1 < s - 2 makes D's vertex the c.
+    Otherwise, s = 2 or s = 3 = |D| + 2, T = {a, b, p} is a root triangle
+    (c = p) or a star at x of degree 3 (c in D or none), and its parity
+    decides (van Rooij and Wilf, Period. Math. Hungar. 1, 1965): every
+    other line vertex meets 0 or 2 vertices of a root triangle, and some
+    meets 1 of a star unless every other edge at its three far ends joins
+    two of them, which leaves R inside a K4, at most six line vertices.  No
+    line vertex meets all of T, since N(a) & N(b) - {p} is empty or not
+    adjacent to p, so T is even iff the degrees of T sum to 6 plus twice
+    the common neighbours of its three line edges, each less one: s - 1
+    for (a, b), and the other two counted on the shorter neighbour list.
+    These cases have d_x <= 3, so each b serves at most two at each end
+    and the counts read at most 10 m neighbours of a line graph; past that
+    there is no root.  With six line vertices or fewer both readings of
+    each case are tried, which yields both roots of Whitney's exceptions
+    (Amer. J. Math. 54, 1932): K3 (root K3 or K1,3), L(K1,3 + e), L(K4 - e)
+    and L(K4).
+
+    Line edge (a, z) then lies in the star at x if z is in P(a) - {c} and
+    at y otherwise, and the side (a, x) or (a, y) is numbered 2a or 2a + 1.
+    A star is a clique, so its smallest side is one step from each of its
+    sides and one minimum labels it; a side with no line edge is a leaf.
+    O(m log m); a root is yielded only when its line graph, built within
+    the line-graph cap, equals ``line``.
     """
-    edges = line.edges.tolist()
-    if any(map(operator.ge, edges, edges[1:])):
+    n, m = line.n, line.m
+    lo, hi = line.edges.T
+    keys = lo * n + hi  # a connected graph has n <= m + 1, so no key overflows
+    if m > MAX_LINE_EDGES or (keys[1:] <= keys[:-1]).any():
         return
-    indptr, indices = (a.tolist() for a in line.incidence)
-    incidence = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
-    order = line._tree[1]
-    starts = [([None] * line.n, [])]  # (root ends per line vertex, line vertices per root vertex)
-    for e in order[:6]:
-        starts = [_placed(ends[:], [set(s) for s in star], choice, e)
-                  for ends, star in starts
-                  for choice in _choices(ends, star, edges, incidence[e], e)]
     seen = set()
-    for ends, star in starts:
-        for e in order[6:]:
-            choice = next(_choices(ends, star, edges, incidence[e], e), None)
-            if choice is None:
-                break
-            _placed(ends, star, choice, e)
-        else:
-            stars = frozenset(map(frozenset, star))
-            if stars in seen:
-                continue
+    for ends in _root_ends(line, keys):
+        degrees = np.bincount(ends.ravel())
+        if (ends[:, 0] == ends[:, 1]).any() or _line_size(degrees) != m:
+            continue
+        # A root is its stars, the line vertices at each of its vertices.
+        stars = frozenset(frozenset(np.flatnonzero((ends == v).any(axis=1)).tolist())
+                          for v in range(len(degrees))) if n <= 6 else None
+        # Unchecked: its line graph equals line, which is simple and
+        # connected, only if the root is too.
+        root = _trusted(len(degrees), np.sort(ends, axis=1))
+        if stars not in seen and line_graph(root).line == line:
             seen.add(stars)
-            size = _line_size(np.fromiter(map(len, star), np.intp))
-            if size != line.m or size > MAX_LINE_EDGES:
-                return
-            root = SimpleGraph(len(star), tuple(ends))
-            if line_graph(root).line != line:
-                return
             yield root
-            if line.n > 6:
-                return
 
 
-def _choices(ends: list, star: list, edges: list, incident: list, e: int):
-    """The root vertex pairs (p, q) that edge e can take, q None for a new
-    vertex: every placed edge at p or q, and no other, meets e in ``line``."""
-    placed = {w for a, b in map(edges.__getitem__, incident)
-              for w in (a + b - e,) if ends[w] is not None}
-    if not placed:  # the first vertex
-        yield None, None
+def _root_ends(line: SimpleGraph, keys: np.ndarray) -> Iterator[np.ndarray]:
+    """The candidate roots of :func:`line_roots`, as the (n, 2) array of the
+    root vertices of each line vertex: one, or one per reading of the
+    undecided triangles when there are at most six line vertices."""
+    n, m = line.n, line.m
+    if not m:  # the one-vertex graph is the line graph of K2
+        yield np.array([[0, 1]])
         return
-    for p in ends[next(iter(placed))]:
-        if star[p] <= placed:
-            rest = placed - star[p]
-            if not rest:
-                yield p, None
-            else:
-                for q in ends[next(iter(rest))]:
-                    if star[q] == rest:
-                        yield p, q
 
+    def adjacent(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Whether each u is a neighbour of v.  Below b(v), v's smallest
+        neighbour, none is, so only those above b(v) are looked up."""
+        least = b[v]
+        out = u == least
+        ask = np.flatnonzero(u > least)
+        lo, hi = np.minimum(u[ask], v[ask]), np.maximum(u[ask], v[ask])
+        q = lo * n + hi  # never a key where u == v
+        out[ask] = keys[np.minimum(np.searchsorted(keys, q), m - 1)] == q
+        return out
 
-def _placed(ends: list, star: list, choice: tuple, e: int) -> tuple[list, list]:
-    """Place line vertex e as root edge ``choice``, new vertices appended."""
-    p, q = choice
-    if p is None:
-        p = len(star)
-        star.append(set())
-    if q is None:
-        q = len(star)
-        star.append(set())
-    ends[e] = (p, q)
-    star[p].add(e)
-    star[q].add(e)
-    return ends, star
+    def first_of(mask: np.ndarray) -> np.ndarray:
+        """Per line vertex, its first slot in ``mask``, or 2m if none."""
+        return np.minimum.reduceat(np.where(mask, slots, 2 * m), first)
+
+    indptr, indices = line.incidence
+    first, deg, slots = indptr[:-1], np.diff(indptr), np.arange(2 * m)
+    src = np.repeat(np.arange(n), deg)  # per slot, its line vertex a
+    flat = line.edges.ravel()
+    end = 2 * indices + (flat[2 * indices + 1] == src)  # per slot, its end in flat
+    nbr = flat[end ^ 1]  # per slot, the neighbour, ascending per line vertex
+    rev = np.empty(2 * m, dtype=np.intp)
+    rev[end] = slots
+    rev = rev[end ^ 1]  # the slot of the same line edge at nbr
+    b = nbr[first]  # per line vertex, its smallest neighbour
+    shared = adjacent(b[src], nbr)  # P(a) - {b}
+    s = np.add.reduceat(shared, first) + 1
+    p_slot = first_of(shared)
+    p = nbr[np.minimum(p_slot, 2 * m - 1)]  # valid where s >= 2
+    rest = np.flatnonzero(shared & (slots != p_slot[src]))
+    far = np.zeros(2 * m, dtype=bool)
+    far[rest[~adjacent(p[src[rest]], nbr[rest])]] = True
+    r, r_slot = np.add.reduceat(far, first), first_of(far)
+    c_slot = np.where(r >= 2, p_slot, np.where((r == 1) & (s >= 4), r_slot, -1))
+    amb = np.flatnonzero((s == 2) | ((s == 3) & (r == 1)))
+    star = np.where(s[amb] == 3, r_slot[amb], -1)  # c where T is a star
+    if n > 6 and amb.size:
+        u = np.concatenate((amb, b[amb]))
+        v = np.concatenate((p[amb], p[amb]))
+        w = np.where(deg[u] <= deg[v], u, v)
+        size = deg[w]
+        total = int(size.sum())
+        if total > 10 * m:
+            return
+        start = np.cumsum(size) - size
+        z = nbr[np.repeat(indptr[w] - start, size) + np.arange(total)]
+        o = np.repeat(u + v - w, size)
+        common = np.add.reduceat(adjacent(o, z), start)
+        even = (deg[amb] + deg[b[amb]] + deg[p[amb]] - 6
+                == 2 * (s[amb] + common.reshape(2, -1).sum(axis=0) - 4))
+        c_slot[amb] = np.where(even, p_slot[amb], star)
+    readings = [()] if n > 6 else product((False, True), repeat=amb.size)
+    for root_triangle in readings:
+        if n <= 6:
+            c_slot[amb] = np.where(root_triangle, p_slot[amb], star)
+        side = ~shared
+        side[first] = False
+        side[c_slot[c_slot >= 0]] = True
+        # per slot (a, z): the side of z that holds line edge (a, z), the
+        # smallest on a's side x being b's at a's first slot; past the last
+        # slot, 2n leaves a side with no line edge its own number, a leaf
+        held = np.append(2 * nbr + side[rev], 2 * n)
+        own = 2 * np.arange(n)
+        label = np.stack((np.minimum(own, held[first]),
+                          np.minimum(own + 1, held[first_of(side)])), axis=1)
+        used = np.zeros(2 * n, dtype=bool)
+        used[label] = True
+        yield (np.cumsum(used) - 1)[label]
 
 
 def incidence_matrix(graph: SimpleGraph) -> np.ndarray:

@@ -313,10 +313,44 @@ def represented_spectrum(A: CGMatrix, rep: UnitaryRepresentation) -> tuple[float
     rows * k, within VALIDATION_TOL times the coefficient mass of A of the
     dense solve.  An irreducible rep, or one with no certified split, is the
     one block rep.images, whose solve is the dense one.
+
+    Each block's matrix M goes to ``eigvalsh`` as :func:`hermitian_spectrum`
+    would hand it over, without its scans of M when a bound proves that they
+    pass.  Let A = A* hold exactly on the sorted terms, B be the block's
+    images, X the elements of A's terms, N = |X|, and over x in X let
+    d = max |B(x) - B(x^-1)*| and b = max |B(x)|, entrywise, and s the
+    largest coefficient mass sum |c| of a row of A.  A = A* pairs each term
+    (i, j, x, c) with (j, i, x^-1, conj c), so in exact arithmetic entry
+    (i, u), (j, v) of M - M* is the sum of c (B(x) - B(x^-1)*)_uv over the
+    terms at (i, j): at most s d.  ``fourier`` adds at most N products into
+    an entry, one term per element, so each computed entry is within
+    (N + 2) 2^-52 s b of the exact one, and every product and partial sum
+    is at most 2 s b in modulus.  So if s b <= 2^1000 every entry is
+    finite, and if s (d + (2 N + 8) 2^-52 b) <= VALIDATION_TOL / 2 the
+    computed deviation, at most s d plus twice that error and two roundings
+    more, is within the tolerance; halving it also covers the rounding of
+    s, d and b.  Then both checks of :func:`hermitian_spectrum` pass, and
+    they are skipped.
+    Otherwise they run, so the inputs refused and their messages are those
+    of the dense checks.  d, b and s cost N d_i^2 and nnz operations, no
+    more than ``fourier``, where the scans cost (rows d_i)^2.
     """
     _images(A, rep)
-    return tuple(sorted(lam for block in invariant_blocks(rep)
-                        for lam in hermitian_spectrum(fourier(A, block))))
+    hermitian = A == A.star()
+    mass = np.bincount(A.i, np.abs(A.c), minlength=A.rows).max()
+    X = np.flatnonzero(np.bincount(A.g, minlength=A.group.order))
+    spectra = []
+    for block in invariant_blocks(rep):
+        M = fourier(A, block)
+        B = block[X]
+        top = np.abs(B).max(initial=0.0)
+        gap = np.abs(B - block[A.group.inverse[X]].conj().transpose(0, 2, 1)).max(initial=0.0)
+        if hermitian and mass * top <= 2.0 ** 1000 \
+                and mass * (gap + (2 * len(X) + 8) * 2.0 ** -52 * top) <= VALIDATION_TOL / 2:
+            spectra += np.linalg.eigvalsh(M).tolist()
+        else:
+            spectra += hermitian_spectrum(M)
+    return tuple(sorted(spectra))
 
 
 # -- builtin representations ------------------------------------------------

@@ -56,17 +56,25 @@ def verify_line_identity(H: GPhase, rep: UnitaryRepresentation,
 
 def classify_s2_image(rep: UnitaryRepresentation, s2: int,
                       tol: float = DEFAULT_TOL) -> str:
+    return _s2_image(rep, s2, tol)[0]
+
+
+def _s2_image(rep: UnitaryRepresentation, s2: int, tol: float) -> tuple[str, int | None]:
+    """The class of pi(s2) within ``tol``, and eps = +-1 where pi(s2) is
+    exactly eps I (None otherwise), both from one comparison with +-I."""
     if not 0 <= tol < np.inf:
         raise InputError(f"tolerance must be finite and non-negative, got {tol!r}")
     if not 0 <= s2 < rep.group.order:
         raise ValidationError(f"element index out of range: {s2}")
     eye = np.eye(rep.degree)
     mat = rep.images[s2]
-    if np.abs(mat - eye).max() <= tol:
-        return "plus_identity"
-    if np.abs(mat + eye).max() <= tol:
-        return "minus_identity"
-    return "other"
+    plus, minus = np.abs(mat - eye).max(), np.abs(mat + eye).max()
+    eps = 1 if plus == 0 else -1 if minus == 0 else None
+    if plus <= tol:
+        return "plus_identity", eps
+    if minus <= tol:
+        return "minus_identity", eps
+    return "other", eps
 
 
 def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
@@ -81,16 +89,16 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
     exact decision.
 
     The spectrum of A = fourier(gain_adjacency(zeta), rep) is solved on the
-    root side when pi(s2) is exactly eps I with eps = +-1, which is
-    :func:`classify_s2_image` at tol 0 whatever ``tol`` is, zeta's graph is
-    the line graph of a root R with m_R > n_R (each labelled root that
-    :func:`~gainline.graph.line_roots` finds is tried), and
-    ``recognize_gain_line`` finds a phase H of R with psi_line(H) = zeta for
-    (s1, s2) = (1, s2).  Then FH* FH = 2I + s2 A(zeta) and FH FH* = K =
-    deg + A(psi(H)), the root's CG Laplacian, so A has the eigenvalues
-    eps (lambda - 2) over the n_R k eigenvalues lambda of fourier(K, rep),
-    within rounding of the dense solve, and (m_R - n_R) k eigenvalues
-    -2 eps, written exactly.  Every other input takes the dense solve of A:
+    root side when pi(s2) is exactly eps I with eps = +-1, whatever ``tol``
+    is: a deviation of 0 in the comparison with +-I that classifies pi(s2)
+    at ``tol``.  It also needs zeta's graph to be the line graph of a root R
+    with m_R > n_R (each labelled root that :func:`~gainline.graph.line_roots`
+    finds is tried), and ``recognize_gain_line`` to find a phase H of R with
+    psi_line(H) = zeta for (s1, s2) = (1, s2).  Then FH* FH = 2I + s2 A(zeta)
+    and FH FH* = K = deg + A(psi(H)), the root's CG Laplacian, so A has the
+    eigenvalues eps (lambda - 2) over the n_R k eigenvalues lambda of
+    fourier(K, rep), within rounding of the dense solve, and (m_R - n_R) k
+    eigenvalues -2 eps, written exactly.  Every other input takes the dense solve of A:
     pi(s2) only close to +-I or not +-I, a graph that is no line graph or
     whose edges are not sorted, m_R <= n_R, or no phase H.  The refusals
     come first either way, ``MAX_EIG_DIM`` counted on A's side.
@@ -98,10 +106,10 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
     if zeta.group != rep.group:
         raise ValidationError("representation defined on a different group")
     require_central_weak_involution(zeta.group, s2, "s2")
-    s2_class = classify_s2_image(rep, s2, tol)
+    s2_class, eps = _s2_image(rep, s2, tol)
     n = zeta.graph.n
     _require_side(n, n, rep.degree)
-    spec = _root_side_spectrum(zeta, rep, s2)
+    spec = _root_side_spectrum(zeta, rep, s2, eps)
     if spec is None:
         spec = represented_spectrum(gain_adjacency(zeta), rep)
     lo, hi = spec[0], spec[-1]
@@ -124,10 +132,10 @@ def gainline_obstruction(zeta: GainFunction, rep: UnitaryRepresentation,
 
 
 def _root_side_spectrum(zeta: GainFunction, rep: UnitaryRepresentation,
-                        s2: int) -> tuple[float, ...] | None:
+                        s2: int, eps: int | None) -> tuple[float, ...] | None:
     """The spectrum of fourier(A(zeta), rep) through the root Laplacian, as
-    :func:`gainline_obstruction` states it, or None where that does not apply."""
-    eps = {"plus_identity": 1, "minus_identity": -1}.get(classify_s2_image(rep, s2, 0.0))
+    :func:`gainline_obstruction` states it, where pi(s2) = eps I exactly, or
+    None where that does not apply."""
     if eps is None:
         return None
     G = zeta.group
@@ -140,5 +148,6 @@ def _root_side_spectrum(zeta: GainFunction, rep: UnitaryRepresentation,
         return None
     K = s_laplacian(psi(H, ctx), G.identity)
     # eps lambda - 2 eps rather than eps (lambda - 2): no -0.0 at lambda = 2
-    return tuple(sorted([eps * lam - 2 * eps for lam in represented_spectrum(K, rep)]
-                        + [-2.0 * eps] * ((root.m - root.n) * rep.degree)))
+    lam = eps * np.array(represented_spectrum(K, rep)) - 2 * eps
+    kernel = np.full((root.m - root.n) * rep.degree, -2.0 * eps)
+    return tuple(np.sort(np.concatenate((lam, kernel)), kind="stable").tolist())

@@ -582,11 +582,30 @@ def q8_gain(graph: gl.SimpleGraph, labels: list[str]) -> gl.GainFunction:
     return gl.GainFunction(graph, Q8, tuple(Q8.element(l) for l in labels))
 
 
+def bfs_tree(graph: gl.SimpleGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """BFS from vertex 0 over the edges in edge order: (parent per vertex,
+    with the root its own parent; vertices in visiting order; per vertex the
+    index of the tree edge that joins it to its parent, -1 at the root);
+    oracle only."""
+    incident = [[] for _ in range(graph.n)]
+    for k, (u, v) in enumerate(graph.edges.tolist()):
+        incident[u].append((k, v))
+        incident[v].append((k, u))
+    parent, via, order = [-1] * graph.n, [-1] * graph.n, [0]
+    parent[0] = 0
+    for u in order:
+        for k, w in incident[u]:
+            if parent[w] < 0:
+                parent[w], via[w] = u, k
+                order.append(w)
+    return tuple(parent), tuple(order), tuple(via)
+
+
 def per_seed_switching_to(psi1: gl.GainFunction, psi2: gl.GainFunction):
     """Some f with psi2 = psi1^f by propagating f along the BFS tree from
     each seed f(0) in element order and checking every edge; oracle only."""
     G = psi1.group
-    parent, order, _ = gl.graph.bfs_tree(psi1.graph)
+    parent, order, _ = bfs_tree(psi1.graph)
     for seed in G.elements():
         f = [seed] * psi1.graph.n
         for v in order[1:]:
@@ -605,7 +624,7 @@ def reference_switching_to(psi1: gl.GainFunction, psi2: gl.GainFunction):
     edge; oracle only."""
     G = psi1.group
     mul, inv = G.mult, G.inv
-    parent, order, via = gl.graph.bfs_tree(psi1.graph)
+    parent, order, via = bfs_tree(psi1.graph)
     g1, g2 = psi1.forward.tolist(), psi2.forward.tolist()
     p = [G.identity] * psi1.graph.n
     q = [G.identity] * psi1.graph.n

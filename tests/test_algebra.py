@@ -299,6 +299,16 @@ def test_malformed_indices_and_positions_are_refused():
             build()
 
 
+def test_a_shape_must_be_a_pair_of_integers():
+    # a float shape was accepted, and the entries view then raised TypeError
+    Q8 = gl.quaternion8()
+    for shape in ((1.5, 2), (2, 2.0), (True, 2), (2,), (2, 2, 2), "ab", None):
+        with pytest.raises(ValidationError, match="^matrix shape must be a pair of integers$"):
+            CGMatrix(Q8, {}, shape)
+    A = CGMatrix(Q8, {}, (np.int64(2), 3))
+    assert (A.rows, A.cols) == (2, 3) and type(A.rows) is int and len(A.entries) == 2
+
+
 def test_terms_are_sorted_read_only_arrays():
     rng = random.Random(43)
     for G in small_groups():

@@ -158,11 +158,13 @@ def test_check_switch_equiv_command(tmp_path, capsys):
 
 
 def test_check_commands_run_one_bfs_per_graph(tmp_path, capsys, monkeypatch):
-    """Connectivity and switching potentials are found without a search, so
-    no command searches a graph: only root recovery reads the BFS tree."""
+    """Connectivity, switching potentials and root recovery are array passes,
+    so the package has no graph search, and no command but check obstruction
+    recovers a root."""
+    assert not hasattr(gl.graph, "_bfs") and not hasattr(gl.graph, "bfs_tree")
     runs = []
-    bfs = gl.graph._bfs
-    monkeypatch.setattr(gl.graph, "_bfs", lambda graph: runs.append(graph) or bfs(graph))
+    recover = gl.spectral.line_roots
+    monkeypatch.setattr(gl.spectral, "line_roots", lambda line: runs.append(line) or recover(line))
     psi = q8_gain(PAW, PAW_GAINS)
     a = paw_gain_file(tmp_path, "a.json")
     b = write(tmp_path, "b.json", gl.gain_to_dict(gl.switch(psi, (2, 5, 1, 0))))

@@ -8,7 +8,7 @@ import gainline as gl
 from gainline.algebra import AlgebraElement
 from gainline.errors import InputError, ValidationError
 
-from helpers import (DIAMOND, K2, PAW, TRIANGLE, all_gains, brute_force_switching,
+from helpers import (DIAMOND, K2, PAW, TRIANGLE, all_gains, bfs_tree, brute_force_switching,
                      builtin_representations, derived_cover, holonomy, perturbed, q8_gain,
                      per_seed_switching_to, random_connected_graph, random_gain,
                      random_vector, reference_switching_to, shuffled_graph, small_groups)
@@ -354,7 +354,7 @@ def test_switching_to_matches_the_bfs_potentials():
             psi1 = random_gain(rng, graph, G)
             switched = gl.switch(psi1, random_vector(rng, G, graph.n))
             # a chord is an edge off the BFS tree; a tree has none
-            chords = sorted(set(range(graph.m)) - set(gl.graph.bfs_tree(graph)[2]))
+            chords = sorted(set(range(graph.m)) - set(bfs_tree(graph)[2]))
             k = chords[-1] if chords else graph.m - 1
             def changed(psi):
                 forward = psi.forward.copy()

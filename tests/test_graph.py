@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ import pytest
 import gainline as gl
 import gainline.graph as graph_module
 from gainline.errors import InputError, ValidationError
-from gainline.graph import bfs_tree, line_roots
+from gainline.graph import line_roots
 
-from helpers import (K2, PAW, STAR3, TRIANGLE, complete_graph, incidence_lists,
-                     pairwise_line_graph, random_connected_graph, reference_first_fault,
-                     reference_line_graph, shuffled_graph, star_graph)
+from helpers import (K2, PAW, STAR3, TRIANGLE, bfs_tree, complete_graph,
+                     incidence_lists, pairwise_line_graph, random_connected_graph,
+                     reference_first_fault, reference_line_graph, shuffled_graph,
+                     star_graph)
 
 
 def test_paw_line_graph_matches_drawn_adjacencies():
@@ -311,21 +313,6 @@ def test_graph_faults_are_named(build, message):
     assert str(refused.value) == message
 
 
-def test_bfs_tree_is_run_once_and_cannot_be_changed():
-    rng = random.Random(107)
-    g = shuffled_graph(rng, random_connected_graph(rng, 40))
-    parent, order, via = bfs_tree(g)
-    assert bfs_tree(g) is bfs_tree(g)
-    assert sorted(order) == list(range(g.n)) and order[0] == parent[0] == 0
-    edges = g.edges.tolist()
-    assert all([min(v, parent[v]), max(v, parent[v])] in edges for v in order[1:])
-    assert all(set(edges[via[v]]) == {v, parent[v]} for v in order[1:])
-    # what every caller reads is the cached tree itself, so it is immutable
-    assert type(parent) is tuple and type(order) is tuple and type(via) is tuple
-    with pytest.raises(TypeError):
-        parent[1] = 0
-
-
 def test_graph_file_roundtrip():
     d = gl.graph_to_dict(PAW)
     assert d == {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [2, 4]]}
@@ -440,3 +427,109 @@ def test_line_root_refuses_unsorted_edges_and_stays_under_the_cap(monkeypatch):
     # not certified, and nothing is built
     monkeypatch.setattr(graph_module, "MAX_LINE_EDGES", 5)
     assert next(line_roots(complete_graph(5)), None) is None
+
+
+def _stars(graph: gl.SimpleGraph) -> frozenset:
+    """The edges at each vertex: a root up to renaming its vertices."""
+    return frozenset(map(frozenset, incidence_lists(graph)))
+
+
+def _relabelled(rng: random.Random, n: int, edges) -> gl.SimpleGraph:
+    """The graph on ``edges`` with its vertices renamed and edges shuffled."""
+    names = list(range(n))
+    rng.shuffle(names)
+    return shuffled_graph(rng, gl.SimpleGraph(n, tuple((names[u], names[v]) for u, v in edges)))
+
+
+def _root_families(rng: random.Random) -> list[tuple[str, int, list]]:
+    """(name, n, edges) of roots with pendant paths, triangles, K4s and trees."""
+    def tree(n):
+        return [(rng.randrange(v), v) for v in range(1, n)]
+
+    def random_root(n, m):
+        edges = set(tree(n))
+        while len(edges) < m:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        return sorted(edges)
+
+    def pendant_paths(n, edges, count):
+        edges = list(edges)
+        for _ in range(count):
+            at = rng.randrange(n)
+            for _ in range(rng.randint(1, 4)):
+                edges.append((at, n))
+                at, n = n, n + 1
+        return n, edges
+
+    def on_edges(n, edges, count, size):
+        """A new K_size on each of ``count`` edges: a triangle or a K4."""
+        edges = list(edges)
+        for u, v in rng.sample(edges, count):
+            new = list(range(n, n + size - 2))
+            clique = [u, v] + new
+            edges += [(a, b) for a, b in itertools.combinations(clique, 2) if b >= n]
+            n += size - 2
+        return n, edges
+
+    families = [("path", 40, [(v, v + 1) for v in range(39)]),
+                ("star", 31, [(0, v) for v in range(1, 31)]),
+                ("tree", 60, tree(60)),
+                ("tree", 200, tree(200)),
+                ("pendant paths", *pendant_paths(40, random_root(40, 80), 8)),
+                ("pendant paths", *pendant_paths(2, [(0, 1)], 6)),
+                ("windmill", 21, [e for t in range(10) for e in
+                                  ((0, 2 * t + 1), (0, 2 * t + 2), (2 * t + 1, 2 * t + 2))]),
+                ("triangles", *on_edges(30, tree(30), 12, 3)),
+                ("triangles", *on_edges(40, random_root(40, 60), 20, 3)),
+                ("K4", *on_edges(4, list(itertools.combinations(range(4), 2)), 3, 4)),
+                ("K4", *on_edges(30, random_root(30, 45), 10, 4)),
+                ("K5", 5, list(itertools.combinations(range(5), 2))),
+                ("K6 with a pendant path",
+                 *pendant_paths(6, list(itertools.combinations(range(6), 2)), 1))]
+    return families
+
+
+def test_line_root_recovers_pendant_paths_triangles_k4s_and_trees():
+    rng = random.Random(33)
+    for name, n, edges in _root_families(rng):
+        root = _relabelled(rng, n, edges)
+        line = gl.line_graph(root).line
+        assert line.n > 6, name
+        roots = list(line_roots(gl.SimpleGraph(line.n, line.edges)))
+        # Whitney: with more than six line vertices the root is unique
+        assert len(roots) == 1, name
+        assert gl.line_graph(roots[0]).line == line, name
+        assert _stars(roots[0]) == _stars(root), name
+
+
+def test_line_root_decides_one_edge_perturbations_like_networkx():
+    """A line edge added to or removed from a line graph: a root is found,
+    and certified, exactly when networkx finds one."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(34)
+    found = Counter()
+    for n in (50, 200, 50, 200):
+        line = gl.line_graph(_shuffled_random_graph(rng, n, 2 * n)).line
+        edges = set(map(tuple, line.edges.tolist()))
+        for change in range(8):
+            if change % 2:
+                edge = tuple(sorted(rng.sample(range(line.n), 2)))
+                perturbed = edges | {edge}
+            else:
+                edge = rng.choice(sorted(edges))
+                perturbed = edges - {edge}
+                if not nx.is_connected(nx.Graph(sorted(perturbed))):
+                    continue
+            graph = gl.SimpleGraph(line.n, tuple(sorted(perturbed)))
+            try:
+                nx.inverse_line_graph(nx.Graph(sorted(perturbed)))
+                is_line = True
+            except nx.NetworkXError:
+                is_line = False
+            roots = list(line_roots(graph))
+            assert len(roots) == is_line, (n, edge)
+            assert all(gl.line_graph(root).line == graph for root in roots)
+            found[is_line] += 1
+    # removing the one line edge of a degree-two root vertex splits it, so
+    # some perturbations are line graphs again
+    assert found[True] and found[False]

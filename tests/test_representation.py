@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import gainline as gl
-from gainline.algebra import CGMatrix
+from gainline.algebra import AlgebraElement, CGMatrix
 from gainline.errors import InputError, ValidationError
 
 from helpers import (DIAMOND, PAW, builtin_representations, index_two_subgroups, q8_gain,
@@ -693,3 +694,86 @@ def test_quaternionic_type_spectra_pair_up():
             groups = gl.multiplicity_groups(spec)
             assert all(groups.count(gid) % 2 == 0 for gid in set(groups))
             assert max(abs(b - a) for a, b in zip(spec[::2], spec[1::2])) <= 1e-12
+
+
+def _random_edges(rng: random.Random, n: int, m: int) -> gl.SimpleGraph:
+    """A random recursive tree on n vertices plus chords up to m edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return gl.SimpleGraph(n, tuple(sorted(edges)))
+
+
+def _scans(monkeypatch):
+    """Record each matrix that the dense checks of hermitian_spectrum scan."""
+    scanned, scan = [], gl.representation.hermitian_spectrum
+    monkeypatch.setattr(gl.representation, "hermitian_spectrum",
+                        lambda M: scanned.append(len(M)) or scan(M))
+    return scanned
+
+
+def test_represented_spectrum_solves_without_the_scans_it_proves(monkeypatch):
+    # one entry of pi(i) moved by 1e-12: valid within VALIDATION_TOL, not
+    # exact, and still inside the Hermitian bound on these graphs
+    rng = random.Random(151)
+    Q8 = gl.quaternion8()
+    images = gl.q8_representation(Q8).images.copy()
+    images[Q8.element("i"), 0, 0] += 1e-12
+    nudged = gl.UnitaryRepresentation(Q8, images)
+    assert nudged.irreducible and not np.array_equal(nudged.images, nudged.images.round())
+    scanned = _scans(monkeypatch)
+    for rep in (nudged, gl.q8_representation(Q8), gl.regular_representation(Q8)):
+        for n in (4, 30, 120):
+            psi = random_gain(rng, _random_edges(rng, n, n + n // 2), Q8)
+            for A in (gl.gain_adjacency(psi), gl.s_laplacian(psi, Q8.element("-1"))):
+                got = gl.represented_spectrum(A, rep)
+                assert scanned == []
+                dense = gl.hermitian_spectrum(gl.fourier(A, rep))
+                scanned.clear()
+                if rep.irreducible:  # one block: the same matrix, solved the same way
+                    assert got == dense
+                else:
+                    assert np.abs(np.subtract(got, dense)).max() <= 1e-9 * 2 * n
+
+
+def test_represented_spectrum_keeps_the_dense_checks_where_no_bound_holds(monkeypatch):
+    Q8 = gl.quaternion8()
+    q8, trivial = gl.q8_representation(Q8), gl.trivial_representation(Q8)
+    i, minus = AlgebraElement.unit(Q8, Q8.element("i")), Q8.element("-1")
+    # A != A*: refused as the dense check refuses it
+    with pytest.raises(ValidationError, match="^matrix is not Hermitian within tolerance$"):
+        gl.represented_spectrum(CGMatrix(Q8, {(0, 1): i}, (2, 2)), q8)
+    # 1e308 + 1e308 = inf at the trivial representation, where fourier's sum
+    # overflows; -1 is its own inverse
+    huge = AlgebraElement(Q8, {Q8.identity: 1e308, minus: 1e308})
+    with pytest.raises(ValidationError, match="^matrix must have finite entries$"), \
+            np.errstate(over="ignore"):
+        gl.represented_spectrum(CGMatrix(Q8, {(0, 0): huge}, (1, 1)), trivial)
+    # A = A* only within the tolerance, and a mass past the overflow bound:
+    # the dense checks run, and pass, as before
+    scanned = _scans(monkeypatch)
+    near = AlgebraElement(Q8, {Q8.identity: 1 + 1e-13})
+    one = AlgebraElement(Q8, {Q8.identity: 1})
+    big = AlgebraElement(Q8, {Q8.identity: 1e305})
+    for A in (CGMatrix(Q8, {(0, 1): near, (1, 0): one}, (2, 2)),
+              CGMatrix(Q8, {(0, 0): big}, (1, 1))):
+        assert gl.represented_spectrum(A, q8) == gl.hermitian_spectrum(gl.fourier(A, q8))
+        assert scanned == [2 * A.rows]
+        scanned.clear()
+
+
+def test_represented_spectrum_peak_memory_is_the_matrix_it_solves():
+    # side 800 over Q8: the dense scans held about two more complex copies
+    rng = random.Random(152)
+    Q8 = gl.quaternion8()
+    rep = gl.q8_representation(Q8)
+    A = gl.gain_adjacency(random_gain(rng, _random_edges(rng, 400, 800), Q8))
+    side_bytes = (400 * rep.degree) ** 2 * 16
+    gl.represented_spectrum(A, rep)
+    tracemalloc.start()
+    try:
+        gl.represented_spectrum(A, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * side_bytes

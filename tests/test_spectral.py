@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import gainline as gl
-import gainline.representation as representation_module
 import gainline.spectral as spectral_module
 from gainline.errors import InputError, ValidationError
 
@@ -240,14 +239,14 @@ def _random_root(rng: random.Random, n: int, m: int) -> gl.SimpleGraph:
 def _solved_sides(monkeypatch, zeta, rep, s2):
     """The verdict, and the side of every matrix whose eigenvalues it solved."""
     sides = []
-    solve = representation_module.hermitian_spectrum
+    solve = np.linalg.eigvalsh
 
     def recorded(M):
         sides.append(len(M))
         return solve(M)
 
     with monkeypatch.context() as patch:
-        patch.setattr(representation_module, "hermitian_spectrum", recorded)
+        patch.setattr(np.linalg, "eigvalsh", recorded)
         return gl.gainline_obstruction(zeta, rep, s2), sides
 
 
@@ -285,7 +284,12 @@ def test_root_laplacian_oracle_matches_the_dense_solve(monkeypatch):
                 assert len(verdict.spectrum) == len(dense.spectrum) == root.m * k
                 assert np.abs(np.subtract(verdict.spectrum, dense.spectrum)).max() \
                     <= 1e-9 * mass
-                assert verdict.spectrum.count(-2.0 * eps) == (root.m - root.n) * k
+                # the (m_R - n_R) k copies of -2 eps are written exactly; a root
+                # Laplacian eigenvalue within rounding of 0 may give one more,
+                # only where the dense solve has an eigenvalue at -2 eps too
+                extra = verdict.spectrum.count(-2.0 * eps) - (root.m - root.n) * k
+                near = np.sum(np.abs(np.add(dense.spectrum, 2 * eps)) <= 1e-9 * mass)
+                assert 0 <= extra <= near - (root.m - root.n) * k
                 verdicts.add(verdict.violated)
     assert verdicts == {None}
 
